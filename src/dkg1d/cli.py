@@ -48,7 +48,11 @@ def _cmd_verify(args) -> int:
         return 0 if ok else 1
     # lemma3
     stats = weights.sample_margins(args.samples, seed=args.seed)
-    ok = stats["min_relative_margin"] >= -1e-9 and stats["max_relative_residual"] <= 1e-12
+    ok = (
+        stats["min_relative_margin"] >= -1e-9
+        and stats["min_relative_sum_bound_margin"] >= -1e-9
+        and stats["max_relative_residual"] <= 1e-12
+    )
     _emit({"target": "lemma3", **stats, "pass": ok})
     return 0 if ok else 1
 

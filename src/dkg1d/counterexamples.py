@@ -31,11 +31,17 @@ Families (intervals at scale L, v's strip line, decay exponent):
     cond4        A=[L-1,L+1],     B=[2L-2,2L+2], C=[-L-1,-L+1], v: minus,
                  delta = a + b + c + gamma
 
-Grids keep the frequency spacings fixed across the L ladder (dxi = 1/4,
-dtau = 1/2 by default) so the strip discretization is identical at every L
-and cancels out of fitted log-log slopes; extents grow with L so that the
-supports of u, v and of the product transform all fit in the box without
-periodic wrap, which makes the product computation exact.
+The strips are sampled on the fixed frequency lattice tau = i/2, xi = j/4,
+the same at every L, so the strip discretization cancels out of fitted
+log-log slopes.  On that lattice the strip condition |tau +- xi| <= 1/2 is
+the integer test |2i +- j| <= 2, and since Fu and Fv are 0/1 indicators the
+product transform is exactly a pair count,
+
+    F(u conj v)(k) = (2 pi)^{-2} cell #{p in S_u : p - k in S_v},
+
+with cell = dtau dxi (``norms.indicator_product``).  Every ratio therefore
+follows from the lattice points of the two strips and their pair offsets,
+with no grid, no FFT and no periodic wrap to guard against.
 
 Also here: the exact transversal free-wave product identity
 (``wave_product_constant``) and a Monte-Carlo probe of the
@@ -54,20 +60,20 @@ from .norms import (
     Grid2D,
     GridFunction2D,
     NormIndex,
+    indicator_product,
     inverse_transform,
     l2_norm_physical,
-    next_fast_even,
-    product_norm,
+    point_norm,
     spatial_inverse,
-    transform,
     weighted_norm,
 )
 
 Interval = tuple[float, float]
 
-DEFAULT_THICKNESS = 1.0
-DEFAULT_DTAU = 0.5
-DEFAULT_DXI = 0.25
+# Frequency lattice spacings of the strips; the strips have thickness 1.
+DTAU = 0.5
+DXI = 0.25
+CELL = DTAU * DXI
 DEFAULT_L_LADDER = (64.0, 128.0, 256.0, 512.0)
 
 
@@ -80,27 +86,6 @@ class ExponentTuple(NamedTuple):
     alpha: float = 0.0
     beta: float = 0.0
     gamma: float = 0.0
-
-
-@dataclass(frozen=True)
-class StripSpec:
-    """A thickness-``thickness`` strip along a characteristic line.
-
-    ``line = "plus"`` constrains ``|tau + xi| <= thickness/2``, ``"minus"``
-    constrains ``|tau - xi| <= thickness/2``; ``interval`` restricts xi.
-    """
-
-    interval: Interval
-    line: str
-    thickness: float = DEFAULT_THICKNESS
-
-    def __post_init__(self):
-        if self.interval[0] >= self.interval[1]:
-            raise ValueError("strip interval must satisfy lo < hi")
-        if self.line not in ("plus", "minus"):
-            raise ValueError("strip line must be 'plus' or 'minus'")
-        if self.thickness <= 0:
-            raise ValueError("strip thickness must be positive")
 
 
 @dataclass(frozen=True)
@@ -174,100 +159,41 @@ def abc_margin(family_id: str, L: float) -> float:
     return min((A[0] - C[1]) - B[0], B[1] - (A[1] - C[0]))
 
 
-def _strip_boxes(
-    family: CounterexampleFamily, L: float, thickness: float
-) -> dict[str, tuple[Interval, Interval]]:
-    """Bounding boxes (tau-range, xi-range) of u, v and the product transform."""
-    A, B, _ = family.intervals(L)
-    h = thickness / 2
-    u_tau = (-A[1] - h, -A[0] + h)
-    if family.v_line == "plus":
-        v_tau = (-B[1] - h, -B[0] + h)
-    else:
-        v_tau = (B[0] - h, B[1] + h)
-    prod_tau = (u_tau[0] - v_tau[1], u_tau[1] - v_tau[0])
-    prod_xi = (A[0] - B[1], A[1] - B[0])
-    return {
-        "u": (u_tau, A),
-        "v": (v_tau, B),
-        "product": (prod_tau, prod_xi),
-    }
+def strip_points(interval: Interval, line: str) -> np.ndarray:
+    """Lattice indices (i, j), shape (2, n), of a thickness-1 strip.
 
-
-def default_family_grid(
-    family_id: str,
-    L: float,
-    dtau: float = DEFAULT_DTAU,
-    dxi: float = DEFAULT_DXI,
-    margin: float = 4.0,
-    thickness: float = DEFAULT_THICKNESS,
-) -> Grid2D:
-    """Smallest FFT-friendly grid holding the family's strips and their product.
-
-    Spacings stay fixed while extents scale with L, so strip sampling is
-    identical across a ladder of L values.
+    The strip is {xi in interval, |tau + xi| <= 1/2} for ``line = "plus"``
+    and {xi in interval, |tau - xi| <= 1/2} for ``"minus"``.  With tau = i/2
+    and xi = j/4 the strip condition reads |2i +- j| <= 2, exact in integers;
+    each column j holds 3 points when j is even and 2 when it is odd.
     """
-    boxes = _strip_boxes(FAMILIES[family_id], L, thickness)
-    h_tau = max(abs(b) for tau_box, _ in boxes.values() for b in tau_box) + margin
-    h_xi = max(abs(b) for _, xi_box in boxes.values() for b in xi_box) + margin
-    n_t = next_fast_even(math.ceil(2 * h_tau / dtau))
-    n_x = next_fast_even(math.ceil(2 * h_xi / dxi))
-    return Grid2D(n_t=n_t, n_x=n_x, t_extent=2 * np.pi / dtau, x_extent=2 * np.pi / dxi)
+    sign = {"plus": 1, "minus": -1}[line]
+    j = np.arange(math.ceil(interval[0] / DXI), math.floor(interval[1] / DXI) + 1)
+    # The window |2i + sign j| <= 2 is centred on -sign j / 2; these three
+    # candidates cover it for either parity of j.
+    i = (-sign * j) // 2 + np.arange(-1, 2)[:, None]
+    j = np.broadcast_to(j, i.shape)
+    on = np.abs(2 * i + sign * j) <= 2
+    return np.stack([i[on], j[on]])
 
 
-def _strip_indicator(grid: Grid2D, strip: StripSpec) -> GridFunction2D:
-    xi = grid.xi
-    tau = grid.tau
-    lo, hi = strip.interval
-    values = np.zeros((grid.n_t, grid.n_x), dtype=complex)
-    cols = np.nonzero((xi >= lo) & (xi <= hi))[0]
-    if cols.size:
-        sign = 1.0 if strip.line == "plus" else -1.0
-        comb = tau[:, None] + sign * xi[cols][None, :]
-        values[:, cols] = (np.abs(comb) <= strip.thickness / 2).astype(complex)
-    return GridFunction2D(grid, values, "fourier")
+def pair_offsets(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct offsets p_u - p_v, shape (2, m), and how many pairs give each.
 
-
-def build_family(
-    family_id: str,
-    L: float,
-    grid: Grid2D | None = None,
-    thickness: float = DEFAULT_THICKNESS,
-) -> tuple[GridFunction2D, GridFunction2D, CounterexampleFamily]:
-    """Indicator-valued Fourier-side pair (u_hat, v_hat) for one family at scale L.
-
-    The grid (default ``default_family_grid``) must resolve the strips
-    (dxi <= thickness/4) and contain the supports of u, v and of the product
-    transform; otherwise the pair is rejected rather than truncated, since a
-    clipped support would silently corrupt every norm downstream.
+    Offsets are counted under the key (i - lo_i) span + (j - lo_j), which is
+    linear in the points, so the keys of all pairs are differences of
+    per-point keys.
     """
-    if family_id not in FAMILIES:
-        raise ValueError(f"unknown family {family_id!r}")
-    if L <= 4:
-        raise ValueError("family scale L must exceed 4")
-    family = FAMILIES[family_id]
-    if grid is None:
-        grid = default_family_grid(family_id, L, thickness=thickness)
-    if grid.dxi > thickness / 4 + 1e-12:
-        raise ValueError(
-            f"dxi = {grid.dxi:.4g} too coarse for thickness {thickness} strips "
-            f"(need dxi <= {thickness / 4})"
-        )
-    boxes = _strip_boxes(family, L, thickness)
-    tau_lo, tau_hi = grid.tau[0], grid.tau[-1]
-    xi_lo, xi_hi = grid.xi[0], grid.xi[-1]
-    for name, (tau_box, xi_box) in boxes.items():
-        if tau_box[0] < tau_lo or tau_box[1] > tau_hi or xi_box[0] < xi_lo or xi_box[1] > xi_hi:
-            raise ValueError(
-                f"grid too small to contain the {name} support of {family_id} at "
-                f"L = {L}: needs tau in [{tau_box[0]:.6g}, {tau_box[1]:.6g}], "
-                f"xi in [{xi_box[0]:.6g}, {xi_box[1]:.6g}]"
-            )
+    lo = u.min(axis=1) - v.max(axis=1)
+    span = int(u[1].max() - v[1].min() - lo[1]) + 1
+    keys = (u[0] * span + u[1])[:, None] - (v[0] * span + v[1])[None, :]
+    counts = np.bincount((keys - (lo[0] * span + lo[1])).ravel())
+    nonzero = np.flatnonzero(counts)
+    return np.stack([nonzero // span, nonzero % span]) + lo[:, None], counts[nonzero]
 
-    A, B, _ = family.intervals(L)
-    u_hat = _strip_indicator(grid, StripSpec(A, "plus", thickness))
-    v_hat = _strip_indicator(grid, StripSpec(B, family.v_line, thickness))
-    return u_hat, v_hat, family
+
+def _lattice_norm(values, points: np.ndarray, idx: NormIndex) -> float:
+    return point_norm(values, points[0] * DTAU, points[1] * DXI, idx, CELL)
 
 
 @dataclass(frozen=True)
@@ -284,59 +210,32 @@ class RatioResult:
         return self.numerator / (self.denom_u * self.denom_v)
 
 
-def _denominators(
-    u_hat: GridFunction2D, v_hat: GridFunction2D, e: ExponentTuple
-) -> tuple[float, float]:
-    du = weighted_norm(u_hat, NormIndex(e.a, e.alpha, "X_plus"))
-    dv = weighted_norm(v_hat, NormIndex(e.b, e.beta, "X_minus"))
-    if du == 0.0 or dv == 0.0:
-        raise ValueError("degenerate experiment: a strip norm vanished on this grid")
-    return du, dv
+def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
+    """Ratios ||u conj(v)||_{H^{-c,-gamma}} / (X+ norm * X- norm) over L and tuples.
 
-
-def family_ratio(
-    family_id: str, L: float, e: ExponentTuple, grid: Grid2D | None = None
-) -> RatioResult:
-    """Single-shot ratio ||u conj(v)||_{H^{-c,-gamma}} / (X+ norm * X- norm)."""
-    u_hat, v_hat, _ = build_family(family_id, L, grid)
-    du, dv = _denominators(u_hat, v_hat, e)
-    u = inverse_transform(u_hat)
-    v = inverse_transform(v_hat)
-    num = product_norm(u, v, NormIndex(-e.c, -e.gamma, "H"), conjugate_second=True)
-    return RatioResult(family_id, L, e, num, du, dv)
-
-
-def ratio_ladder(
-    family_id: str,
-    L_values,
-    tuples,
-    grid_factory: Callable[[str, float], Grid2D] | None = None,
-) -> list[RatioResult]:
-    """Ratios for several exponent tuples over a ladder of L values.
-
-    The expensive part (two inverse transforms, the pointwise product and
-    its forward transform) is independent of the exponents, so it is done
-    once per L and each tuple only costs three weighted reductions.
+    The pair counts of the product transform are independent of the
+    exponents, so they are computed once per L and each tuple only costs
+    three weighted sums over lattice points.
     """
+    if family_id not in FAMILIES:
+        raise ValueError(f"unknown family {family_id!r}")
+    family = FAMILIES[family_id]
+    L_values = list(L_values)
+    if any(L <= 4 for L in L_values):
+        raise ValueError("family scale L must exceed 4")
     tuples = [ExponentTuple(*t) for t in tuples]
-    factory = grid_factory or (lambda fid, L: default_family_grid(fid, L))
     rows: list[RatioResult] = []
     for L in L_values:
-        grid = factory(family_id, L)
-        u_hat, v_hat, _ = build_family(family_id, L, grid)
-        denoms = [_denominators(u_hat, v_hat, e) for e in tuples]
-        u = inverse_transform(u_hat)
-        del u_hat
-        v = inverse_transform(v_hat)
-        del v_hat
-        w = u.values * np.conj(v.values)
-        del u, v
-        w_hat = transform(GridFunction2D(grid, w, "physical"))
-        del w
-        for e, (du, dv) in zip(tuples, denoms):
-            num = weighted_norm(w_hat, NormIndex(-e.c, -e.gamma, "H"))
+        A, B, _ = family.intervals(L)
+        u = strip_points(A, "plus")
+        v = strip_points(B, family.v_line)
+        offsets, counts = pair_offsets(u, v)
+        product = indicator_product(counts, CELL)
+        for e in tuples:
+            num = _lattice_norm(product, offsets, NormIndex(-e.c, -e.gamma, "H"))
+            du = _lattice_norm(1.0, u, NormIndex(e.a, e.alpha, "X_plus"))
+            dv = _lattice_norm(1.0, v, NormIndex(e.b, e.beta, "X_minus"))
             rows.append(RatioResult(family_id, L, e, num, du, dv))
-        del w_hat
     return rows
 
 
@@ -365,21 +264,24 @@ def _validate_ladder(L_values) -> np.ndarray:
 
 
 def fit_exponent(
-    family_id: str,
-    e: ExponentTuple,
-    L_values=DEFAULT_L_LADDER,
-    grid_factory: Callable[[str, float], Grid2D] | None = None,
+    family_id: str, e: ExponentTuple, L_values=DEFAULT_L_LADDER
 ) -> tuple[float, float]:
     """Least-squares slope of log(ratio) against log(L), with r^2.
 
-    For every family and exponent tuple with entries bounded by 2 the slope
-    agrees with -delta(family, e) to within 0.15.
+    On ``DEFAULT_L_LADDER``, for every family and every exponent tuple with
+    entries in [-1, 1], the slope agrees with -delta(family, e) to within
+    0.15.  Measured over the 64 corners of that box and 3000 random tuples,
+    the worst error is 0.06 for cond2, at (1, 1, 1, 1, 1, 1), and under
+    0.02 for the other families.  Beyond that box cond2's slope carries a
+    finite-L bias that this ladder does not resolve: with entries in
+    [-2, 2] its error reaches about 0.5, e.g. (2, 2, 2, 2, 1, -1) gives
+    -5.93 against -delta = -6.5.
     """
     L = _validate_ladder(L_values)
-    rows = ratio_ladder(family_id, L, [e], grid_factory)
+    rows = ratio_ladder(family_id, L, [e])
     ratios = np.array([row.ratio for row in rows])
     if np.any(ratios <= 0):
-        raise ValueError("non-positive ratio in ladder; grid construction is broken")
+        raise ValueError("non-positive ratio in ladder; strip construction is broken")
     return loglog_fit(L, ratios)
 
 

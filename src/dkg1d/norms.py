@@ -33,6 +33,8 @@ Weight families, with ``<y> = 1 + |y|``:
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from dataclasses import dataclass
 from typing import Literal
@@ -52,28 +54,13 @@ def bracket(x):
     return 1.0 + np.abs(x)
 
 
-def next_fast_even(n: int) -> int:
-    """Smallest 5-smooth even integer >= n (FFT-friendly grid sizes)."""
-    m = max(2, int(n))
-    if m % 2:
-        m += 1
-    while True:
-        k = m
-        for p in (2, 3, 5):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 2
-
-
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform centered space-time grid and its dual frequency grid.
 
     Sizes must be even (the centered index convention needs n/2 integral);
-    FFT-friendly 5-smooth sizes are strongly recommended, see
-    ``next_fast_even``.
+    FFT-friendly 5-smooth sizes are strongly recommended.  Extents must be
+    finite and positive.
     """
 
     n_t: int
@@ -84,8 +71,8 @@ class Grid2D:
     def __post_init__(self):
         if self.n_t < 2 or self.n_t % 2 or self.n_x < 2 or self.n_x % 2:
             raise ValueError("grid sizes must be even integers >= 2")
-        if self.t_extent <= 0 or self.x_extent <= 0:
-            raise ValueError("grid extents must be positive")
+        if not (0 < self.t_extent < math.inf and 0 < self.x_extent < math.inf):
+            raise ValueError("grid extents must be finite and positive")
 
     @property
     def dt(self) -> float:
@@ -255,9 +242,8 @@ class NormIndex:
             raise ValueError(f"unknown flavor {self.flavor!r}")
 
 
-def _row_weights(grid: Grid2D, idx: NormIndex, rows: slice) -> np.ndarray:
-    tau = grid.tau[rows][:, None]
-    xi = grid.xi[None, :]
+def weight(idx: NormIndex, tau, xi) -> np.ndarray:
+    """Pointwise weight of the norm ``idx`` at frequencies (tau, xi), broadcast."""
     w = bracket(xi) ** idx.a
     if idx.flavor == "X_plus":
         hyp = bracket(tau + xi)
@@ -276,16 +262,35 @@ def weighted_norm(u_hat: GridFunction2D, idx: NormIndex) -> float:
     """
     if u_hat.side != "fourier":
         raise ValueError("weighted_norm expects a fourier-side function")
+    grid = u_hat.grid
     vals = u_hat.values
     total = 0.0
-    for start in range(0, u_hat.grid.n_t, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, u_hat.grid.n_t))
+    for start in range(0, grid.n_t, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, grid.n_t))
         chunk = vals[rows]
         if not np.all(np.isfinite(chunk)):
             raise ValueError("weighted_norm: non-finite values in input")
-        w = _row_weights(u_hat.grid, idx, rows)
+        w = weight(idx, grid.tau[rows][:, None], grid.xi[None, :])
         total += float(np.sum((w * np.abs(chunk)) ** 2))
-    return float(np.sqrt(total * u_hat.grid.cell_fourier))
+    return float(np.sqrt(total * grid.cell_fourier))
+
+
+def point_norm(values, tau, xi, idx: NormIndex, cell: float) -> float:
+    """``weighted_norm`` of Fourier-side data given only at lattice points.
+
+    ``values`` are the data at the distinct points (tau, xi) of a lattice
+    with cell area ``cell``; the data vanish everywhere else.
+    """
+    return float(np.sqrt(np.sum((weight(idx, tau, xi) * np.abs(values)) ** 2) * cell))
+
+
+def indicator_product(counts, cell: float):
+    """F(u conj v) of two 0/1 Fourier-side indicators, from pair counts.
+
+    On a lattice with cell area ``cell``, the product rule above reads
+    F(u conj v)(k) = (2 pi)^{-2} cell #{p in supp Fu : p - k in supp Fv}.
+    """
+    return np.asarray(counts) * (cell / (2 * np.pi) ** 2)
 
 
 def l2_norm_physical(u: GridFunction2D) -> float:
@@ -397,13 +402,17 @@ def read_gridfunction(fh) -> GridFunction2D:
     n_t, n_x, t_extent, x_extent, flag = _HEADER.unpack(raw)
     if flag not in _FLAG_SIDE:
         raise ValueError(f"unknown side flag {flag}")
-    count = n_t * n_x * 2
-    data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-    if data.size != count:
+    grid = Grid2D(n_t, n_x, t_extent, x_extent)
+    # Check the declared size against the stream before reading, so that a
+    # corrupt header cannot ask for an arbitrarily large read.
+    nbytes = 16 * n_t * n_x
+    start = fh.tell()
+    if fh.seek(0, io.SEEK_END) - start < nbytes:
         raise ValueError("truncated grid-function payload")
-    pairs = data.reshape(n_t, n_x, 2)
+    fh.seek(start)
+    pairs = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(n_t, n_x, 2)
     values = pairs[..., 0] + 1j * pairs[..., 1]
-    return GridFunction2D(Grid2D(n_t, n_x, t_extent, x_extent), values, _FLAG_SIDE[flag])
+    return GridFunction2D(grid, values, _FLAG_SIDE[flag])
 
 
 def save_gridfunction(path, gf: GridFunction2D) -> None:

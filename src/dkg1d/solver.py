@@ -32,6 +32,7 @@ state to roundoff.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Literal
@@ -63,8 +64,8 @@ class GridSpec1D:
     def __post_init__(self):
         if self.n_x < 2 or self.n_x & (self.n_x - 1):
             raise ValueError("n_x must be a power of two")
-        if self.x_extent <= 0:
-            raise ValueError("x_extent must be positive")
+        if not 0 < self.x_extent < math.inf:
+            raise ValueError("x_extent must be finite and positive")
 
     @property
     def dx(self) -> float:
@@ -114,8 +115,10 @@ class SolverConfig:
     diag_r: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and positive")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if self.dt > self.grid.dx + 1e-15:
             raise ValueError("dt must not exceed dx")
         if self.splitting not in ("lie", "strang"):
@@ -142,8 +145,8 @@ def init_state(
         raise ValueError(f"phi0 and phi1 must have shape ({grid.n_x},)")
     if np.iscomplexobj(phi0) or np.iscomplexobj(phi1):
         raise ValueError("phi0 and phi1 must be real arrays")
-    if M < 0 or m < 0:
-        raise ValueError("masses must be nonnegative")
+    if not (0 <= M < math.inf and 0 <= m < math.inf):
+        raise ValueError("masses must be finite and nonnegative")
     a_plus = (psi0[:, 0] + psi0[:, 1]) / SQRT2
     a_minus = (psi0[:, 0] - psi0[:, 1]) / SQRT2
     return DKGState(
@@ -379,9 +382,13 @@ def save_state(path, state: DKGState) -> None:
 def load_state(path) -> DKGState:
     with open(path, "rb") as fh:
         raw = fh.read(_STATE_HEADER.size)
+        if len(raw) != _STATE_HEADER.size:
+            raise ValueError("truncated solver state header")
         magic, t, M, m = _STATE_HEADER.unpack(raw)
         if magic != _STATE_MAGIC:
             raise ValueError("not a solver state snapshot")
+        if not all(map(math.isfinite, (t, M, m))):
+            raise ValueError("non-finite time or mass in solver state header")
         fields = [read_gridfunction(fh) for _ in range(4)]
     n_x = fields[0].grid.n_x
     grid = GridSpec1D(n_x=n_x, x_extent=fields[0].grid.x_extent)

@@ -93,7 +93,9 @@ def sample_margins(
     those manifolds (and on ``xi = 0``) rather than on the bulk.
 
     Returns min/max margin, the max identity residual relative to the scale
-    of the inputs, and the min margin of the summed bound.
+    of the inputs, and the min margin of the summed bound, both absolute and
+    relative to that scale (the absolute one reads roundoff as about -1e-13
+    at the default box).
     """
     rng = np.random.default_rng(seed)
     n_corner = int(n_samples * corner_fraction)
@@ -119,11 +121,13 @@ def sample_margins(
     margin = dominance_margin(tau, xi, lam, eta)
     residual = sign_split_residual(tau, xi, lam, eta)
     scale = np.abs(pts).max(axis=1) + 1.0
+    sum_margin = sum_bound_margin(tau, xi, lam, eta)
     return {
         "samples": int(pts.shape[0]),
         "min_margin": float(margin.min()),
         "max_margin": float(margin.max()),
         "min_relative_margin": float((margin / scale).min()),
         "max_relative_residual": float((residual / scale).max()),
-        "min_sum_bound_margin": float(sum_bound_margin(tau, xi, lam, eta).min()),
+        "min_sum_bound_margin": float(sum_margin.min()),
+        "min_relative_sum_bound_margin": float((sum_margin / scale).min()),
     }

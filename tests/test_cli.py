@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dkg1d import cli, norms
+from dkg1d import cli, norms, weights
 from dkg1d.counterexamples import default_wave_grid
 
 
@@ -29,6 +29,15 @@ class TestVerify:
         assert payload["pass"] is True
         assert payload["min_margin"] >= 0.0
         assert payload["max_margin"] > payload["min_margin"]
+        assert payload["min_relative_sum_bound_margin"] >= -1e-9
+
+    def test_lemma3_gates_relative_sum_bound(self, capsys, monkeypatch):
+        stats = weights.sample_margins(1000, seed=4)
+        stats["min_relative_sum_bound_margin"] = -1e-6
+        monkeypatch.setattr(weights, "sample_margins", lambda *args, **kwargs: stats)
+        code, payload = run_cli(capsys, "verify", "lemma3", "--samples", "1000")
+        assert code == 1
+        assert payload["pass"] is False
 
 
 class TestNorms:

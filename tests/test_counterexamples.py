@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,14 +7,53 @@ from numpy.testing import assert_allclose
 from dkg1d import counterexamples as cx
 from dkg1d import norms
 from dkg1d.counterexamples import ExponentTuple
+from dkg1d.norms import NormIndex
 
 ZEROS = ExponentTuple()
 
 
 def two_point_slope(family, e, L0=64.0):
-    r0 = cx.family_ratio(family, L0, e)
-    r1 = cx.family_ratio(family, 2 * L0, e)
+    r0, r1 = cx.ratio_ladder(family, [L0, 2 * L0], [e])
     return np.log(r1.ratio / r0.ratio) / np.log(2.0)
+
+
+def strip_tau_xi(interval, line):
+    i, j = cx.strip_points(interval, line)
+    return i * cx.DTAU, j * cx.DXI
+
+
+def dense_ratio(family, L, e):
+    """Numerator and denominators of one ratio row, on a dense grid via FFTs.
+
+    The strips are scattered onto a Grid2D with the lattice spacings, large
+    enough that u, v and the product transform fit without periodic wrap.
+    """
+    A, B, _ = cx.FAMILIES[family].intervals(L)
+    u = cx.strip_points(A, "plus")
+    v = cx.strip_points(B, cx.FAMILIES[family].v_line)
+    offsets = u[:, :, None] - v[:, None, :]
+    half = [
+        int(max(np.abs(u[k]).max(), np.abs(v[k]).max(), np.abs(offsets[k]).max())) + 1
+        for k in (0, 1)
+    ]
+    grid = norms.Grid2D(2 * half[0], 2 * half[1], 2 * np.pi / cx.DTAU, 2 * np.pi / cx.DXI)
+    hats = []
+    for points in (u, v):
+        values = np.zeros((grid.n_t, grid.n_x), complex)
+        values[points[0] + half[0], points[1] + half[1]] = 1.0
+        hats.append(norms.GridFunction2D(grid, values, "fourier"))
+    u_hat, v_hat = hats
+    assert grid.tau[u[0, 0] + half[0]] == u[0, 0] * cx.DTAU
+    assert grid.xi[u[1, 0] + half[1]] == u[1, 0] * cx.DXI
+    num = norms.product_norm(
+        norms.inverse_transform(u_hat),
+        norms.inverse_transform(v_hat),
+        NormIndex(-e.c, -e.gamma, "H"),
+        conjugate_second=True,
+    )
+    du = norms.weighted_norm(u_hat, NormIndex(e.a, e.alpha, "X_plus"))
+    dv = norms.weighted_norm(v_hat, NormIndex(e.b, e.beta, "X_minus"))
+    return num, du, dv
 
 
 class TestIntervals:
@@ -44,53 +85,50 @@ class TestIntervals:
 
 
 class TestBuildFamily:
+    """Lattice points of the strips, and the family checks of ``ratio_ladder``."""
+
     def test_supports_lie_on_strips(self):
-        u_hat, v_hat, family = cx.build_family("cond2", 64.0)
-        g = u_hat.grid
-        TAU, XI = np.meshgrid(g.tau, g.xi, indexing="ij")
-        on_u = u_hat.values != 0
-        assert np.all(np.abs(TAU[on_u] + XI[on_u]) <= 0.5)
-        assert np.all((XI[on_u] >= 16.0) & (XI[on_u] <= 32.0))
-        on_v = v_hat.values != 0
-        assert np.all(np.abs(TAU[on_v] + XI[on_v]) <= 0.5)
-        assert np.all((XI[on_v] >= 32.0) & (XI[on_v] <= 96.0))
-        assert set(np.unique(u_hat.values)) <= {0.0 + 0j, 1.0 + 0j}
+        A, B, _ = cx.FAMILIES["cond2"].intervals(64.0)
+        tau, xi = strip_tau_xi(A, "plus")
+        assert np.all(np.abs(tau + xi) <= 0.5)
+        assert np.all((xi >= 16.0) & (xi <= 32.0))
+        assert xi.min() == 16.0 and xi.max() == 32.0
+        tau, xi = strip_tau_xi(B, cx.FAMILIES["cond2"].v_line)
+        assert np.all(np.abs(tau + xi) <= 0.5)
+        assert np.all((xi >= 32.0) & (xi <= 96.0))
+        assert xi.min() == 32.0 and xi.max() == 96.0
 
     def test_minus_line_strip(self):
-        u_hat, v_hat, family = cx.build_family("cond1_gamma", 64.0)
-        g = v_hat.grid
-        TAU, XI = np.meshgrid(g.tau, g.xi, indexing="ij")
-        on_v = v_hat.values != 0
-        assert np.all(np.abs(TAU[on_v] - XI[on_v]) <= 0.5)
-        assert np.all((XI[on_v] >= 62.0) & (XI[on_v] <= 66.0))
+        _, B, _ = cx.FAMILIES["cond1_gamma"].intervals(64.0)
+        tau, xi = strip_tau_xi(B, cx.FAMILIES["cond1_gamma"].v_line)
+        assert np.all(np.abs(tau - xi) <= 0.5)
+        assert np.all((xi >= 62.0) & (xi <= 66.0))
+        # Every lattice point of the window is caught, and none twice.
+        taus = np.arange(-4, 200) * cx.DTAU
+        xis = np.arange(62 * 4, 66 * 4 + 1) * cx.DXI
+        TAU, XI = np.meshgrid(taus, xis, indexing="ij")
+        expected = {(t, x) for t, x in zip(TAU.ravel(), XI.ravel()) if abs(t - x) <= 0.5}
+        got = list(zip(tau, xi))
+        assert len(got) == len(set(got)) and set(got) == expected
 
     def test_strip_column_counts_uniform(self):
         # dtau = 1/2 across a thickness-1 window gives 2 or 3 points per
         # column in a fixed alternating pattern, identically at every L.
         for L in (64.0, 128.0):
-            u_hat, _, _ = cx.build_family("cond1_ab", L)
-            counts = (u_hat.values != 0).sum(axis=0)
-            counts = counts[counts > 0]
-            assert sorted(set(counts)) == [2, 3]
+            A, _, _ = cx.FAMILIES["cond1_ab"].intervals(L)
+            i, j = cx.strip_points(A, "plus")
+            columns, counts = np.unique(j, return_counts=True)
+            assert list(counts) == [3, 2, 3, 2, 3]
+            assert np.all(counts[columns % 2 == 0] == 3)
             assert counts.sum() == 13
-
-    def test_rejects_small_grid(self):
-        g = norms.Grid2D(64, 64, 2 * np.pi / 0.5, 2 * np.pi / 0.25)
-        with pytest.raises(ValueError, match="grid too small"):
-            cx.build_family("cond2", 64.0, grid=g)
-
-    def test_rejects_coarse_xi(self):
-        g = norms.Grid2D(1024, 1024, 2 * np.pi / 0.5, 2 * np.pi / 1.0)
-        with pytest.raises(ValueError, match="too coarse"):
-            cx.build_family("cond1_ab", 64.0, grid=g)
 
     def test_rejects_tiny_scale(self):
         with pytest.raises(ValueError, match="exceed 4"):
-            cx.build_family("cond1_ab", 2.0)
+            cx.ratio_ladder("cond1_ab", [64.0, 2.0], [ZEROS])
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
-            cx.build_family("cond5", 64.0)
+            cx.ratio_ladder("cond5", [64.0], [ZEROS])
 
 
 class TestRestrictionGeometry:
@@ -119,28 +157,24 @@ class TestRatio:
         slope = two_point_slope("cond1_ab", ExponentTuple(1, 0, 0, 1, 1, 1))
         assert slope == pytest.approx(-2.0, abs=0.15)
 
-    def test_degenerate_grid_reported(self):
-        # A tau spacing of 4 misses the thickness-1 strip entirely at scales
-        # not aligned with it; the experiment must be reported as invalid
-        # instead of producing a 0/0 ratio.
-        g = norms.Grid2D(n_t=36, n_x=576, t_extent=2 * np.pi / 4.0, x_extent=2 * np.pi / 0.25)
-        with pytest.raises(ValueError, match="degenerate"):
-            cx.family_ratio("cond1_ab", 66.0, ZEROS, grid=g)
-
     def test_ladder_matches_single_shot(self):
-        e = ExponentTuple(0.5, 0, 0, 0, 0.5, 0)
-        row = cx.ratio_ladder("cond2", [64.0], [ZEROS, e])
-        single_zero = cx.family_ratio("cond2", 64.0, ZEROS)
-        single_e = cx.family_ratio("cond2", 64.0, e)
-        assert row[0].ratio == pytest.approx(single_zero.ratio, rel=1e-12)
-        assert row[1].ratio == pytest.approx(single_e.ratio, rel=1e-12)
+        # Each ladder row against a dense grid built here from norms
+        # primitives: scattered indicators, inverse transforms, the product
+        # norm and the weighted norms.
+        tuples = [ZEROS, ExponentTuple(0.5, 0, 0, 0, 0.5, 0), ExponentTuple(0, 0, 1, 1, 1, -0.5)]
+        rng = np.random.default_rng(0)
+        tuples += [ExponentTuple(*rng.uniform(-1, 1, 6)) for _ in range(2)]
+        for family in cx.FAMILIES:
+            for row in cx.ratio_ladder(family, [32.0, 64.0], tuples):
+                dense = dense_ratio(family, row.L, row.exponents)
+                got = (row.numerator, row.denom_u, row.denom_v)
+                assert_allclose(got, dense, rtol=1e-12, err_msg=f"{family} L={row.L}")
 
     def test_norm_scaling_slopes(self):
         # ||u|| ~ L^a |A|^(1/2) and ||v|| ~ L^(b+beta) |B|^(1/2); for cond2
         # both interval lengths are ~ L, so the log-slopes gain 1/2.
         e = ExponentTuple(a=1.0, b=0.5, beta=0.25)
-        r0 = cx.family_ratio("cond2", 64.0, e)
-        r1 = cx.family_ratio("cond2", 128.0, e)
+        r0, r1 = cx.ratio_ladder("cond2", [64.0, 128.0], [e])
         slope_u = np.log(r1.denom_u / r0.denom_u) / np.log(2.0)
         slope_v = np.log(r1.denom_v / r0.denom_v) / np.log(2.0)
         assert slope_u == pytest.approx(e.a + 0.5, abs=0.15)
@@ -160,6 +194,21 @@ class TestFitExponent:
         slope, r_squared = cx.fit_exponent("cond3", ExponentTuple(1, 0, 1, 0, 0, 0), [32, 64, 128, 256])
         assert slope == pytest.approx(-2.0, abs=0.15)
         assert r_squared > 0.999
+
+    def test_unit_box_slopes_within_tolerance(self):
+        # The fit_exponent docstring's promise: entries in [-1, 1] keep every
+        # family's slope within 0.15 of -delta on the default ladder.  The
+        # corners of the box hold the worst case found (cond2, all ones).
+        corners = itertools.product((-1.0, 1.0), repeat=6)
+        seeded = np.random.default_rng(2024).uniform(-1, 1, (120, 6))
+        tuples = [ExponentTuple(*e) for e in (*corners, *seeded)]
+        L = np.array(cx.DEFAULT_L_LADDER)
+        for family in cx.FAMILIES:
+            rows = cx.ratio_ladder(family, L, tuples)
+            for k, e in enumerate(tuples):
+                ratios = np.array([row.ratio for row in rows[k :: len(tuples)]])
+                slope, _ = cx.loglog_fit(L, ratios)
+                assert abs(slope + cx.predicted_delta(family, e)) <= 0.15, (family, e, slope)
 
     def test_predicted_delta_formulas(self):
         e = ExponentTuple(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)

@@ -1,3 +1,6 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -55,17 +58,17 @@ class TestGrid2D:
         with pytest.raises(ValueError):
             Grid2D(8, 8, 0.0, 1.0)
 
+    @pytest.mark.parametrize("extent", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_extent(self, extent):
+        with pytest.raises(ValueError, match="finite"):
+            Grid2D(8, 8, extent, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Grid2D(8, 8, 1.0, extent)
+
     def test_shape_mismatch(self):
         g = Grid2D(8, 8, 1.0, 1.0)
         with pytest.raises(ValueError):
             GridFunction2D(g, np.zeros((8, 9)), "physical")
-
-    def test_next_fast_even(self):
-        assert norms.next_fast_even(2) == 2
-        assert norms.next_fast_even(7) == 8
-        assert norms.next_fast_even(97) == 100
-        n = norms.next_fast_even(4129)
-        assert n >= 4129 and n % 2 == 0
 
 
 class TestTransform:
@@ -319,3 +322,23 @@ class TestSerialization:
         path.write_bytes(b"\x00" * 10)
         with pytest.raises(ValueError):
             norms.load_gridfunction(path)
+
+    @staticmethod
+    def _header(n_t, n_x, t_extent, x_extent):
+        return struct.pack("<qqddq", n_t, n_x, t_extent, x_extent, 0)
+
+    @pytest.mark.parametrize("extent", [np.nan, np.inf])
+    def test_non_finite_extent_rejected(self, extent):
+        payload = np.zeros(2 * 2 * 2).tobytes()
+        for header in (self._header(2, 2, extent, 1.0), self._header(2, 2, 1.0, extent)):
+            with pytest.raises(ValueError, match="finite"):
+                norms.read_gridfunction(io.BytesIO(header + payload))
+
+    def test_declared_size_checked_before_reading(self):
+        # 2^31 x 2^31 samples would need a 2^66-byte read.
+        huge = self._header(2**31, 2**31, 1.0, 1.0) + np.zeros(16).tobytes()
+        with pytest.raises(ValueError, match="truncated"):
+            norms.read_gridfunction(io.BytesIO(huge))
+        short = self._header(4, 4, 1.0, 1.0) + np.zeros(2 * 16 - 1).tobytes()
+        with pytest.raises(ValueError, match="truncated"):
+            norms.read_gridfunction(io.BytesIO(short))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -39,6 +41,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec1D(100, 4.0)
 
+    @pytest.mark.parametrize("extent", [0.0, np.nan, np.inf])
+    def test_rejects_bad_extent(self, extent):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridSpec1D(8, extent)
+
 
 class TestInitState:
     def test_plus_range_data(self, grid):
@@ -73,6 +80,13 @@ class TestInitState:
         with pytest.raises(ValueError):
             solver.init_state(
                 np.zeros((grid.n_x, 3), complex), np.zeros(grid.n_x), np.zeros(grid.n_x), 1, 1, grid
+            )
+
+    @pytest.mark.parametrize("M, m", [(np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0)])
+    def test_rejects_bad_masses(self, grid, M, m):
+        with pytest.raises(ValueError, match="masses"):
+            solver.init_state(
+                np.zeros((grid.n_x, 2), complex), np.zeros(grid.n_x), np.zeros(grid.n_x), M, m, grid
             )
 
 
@@ -298,6 +312,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="positive"):
             SolverConfig(grid=grid, dt=0.0, t_end=1.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_dt_finite(self, grid, dt):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(grid=grid, dt=dt, t_end=1.0)
+
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf])
+    def test_t_end_finite(self, grid, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            SolverConfig(grid=grid, dt=grid.dx / 2, t_end=t_end)
+
     def test_splitting_name(self, grid):
         with pytest.raises(ValueError, match="splitting"):
             SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, splitting="yoshida")
@@ -393,4 +417,16 @@ class TestSnapshot:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a snapshot at all, certainly not long enough")
         with pytest.raises(ValueError):
+            solver.load_state(path)
+
+    def test_rejects_short_or_non_finite_header(self, smooth_state, tmp_path):
+        path = tmp_path / "state.bin"
+        solver.save_state(path, smooth_state)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:20])
+        with pytest.raises(ValueError, match="truncated"):
+            solver.load_state(path)
+        # Header: 8-byte magic, then float64 t, M, m.
+        path.write_bytes(raw[:8] + struct.pack("<d", np.nan) + raw[16:])
+        with pytest.raises(ValueError, match="non-finite"):
             solver.load_state(path)

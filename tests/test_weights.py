@@ -79,6 +79,15 @@ class TestSampleMargins:
         assert stats["max_relative_residual"] <= 1e-12
         assert stats["min_sum_bound_margin"] >= -1e-9 * 1001
 
+    def test_relative_sum_bound_margin_is_scale_free(self):
+        # The summed bound is attained on the corner manifolds and is
+        # homogeneous of degree 1, so its absolute roundoff grows with the
+        # box (about -2e-7 at box = 1e9) while the relative margin stays at
+        # the level of machine epsilon.
+        for box in (1e3, 1e9):
+            stats = weights.sample_margins(20_000, seed=0, box=box)
+            assert abs(stats["min_relative_sum_bound_margin"]) <= 1e-12
+
     def test_deterministic(self):
         a = weights.sample_margins(10_000, seed=5)
         b = weights.sample_margins(10_000, seed=5)
