@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dkg1d import norms
@@ -342,3 +344,42 @@ class TestSerialization:
         short = self._header(4, 4, 1.0, 1.0) + np.zeros(2 * 16 - 1).tobytes()
         with pytest.raises(ValueError, match="truncated"):
             norms.read_gridfunction(io.BytesIO(short))
+
+
+def _read_or_value_error(data: bytes) -> None:
+    try:
+        norms.read_gridfunction(io.BytesIO(data))
+    except ValueError:
+        pass
+
+
+def _valid_gridfunction_bytes() -> bytes:
+    buf = io.BytesIO()
+    norms.write_gridfunction(buf, random_gf(Grid2D(2, 4, 1.5, 2.5), 3))
+    return buf.getvalue()
+
+
+# Deterministic and bounded, so that the suite stays reproducible and fast.
+FUZZ = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+class TestReaderFuzz:
+    """``read_gridfunction`` returns a value or raises ValueError, whatever the bytes."""
+
+    VALID = _valid_gridfunction_bytes()
+
+    @FUZZ
+    @given(st.binary(max_size=400))
+    def test_arbitrary_bytes(self, data):
+        _read_or_value_error(data)
+
+    @FUZZ
+    @given(position=st.integers(0, 10**6), value=st.integers(0, 255))
+    def test_single_byte_mutation(self, position, value):
+        position %= len(self.VALID)
+        _read_or_value_error(self.VALID[:position] + bytes([value]) + self.VALID[position + 1 :])
+
+    @FUZZ
+    @given(length=st.integers(0, 10**6))
+    def test_truncation(self, length):
+        _read_or_value_error(self.VALID[: length % len(self.VALID)])

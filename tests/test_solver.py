@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dkg1d import solver
@@ -30,12 +32,25 @@ def state_distance(a: DKGState, b: DKGState) -> float:
     )
 
 
+def state_norm(a: DKGState) -> float:
+    fields = (a.psi_plus, a.psi_minus, a.phi, a.phi_t)
+    return float(np.sqrt(sum(np.sum(np.abs(v) ** 2) for v in fields)))
+
+
 class TestGridSpec:
     def test_spacing(self):
         g = GridSpec1D(8, 4.0)
         assert g.dx == 0.5
         assert g.x[4] == 0.0
         assert sorted(g.xi_fft) == pytest.approx(sorted(g.xi))
+
+    def test_dual_modes_cached_read_only(self):
+        g = GridSpec1D(8, 4.0)
+        for modes in (g.xi_fft, g.xi_rfft):
+            with pytest.raises(ValueError, match="read-only"):
+                modes[0] = 1.0
+        assert g.xi_fft is g.xi_fft and g.xi_rfft is g.xi_rfft
+        assert np.array_equal(g.xi_rfft, np.abs(g.xi_fft[: g.n_x // 2 + 1]))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -182,6 +197,13 @@ class TestCouplingFlow:
         assert_allclose(
             solver.spinor_density(out), solver.spinor_density(smooth_state), atol=1e-13
         )
+
+    def test_half_steps_compose(self, smooth_state):
+        # The fused run relies on coupling(h/2) o coupling(h/2) = coupling(h).
+        h = 0.37
+        twice = solver.coupling_flow(solver.coupling_flow(smooth_state, h / 2), h / 2)
+        once = solver.coupling_flow(smooth_state, h)
+        assert state_distance(twice, once) <= 1e-14 * state_norm(once)
 
 
 class TestStep:
@@ -398,6 +420,41 @@ class TestRun:
         series, final = solver.run(config, smooth_state, return_final=True)
         assert final.t == pytest.approx(series.t[-1])
 
+    def test_zero_steps(self, smooth_state):
+        config = SolverConfig(grid=smooth_state.grid, dt=smooth_state.grid.dx / 2, t_end=smooth_state.t)
+        series, final = solver.run(config, smooth_state, return_final=True)
+        assert series.t.size == 1
+        assert final is smooth_state
+
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    @pytest.mark.parametrize("every", [1, 3, 16])
+    def test_matches_step_loop(self, smooth_state, splitting, every):
+        # 37 steps is a multiple of neither 3 nor 16, so the last row comes
+        # off the diagnostics interval, as in the loop below.  A non-dyadic
+        # dt makes the accumulated times round, so the t column must follow
+        # t += dt.
+        dt, n_steps = 0.3 * smooth_state.grid.dx, 37
+        config = SolverConfig(
+            grid=smooth_state.grid,
+            dt=dt,
+            t_end=n_steps * dt,
+            splitting=splitting,
+            diagnostics_every=every,
+        )
+        series, final = solver.run(config, smooth_state, return_final=True)
+        stepper = solver.strang_step if splitting == "strang" else solver.lie_step
+        s, rows = smooth_state, [smooth_state]
+        for k in range(1, n_steps + 1):
+            s = stepper(s, dt)
+            if k % every == 0 or k == n_steps:
+                rows.append(s)
+        assert series.t.size == len(rows)
+        assert np.array_equal(series.t, [r.t for r in rows])
+        assert_allclose(series.charge, [solver.charge(r) for r in rows], rtol=1e-12)
+        assert_allclose(series.kg_energy, [solver.kg_energy(r) for r in rows], rtol=1e-12)
+        assert final.t == s.t
+        assert state_distance(final, s) <= 1e-12 * state_norm(s)
+
 
 class TestSnapshot:
     def test_roundtrip(self, smooth_state, tmp_path):
@@ -408,10 +465,33 @@ class TestSnapshot:
         assert back.t == s.t
         assert back.M == s.M and back.m == s.m
         assert back.grid == s.grid
-        assert_allclose(back.psi_plus, s.psi_plus)
-        assert_allclose(back.psi_minus, s.psi_minus)
-        assert_allclose(back.phi, s.phi)
-        assert_allclose(back.phi_t, s.phi_t)
+        for name in ("psi_plus", "psi_minus", "phi", "phi_t"):
+            assert np.array_equal(getattr(back, name), getattr(s, name))
+            assert getattr(back, name).dtype == getattr(s, name).dtype
+
+    def test_flat_layout(self, tmp_path):
+        g = GridSpec1D(4, 2.5)
+        state = DKGState(
+            np.array([1 + 2j, 3, 4, 5]),
+            np.full(4, -1j),
+            np.arange(4.0),
+            np.full(4, 0.5),
+            0.75,
+            1.0,
+            2.0,
+            g,
+        )
+        path = tmp_path / "state.bin"
+        solver.save_state(path, state)
+        raw = path.read_bytes()
+        # Header: magic, float64 t, M, m, int64 n_x, float64 x_extent; then
+        # psi_plus, psi_minus as complex128 and phi, phi_t as float64.
+        assert len(raw) == 48 + 4 * (16 + 16 + 8 + 8)
+        assert struct.unpack("<8sdddqd", raw[:48]) == (b"DKG1DST2", 0.75, 1.0, 2.0, 4, 2.5)
+        assert np.array_equal(np.frombuffer(raw[48:112], dtype="<c16"), state.psi_plus)
+        assert np.array_equal(np.frombuffer(raw[112:176], dtype="<c16"), state.psi_minus)
+        assert np.array_equal(np.frombuffer(raw[176:208], dtype="<f8"), state.phi)
+        assert np.array_equal(np.frombuffer(raw[208:], dtype="<f8"), state.phi_t)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -430,3 +510,108 @@ class TestSnapshot:
         path.write_bytes(raw[:8] + struct.pack("<d", np.nan) + raw[16:])
         with pytest.raises(ValueError, match="non-finite"):
             solver.load_state(path)
+
+    def test_rejects_old_padded_format(self, tmp_path):
+        path = tmp_path / "old.bin"
+        path.write_bytes(struct.pack("<8sddd", b"DKG1DST1", 0.0, 1.0, 1.0) + bytes(64))
+        with pytest.raises(ValueError, match="DKG1DST1"):
+            solver.load_state(path)
+
+    @pytest.mark.parametrize(
+        "n_x, x_extent, match",
+        [(6, 16.0, "power of two"), (-8, 16.0, "power of two"), (8, np.nan, "finite"), (8, np.inf, "finite")],
+    )
+    def test_rejects_bad_grid(self, tmp_path, n_x, x_extent, match):
+        path = tmp_path / "state.bin"
+        header = struct.pack("<8sdddqd", b"DKG1DST2", 0.0, 1.0, 1.0, n_x, x_extent)
+        path.write_bytes(header + bytes(48 * 8))
+        with pytest.raises(ValueError, match=match):
+            solver.load_state(path)
+
+    def test_rejects_payload_size_mismatch(self, smooth_state, tmp_path):
+        path = tmp_path / "state.bin"
+        solver.save_state(path, smooth_state)
+        raw = path.read_bytes()
+        for data in (raw[:-1], raw + b"\0", raw[:48]):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="payload"):
+                solver.load_state(path)
+        # A declared n_x of 2^62 must be refused before any read.
+        path.write_bytes(raw[:32] + struct.pack("<q", 2**62) + raw[40:])
+        with pytest.raises(ValueError, match="payload"):
+            solver.load_state(path)
+
+    def test_save_rejects_inconsistent_state(self, smooth_state, tmp_path):
+        path = tmp_path / "state.bin"
+        n = smooth_state.grid.n_x
+        short = DKGState(
+            smooth_state.psi_plus,
+            smooth_state.psi_minus[: n // 2],
+            smooth_state.phi,
+            smooth_state.phi_t,
+            0.0,
+            1.0,
+            1.0,
+            smooth_state.grid,
+        )
+        with pytest.raises(ValueError, match="psi_minus"):
+            solver.save_state(path, short)
+        complex_phi = DKGState(
+            smooth_state.psi_plus,
+            smooth_state.psi_minus,
+            smooth_state.phi + 1j,
+            smooth_state.phi_t,
+            0.0,
+            1.0,
+            1.0,
+            smooth_state.grid,
+        )
+        with pytest.raises(ValueError, match="real"):
+            solver.save_state(path, complex_phi)
+
+
+# Deterministic and bounded, so that the suite stays reproducible and fast.
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestSnapshotFuzz:
+    """``load_state`` returns a state or raises ValueError, whatever the bytes."""
+
+    @pytest.fixture
+    def valid(self, tmp_path):
+        g = GridSpec1D(8, 4.0)
+        psi0, phi0, phi1 = solver.smooth_data(g)
+        path = tmp_path / "valid.bin"
+        solver.save_state(path, solver.init_state(psi0, phi0, phi1, 1.0, 1.0, g))
+        return path.read_bytes()
+
+    @staticmethod
+    def _load(tmp_path, data: bytes) -> None:
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(data)
+        try:
+            solver.load_state(path)
+        except ValueError:
+            pass
+
+    @FUZZ
+    @given(data=st.binary(max_size=600), with_magic=st.booleans())
+    def test_arbitrary_bytes(self, tmp_path, data, with_magic):
+        self._load(tmp_path, b"DKG1DST2" + data if with_magic else data)
+
+    @FUZZ
+    @given(position=st.integers(0, 10**6), value=st.integers(0, 255))
+    def test_single_byte_mutation(self, tmp_path, valid, position, value):
+        position %= len(valid)
+        self._load(tmp_path, valid[:position] + bytes([value]) + valid[position + 1 :])
+
+    @FUZZ
+    @given(length=st.integers(0, 10**6))
+    def test_truncation(self, tmp_path, valid, length):
+        self._load(tmp_path, valid[: length % len(valid)])
