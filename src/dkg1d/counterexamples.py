@@ -90,18 +90,10 @@ class ExponentTuple(NamedTuple):
 
 @dataclass(frozen=True)
 class CounterexampleFamily:
-    """One counterexample construction: intervals, strip kinds, decay exponent.
-
-    ``restriction_tau_shift`` describes the tau-restriction defining the
-    lower bound used in the scaling analysis: ``None`` means the product is
-    concentrated near tau + xi = O(1); a number k means near tau + k L =
-    O(1).  The restriction guides support sanity checks only; ratios are
-    computed with the full product norm.
-    """
+    """One counterexample construction: intervals, strip kinds, decay exponent."""
 
     id: str
     v_line: str
-    restriction_tau_shift: float | None
     intervals: Callable[[float], tuple[Interval, Interval, Interval]]
     delta: Callable[[ExponentTuple], float]
 
@@ -110,35 +102,30 @@ FAMILIES: dict[str, CounterexampleFamily] = {
     "cond1_ab": CounterexampleFamily(
         id="cond1_ab",
         v_line="plus",
-        restriction_tau_shift=None,
         intervals=lambda L: ((L - 0.5, L + 0.5), (L - 1.0, L + 1.0), (-0.5, 0.5)),
         delta=lambda e: e.a + e.b + e.beta,
     ),
     "cond2": CounterexampleFamily(
         id="cond2",
         v_line="plus",
-        restriction_tau_shift=None,
         intervals=lambda L: ((L / 4, L / 2), (L / 2, 3 * L / 2), (-L, -L / 2)),
         delta=lambda e: e.a + e.b + e.c + e.beta - 0.5,
     ),
     "cond3": CounterexampleFamily(
         id="cond3",
         v_line="plus",
-        restriction_tau_shift=None,
         intervals=lambda L: ((L - 0.5, L + 0.5), (-1.0, 1.0), (L - 0.5, L + 0.5)),
         delta=lambda e: e.a + e.c,
     ),
     "cond1_gamma": CounterexampleFamily(
         id="cond1_gamma",
         v_line="minus",
-        restriction_tau_shift=2.0,
         intervals=lambda L: ((L - 1.0, L + 1.0), (L - 2.0, L + 2.0), (-1.0, 1.0)),
         delta=lambda e: e.a + e.b + e.gamma,
     ),
     "cond4": CounterexampleFamily(
         id="cond4",
         v_line="minus",
-        restriction_tau_shift=3.0,
         intervals=lambda L: ((L - 1.0, L + 1.0), (2 * L - 2.0, 2 * L + 2.0), (-L - 1.0, -L + 1.0)),
         delta=lambda e: e.a + e.b + e.c + e.gamma,
     ),
@@ -283,35 +270,6 @@ def fit_exponent(
     if np.any(ratios <= 0):
         raise ValueError("non-positive ratio in ladder; strip construction is broken")
     return loglog_fit(L, ratios)
-
-
-def restricted_support_stats(
-    family_id: str, L: float, n_samples: int = 2000, seed: int = 0
-) -> dict[str, float]:
-    """Sampled magnitudes of lam - tau - (eta - xi) over the restricted set.
-
-    (lam, eta) is drawn from u's strip and (tau, xi) from the family's
-    tau-restriction with xi in C.  For the transversal families this
-    combination grows like L (cond1_ab, cond2) or stays O(1) (cond3); for
-    the parallel families (cond1_gamma, cond4) the modified v-strip keeps it
-    O(1) by construction.
-    """
-    family = FAMILIES[family_id]
-    A, _, C = family.intervals(L)
-    rng = np.random.default_rng(seed)
-    eta = rng.uniform(A[0], A[1], n_samples)
-    lam = -eta + rng.uniform(-0.5, 0.5, n_samples)
-    xi = rng.uniform(C[0], C[1], n_samples)
-    if family.restriction_tau_shift is None:
-        tau = -xi + rng.uniform(-0.5, 0.5, n_samples)
-    else:
-        tau = -family.restriction_tau_shift * L + rng.uniform(-0.5, 0.5, n_samples)
-    sigma_minus = np.abs(lam - tau - (eta - xi))
-    return {
-        "min": float(sigma_minus.min()),
-        "max": float(sigma_minus.max()),
-        "mean": float(sigma_minus.mean()),
-    }
 
 
 def default_wave_grid(n: int = 1024, x_extent: float = 32.0) -> Grid2D:

@@ -137,9 +137,6 @@ class GridFunction2D:
         if self.side not in ("physical", "fourier"):
             raise ValueError(f"unknown side {self.side!r}")
 
-    def copy(self) -> "GridFunction2D":
-        return GridFunction2D(self.grid, self.values.copy(), self.side)
-
 
 def boundary_maximum(u: GridFunction2D) -> float:
     """Largest |value| on the outermost rows/columns, relative to the peak."""
@@ -205,20 +202,8 @@ def inverse_transform(u_hat: GridFunction2D) -> GridFunction2D:
     return GridFunction2D(u_hat.grid, vals, "physical")
 
 
-def spatial_transform(values: np.ndarray, extent: float) -> np.ndarray:
-    """1d centered transform (last axis): f_hat(xi) = sum f(x) exp(-i x xi) dx."""
-    values = np.asarray(values, dtype=complex)
-    n = values.shape[-1]
-    if n % 2:
-        raise ValueError("spatial_transform needs an even number of samples")
-    dx = extent / n
-    return sfft.fftshift(
-        sfft.fft(sfft.ifftshift(values, axes=-1), axis=-1, workers=_WORKERS), axes=-1
-    ) * dx
-
-
 def spatial_inverse(values: np.ndarray, extent: float) -> np.ndarray:
-    """Inverse of ``spatial_transform`` along the last axis."""
+    """1d centered inverse transform (last axis) of f_hat(xi) = sum f(x) exp(-i x xi) dx."""
     values = np.asarray(values, dtype=complex)
     n = values.shape[-1]
     if n % 2:

@@ -7,7 +7,8 @@ strictly contains.  Iterating the system in the weighted space-time spaces
 X_+-^{s,sigma} x H^{r,rho} works precisely when the twelve inequalities of
 ``check_constraints`` admit a parameter choice (sigma, rho, eps);
 ``choose_parameters`` produces one for every point of the region, following
-the recipe rho = 1/2 + eps with eps found by halving.
+the recipe rho = 1/2 + eps with eps half the exact bound
+min(1/4, s + 1/4, r) below which that recipe is feasible.
 
 Also here: the hypothesis checkers for the wave-Sobolev product law
 (sufficient side) and for the necessary conditions attached to the explicit
@@ -100,32 +101,28 @@ def all_constraints_hold(report: dict[str, bool]) -> bool:
     return all(report.values())
 
 
-def choose_parameters(
-    s: float, r: float, eps_start: float = 0.125, eps_floor: float = 2.0**-20
-) -> ParameterChoice | Infeasible:
+def choose_parameters(s: float, r: float) -> ParameterChoice | Infeasible:
     """Produce (sigma, rho, eps) satisfying every constraint, or Infeasible.
 
-    Sets rho = 1/2 + eps and halves eps from ``eps_start`` until the sigma
-    interval (max(1/2, r - 1/2 - 2s), min(1 - eps, r + 1/2 - eps)) is
-    nonempty *and* the full constraint report passes with sigma at the
-    interval midpoint (near s = -1/4 the interval can be nonempty while the
-    spinor-regularity constraints still need a smaller eps).  Reports the
-    largest eps that works.
+    Sets rho = 1/2 + eps and sigma at the midpoint of the interval
+    (max(1/2, r - 1/2 - 2s), min(1 - eps, r + 1/2 - eps)).  Inside the
+    region this choice is feasible exactly when eps < E = min(1/4, s + 1/4,
+    r): the three bounds come from rho1, s2 and the sigma interval being
+    nonempty, and the other constraints follow from the region's
+    inequalities.  Returns eps = E/2.  Within about 1e-16 of an edge,
+    rounding can make 1/2 + eps equal 1/2; the constraint keys that then
+    fail are reported as Infeasible.
     """
     violated = region_violations(s, r)
     if violated:
         return Infeasible(violated)
-    eps = eps_start
-    while eps >= eps_floor:
-        lo = max(0.5, r - 0.5 - 2 * s)
-        hi = min(1 - eps, r + 0.5 - eps)
-        if lo < hi:
-            choice = ParameterChoice(sigma=(lo + hi) / 2, rho=0.5 + eps, eps=eps)
-            if all_constraints_hold(check_constraints(s, r, choice)):
-                return choice
-        eps /= 2
-    # Unreachable for in-region points; kept as a defensive report.
-    return Infeasible(("no feasible eps above floor",))
+    eps = min(0.25, s + 0.25, r) / 2
+    lo = max(0.5, r - 0.5 - 2 * s)
+    hi = min(1 - eps, r + 0.5 - eps)
+    choice = ParameterChoice(sigma=(lo + hi) / 2, rho=0.5 + eps, eps=eps)
+    report = check_constraints(s, r, choice)
+    failed = tuple(key for key in CONSTRAINT_KEYS if not report[key])
+    return Infeasible(failed) if failed else choice
 
 
 def product_law_conditions(

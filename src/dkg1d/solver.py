@@ -6,9 +6,12 @@ The evolved system, on a periodic spatial interval (D = -i d):
     (D_t - D_x) psi_- + M psi_- = P_-(phi beta psi),
     (d_tt - d_xx + m^2) phi     = <beta psi, psi>.
 
-The spinor is stored through scalar amplitudes on the one-dimensional
-ranges of P+-:  psi = a_+ e_+ + a_- e_-  with  e_+- = (1, +-1)/sqrt(2).
-This halves the memory and makes the half-wave flows scalar.
+The state is stored as two stacked arrays, the layout every flow acts on.
+The spinor is kept through scalar amplitudes on the one-dimensional ranges
+of P+-:  psi = a_+ e_+ + a_- e_-  with  e_+- = (1, +-1)/sqrt(2), and
+``DKGState.a`` = (a_+, a_-) is one complex (2, n_x) array; ``DKGState.f`` =
+(phi, phi_t) is one real (2, n_x) array.  The amplitudes halve the memory
+and make the half-wave flows scalar.
 
 A step composes three flows, each solved exactly:
 
@@ -29,19 +32,17 @@ conserved to roundoff over arbitrarily many steps; every substep is exactly
 invertible, so a Strang step followed by its negative-dt mirror returns the
 state to roundoff.
 
-Each flow is written once, as a private kernel on stacked arrays: the
-amplitudes as one complex (2, n_x) array (a_+, a_-) and the scalar field as
-one real (2, n_x) array (phi, phi_t).  ``run`` builds the per-mode
-propagator factors once and then costs one batched complex FFT pair and one
-batched real FFT pair per step.  It also fuses adjacent coupling substeps:
-the coupling leaves phi and the density unchanged, so two coupling flows of
-lengths h1 and h2 compose to one of length h1 + h2 exactly (the rotation
-angles phi h add, and so do the kicks).  A Strang run therefore applies
-coupling(dt/2) once to open, coupling(dt) between steps and coupling(dt/2)
-to close before each diagnostics row; N steps with K recorded rows cost
-N + K coupling flows instead of 2N.  A Lie run goes through the same loop
-with nothing to fuse.  The public flows and steps are thin wrappers over
-the same kernels.
+Each flow is written once, as a private kernel on the arrays ``a`` and
+``f``.  ``run`` builds the per-mode propagator factors once and then costs
+one batched complex FFT pair and one batched real FFT pair per step.  It
+also fuses adjacent coupling substeps: the coupling leaves phi and the
+density unchanged, so two coupling flows of lengths h1 and h2 compose to one
+of length h1 + h2 exactly (the rotation angles phi h add, and so do the
+kicks).  A Strang run therefore applies coupling(dt/2) once to open,
+coupling(dt) between steps and coupling(dt/2) to close before each
+diagnostics row; N steps with K recorded rows cost N + K coupling flows
+instead of 2N.  A Lie run goes through the same loop with nothing to fuse.
+The public flows and steps are thin wrappers over the same kernels.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import functools
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -112,16 +113,37 @@ class GridSpec1D:
 
 @dataclass
 class DKGState:
-    """Field state at one instant: spinor amplitudes, scalar field, masses."""
+    """Field state at one instant, in the layout the flows act on.
 
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-    phi: np.ndarray
-    phi_t: np.ndarray
+    ``a`` = (a_+, a_-) holds the spinor amplitudes on the ranges of P+-,
+    complex of shape (2, n_x); ``f`` = (phi, phi_t) holds the scalar field
+    and its time derivative, real of shape (2, n_x).  ``psi_plus``,
+    ``psi_minus``, ``phi`` and ``phi_t`` are row views of these.  The flows
+    return new states and never write into the arrays of their input.
+    """
+
+    a: np.ndarray
+    f: np.ndarray
     t: float
     M: float
     m: float
     grid: GridSpec1D
+
+    @property
+    def psi_plus(self) -> np.ndarray:
+        return self.a[0]
+
+    @property
+    def psi_minus(self) -> np.ndarray:
+        return self.a[1]
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.f[0]
+
+    @property
+    def phi_t(self) -> np.ndarray:
+        return self.f[1]
 
 
 @dataclass(frozen=True)
@@ -145,6 +167,8 @@ class SolverConfig:
             raise ValueError("splitting must be 'lie' or 'strang'")
         if self.diagnostics_every < 1:
             raise ValueError("diagnostics_every must be >= 1")
+        if not (math.isfinite(self.diag_s) and math.isfinite(self.diag_r)):
+            raise ValueError("diag_s and diag_r must be finite")
 
 
 def init_state(
@@ -167,44 +191,34 @@ def init_state(
         raise ValueError("phi0 and phi1 must be real arrays")
     if not (0 <= M < math.inf and 0 <= m < math.inf):
         raise ValueError("masses must be finite and nonnegative")
-    a_plus = (psi0[:, 0] + psi0[:, 1]) / SQRT2
-    a_minus = (psi0[:, 0] - psi0[:, 1]) / SQRT2
-    return DKGState(
-        psi_plus=a_plus,
-        psi_minus=a_minus,
-        phi=phi0.astype(float),
-        phi_t=phi1.astype(float),
-        t=0.0,
-        M=float(M),
-        m=float(m),
-        grid=grid,
-    )
+    if not all(np.isfinite(v).all() for v in (psi0, phi0, phi1)):
+        raise ValueError("psi0, phi0 and phi1 must be finite")
+    a = np.stack((psi0[:, 0] + psi0[:, 1], psi0[:, 0] - psi0[:, 1])) / SQRT2
+    return DKGState(a, np.stack((phi0, phi1)).astype(float), 0.0, float(M), float(m), grid)
 
 
 def reconstruct(state: DKGState) -> np.ndarray:
     """Spinor field of shape (n_x, 2) from the stored amplitudes."""
-    psi1 = (state.psi_plus + state.psi_minus) / SQRT2
-    psi2 = (state.psi_plus - state.psi_minus) / SQRT2
-    return np.stack([psi1, psi2], axis=-1)
+    a_plus, a_minus = state.a
+    return np.stack([a_plus + a_minus, a_plus - a_minus], axis=-1) / SQRT2
 
 
 def charge(state: DKGState) -> float:
     """Conserved L2 norm of the spinor field."""
-    density = np.abs(state.psi_plus) ** 2 + np.abs(state.psi_minus) ** 2
-    return float(np.sqrt(density.sum() * state.grid.dx))
+    return float(np.sqrt(np.vdot(state.a, state.a).real * state.grid.dx))
 
 
-def _density(a_plus: np.ndarray, a_minus: np.ndarray) -> np.ndarray:
-    return 2.0 * np.real(a_plus * np.conj(a_minus))
+def _density(a: np.ndarray) -> np.ndarray:
+    return 2.0 * np.real(a[0] * np.conj(a[1]))
 
 
 def spinor_density(state: DKGState) -> np.ndarray:
     """Pointwise source <beta psi, psi> = 2 Re(a_+ conj a_-), real."""
-    return _density(state.psi_plus, state.psi_minus)
+    return _density(state.a)
 
 
-# Kernels on the stacked fields: a = (a_+, a_-) complex and f = (phi, phi_t)
-# real, both of shape (2, n_x).  Each returns new arrays.
+# Kernels on the state arrays a = (a_+, a_-) and f = (phi, phi_t).  Each
+# returns new arrays.
 
 
 def _wave_phases(grid: GridSpec1D, M: float, dt: float) -> np.ndarray:
@@ -237,7 +251,7 @@ def _coupling(a: np.ndarray, f: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
     if h == 0.0:
         return a, f
     theta = f[0] * h
-    kick = _density(a[0], a[1])  # invariant under the rotation below
+    kick = _density(a)  # invariant under the rotation below
     kick *= h
     # beta swaps the ranges: a_+- <- cos(theta) a_+- + i sin(theta) a_-+.
     rotated = np.cos(theta) * a
@@ -247,28 +261,18 @@ def _coupling(a: np.ndarray, f: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
     return rotated, f
 
 
-def _stacked(state: DKGState) -> tuple[np.ndarray, np.ndarray]:
-    return np.stack((state.psi_plus, state.psi_minus)), np.stack((state.phi, state.phi_t))
-
-
-def _unstacked(a: np.ndarray, f: np.ndarray, t: float, like: DKGState) -> DKGState:
-    return DKGState(a[0], a[1], f[0], f[1], t, like.M, like.m, like.grid)
-
-
 def half_wave_flow(state: DKGState, dt: float) -> DKGState:
     """Exact linear Dirac flow: per-mode unit phases on each amplitude."""
     if dt == 0.0:
         return state
-    a, f = _stacked(state)
-    return _unstacked(_half_wave(a, _wave_phases(state.grid, state.M, dt)), f, state.t, state)
+    return replace(state, a=_half_wave(state.a, _wave_phases(state.grid, state.M, dt)))
 
 
 def kg_flow(state: DKGState, dt: float) -> DKGState:
     """Exact homogeneous Klein-Gordon flow on (phi, phi_t)."""
     if dt == 0.0:
         return state
-    a, f = _stacked(state)
-    return _unstacked(a, _kg(f, _kg_propagator(state.grid, state.m, dt)), state.t, state)
+    return replace(state, f=_kg(state.f, _kg_propagator(state.grid, state.m, dt)))
 
 
 def coupling_flow(state: DKGState, dt: float) -> DKGState:
@@ -279,8 +283,8 @@ def coupling_flow(state: DKGState, dt: float) -> DKGState:
     """
     if dt == 0.0:
         return state
-    a, f = _coupling(*_stacked(state), dt)
-    return _unstacked(a, f, state.t, state)
+    a, f = _coupling(state.a, state.f, dt)
+    return replace(state, a=a, f=f)
 
 
 # Coupling fractions (before, after) around the commuting pair half-wave | kg.
@@ -301,7 +305,7 @@ def _march(state: DKGState, dt: float, n_steps: int, splitting: str, every: int)
     before, after = _SPLITTINGS[splitting]
     phases = _wave_phases(state.grid, state.M, dt)
     propagator = _kg_propagator(state.grid, state.m, dt)
-    a, f = _coupling(*_stacked(state), before * dt)
+    a, f = _coupling(state.a, state.f, before * dt)
     t = state.t
     for k in range(1, n_steps + 1):
         a = _half_wave(a, phases)
@@ -311,7 +315,7 @@ def _march(state: DKGState, dt: float, n_steps: int, splitting: str, every: int)
             a, f = _coupling(a, f, dt)
             continue
         a, f = _coupling(a, f, after * dt)
-        yield k, _unstacked(a, f, t, state)
+        yield k, replace(state, a=a, f=f, t=t)
         if k < n_steps:
             a, f = _coupling(a, f, before * dt)
 
@@ -364,7 +368,7 @@ def spinor_sobolev_norm(state: DKGState, s: float) -> float:
     constant unitary matrix, so it commutes with the Fourier transform and
     the norm can be taken of the amplitudes directly.
     """
-    return sobolev_norm(np.stack((state.psi_plus, state.psi_minus)), s, state.grid)
+    return sobolev_norm(state.a, s, state.grid)
 
 
 def rough_data(s: float, seed: int, grid: GridSpec1D) -> np.ndarray:
@@ -444,10 +448,7 @@ def run(
     rows = _march(state, config.dt, n_steps, config.splitting, config.diagnostics_every)
     for k, state in rows:
         row = _record(state, config)
-        finite = all(np.isfinite(v) for v in row) and all(
-            np.all(np.isfinite(v)) for v in (state.psi_plus, state.psi_minus, state.phi)
-        )
-        if not finite:
+        if not (np.isfinite(row).all() and np.isfinite(state.a).all() and np.isfinite(state.f).all()):
             raise BlowUpError(k, state.t)
         records.append(row)
     cols = np.array(records, dtype=float).T
@@ -456,28 +457,25 @@ def run(
 
 
 # Snapshot format, little-endian: header (magic, float64 t, M, m, int64 n_x,
-# float64 x_extent), then psi_plus and psi_minus as complex128 blocks and
-# phi and phi_t as float64 blocks, n_x values each.
+# float64 x_extent), then the state arrays row-major: a as complex128 and f
+# as float64, that is psi_plus, psi_minus, phi and phi_t, n_x values each.
 _STATE_MAGIC = b"DKG1DST2"
 _OLD_STATE_MAGIC = b"DKG1DST1"
 _STATE_HEADER = struct.Struct("<8sdddqd")
-_FIELD_DTYPES = (("psi_plus", "<c16"), ("psi_minus", "<c16"), ("phi", "<f8"), ("phi_t", "<f8"))
-_BYTES_PER_POINT = sum(np.dtype(d).itemsize for _, d in _FIELD_DTYPES)
+_A_DTYPE, _F_DTYPE = np.dtype("<c16"), np.dtype("<f8")
+_BYTES_PER_POINT = 2 * (_A_DTYPE.itemsize + _F_DTYPE.itemsize)
 
 
 def save_state(path, state: DKGState) -> None:
-    n_x = state.grid.n_x
-    blocks = []
-    for name, dtype in _FIELD_DTYPES:
-        values = np.asarray(getattr(state, name))
-        if values.shape != (n_x,):
-            raise ValueError(f"{name} has shape {values.shape}, expected ({n_x},)")
-        if np.iscomplexobj(values) and np.dtype(dtype).kind == "f":
-            raise ValueError(f"{name} must be real")
-        blocks.append(values.astype(dtype).tobytes())
+    shape = (2, state.grid.n_x)
+    if state.a.shape != shape or state.f.shape != shape:
+        raise ValueError(f"a and f have shapes {state.a.shape} and {state.f.shape}, expected {shape}")
+    if np.iscomplexobj(state.f):
+        raise ValueError("f = (phi, phi_t) must be real")
     with open(path, "wb") as fh:
-        fh.write(_STATE_HEADER.pack(_STATE_MAGIC, state.t, state.M, state.m, n_x, state.grid.x_extent))
-        fh.writelines(blocks)
+        fh.write(_STATE_HEADER.pack(_STATE_MAGIC, state.t, state.M, state.m, shape[1], state.grid.x_extent))
+        fh.write(state.a.astype(_A_DTYPE).tobytes())
+        fh.write(state.f.astype(_F_DTYPE).tobytes())
 
 
 def load_state(path) -> DKGState:
@@ -503,9 +501,6 @@ def load_state(path) -> DKGState:
             raise ValueError("solver state payload does not match its header")
         fh.seek(start)
         payload = fh.read(nbytes)
-    fields, offset = {}, 0
-    for name, dtype in _FIELD_DTYPES:
-        block = np.frombuffer(payload, dtype=dtype, count=n_x, offset=offset)
-        fields[name] = block.astype(block.dtype.newbyteorder("="))
-        offset += block.nbytes
-    return DKGState(**fields, t=t, M=M, m=m, grid=grid)
+    a = np.frombuffer(payload, dtype=_A_DTYPE, count=2 * n_x)
+    f = np.frombuffer(payload, dtype=_F_DTYPE, offset=a.nbytes)
+    return DKGState(a.astype(complex).reshape(2, n_x), f.astype(float).reshape(2, n_x), t, M, m, grid)

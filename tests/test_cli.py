@@ -139,6 +139,13 @@ class TestRegion:
         assert 0.5 < payload["parameters"]["sigma"] <= 1.0
         assert all(payload["constraints"].values())
 
+    def test_solve_near_edge(self, capsys):
+        code, payload = run_cli(capsys, "region", "--s", "-0.2499999", "--r", "0.3", "--solve")
+        assert code == 0
+        assert payload["pecher"] is True
+        assert "infeasible" not in payload
+        assert all(payload["constraints"].values())
+
     def test_infeasible_reason(self, capsys):
         code, payload = run_cli(capsys, "region", "--s", "-0.2", "--r", "0.85", "--solve")
         assert code == 0

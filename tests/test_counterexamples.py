@@ -131,21 +131,6 @@ class TestBuildFamily:
             cx.ratio_ladder("cond5", [64.0], [ZEROS])
 
 
-class TestRestrictionGeometry:
-    def test_transversal_families_grow(self):
-        for family in ("cond1_ab", "cond2"):
-            stats = cx.restricted_support_stats(family, 64.0)
-            assert stats["min"] >= 20.0
-            assert stats["max"] <= 260.0
-
-    def test_parallel_interaction_stays_small(self):
-        stats = cx.restricted_support_stats("cond3", 64.0)
-        assert stats["max"] <= 3.5
-        for family in ("cond1_gamma", "cond4"):
-            stats = cx.restricted_support_stats(family, 64.0)
-            assert stats["max"] <= 8.5
-
-
 class TestRatio:
     def test_cond2_growth_rate(self):
         assert two_point_slope("cond2", ZEROS) == pytest.approx(0.5, abs=0.15)

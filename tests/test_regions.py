@@ -15,14 +15,25 @@ def region_grid(ns=60, nr=60):
 
 
 def in_region_points():
-    # Uniform over the bounding box, filtered to the region interior.
+    # The bounding box of the open region, filtered to the region itself.
     return (
         st.tuples(
-            st.floats(min_value=-0.249, max_value=0.5),
-            st.floats(min_value=1e-6, max_value=1.5),
+            st.floats(min_value=-0.25, max_value=0.5, exclude_min=True),
+            st.floats(min_value=0.0, max_value=1.5, exclude_min=True),
         )
         .filter(lambda p: regions.in_wellposed_region(*p))
     )
+
+
+def edge_points():
+    # Points at distance 10^-k from the open edges s = -1/4 and r = 0,
+    # including the corners they make with |s| <= r and r <= 1+s.
+    points = []
+    for k in range(1, 16):
+        d = 10.0**-k
+        s = -0.25 + d
+        points += [(s, 0.3), (s, abs(s)), (s, 1 + s), (0.0, d), (d, d), (-d, d)]
+    return points
 
 
 class TestRegionMembership:
@@ -130,10 +141,43 @@ class TestChooseParameters:
     @given(in_region_points())
     @settings(max_examples=500, deadline=None)
     def test_always_feasible_in_region(self, point):
+        # Within about 1e-16 of the open edges 1/2 + eps rounds to 1/2, and
+        # the choice is reported infeasible with the constraints that fail.
         s, r = point
+        choice = regions.choose_parameters(s, r)
+        if isinstance(choice, regions.Infeasible):
+            assert min(s + 0.25, r) < 1e-15
+            assert choice.violated and set(choice.violated) <= set(regions.CONSTRAINT_KEYS)
+            return
+        assert choice.rho == 0.5 + choice.eps
+        assert regions.all_constraints_hold(regions.check_constraints(s, r, choice))
+
+    @pytest.mark.parametrize("s, r", edge_points())
+    def test_feasible_near_open_edges(self, s, r):
+        assert regions.in_wellposed_region(s, r)
         choice = regions.choose_parameters(s, r)
         assert isinstance(choice, ParameterChoice)
         assert regions.all_constraints_hold(regions.check_constraints(s, r, choice))
+
+    def test_eps_is_half_the_exact_bound(self):
+        for s, r in [(0.0, 0.5), (-0.24, 0.25), (0.3, 0.3), (-0.05, 0.1)]:
+            choice = regions.choose_parameters(s, r)
+            assert choice.eps == min(0.25, s + 0.25, r) / 2
+
+    def test_bound_is_tight(self):
+        # Just above the bound, no sigma makes the rho = 1/2 + eps recipe work.
+        for s, r in [(0.0, 0.5), (-0.24, 0.25), (0.3, 0.3), (-0.05, 0.1), (0.4, 1.3)]:
+            assert regions.in_wellposed_region(s, r)
+            eps = 1.01 * min(0.25, s + 0.25, r)
+            for sigma in np.linspace(0.5, 1.0, 2001):
+                report = regions.check_constraints(s, r, ParameterChoice(sigma, 0.5 + eps, eps))
+                assert not regions.all_constraints_hold(report)
+
+    def test_rounding_at_the_edge_reported(self):
+        # s + 1/4 = 2^-55: eps < 2^-55 makes 1/2 + eps round to 1/2.
+        result = regions.choose_parameters(-0.25 + 2.0**-55, 0.3)
+        assert isinstance(result, regions.Infeasible)
+        assert result.violated == ("rho_sigma",)
 
 
 class TestProductLawConditions:

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -62,6 +63,29 @@ class TestGridSpec:
             GridSpec1D(8, extent)
 
 
+class TestStateLayout:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(DKGState)] == ["a", "f", "t", "M", "m", "grid"]
+
+    def test_named_fields_are_row_views(self, smooth_state):
+        a, f = smooth_state.a, smooth_state.f
+        assert a.shape == f.shape == (2, smooth_state.grid.n_x)
+        assert a.dtype == complex and f.dtype == float
+        for view, rows, i in [("psi_plus", a, 0), ("psi_minus", a, 1), ("phi", f, 0), ("phi_t", f, 1)]:
+            row = getattr(smooth_state, view)
+            assert np.shares_memory(row, rows)
+            assert np.array_equal(row, rows[i])
+            with pytest.raises(AttributeError):
+                setattr(smooth_state, view, row)
+
+    def test_flows_leave_input_arrays_alone(self, smooth_state):
+        a, f = smooth_state.a.copy(), smooth_state.f.copy()
+        for flow in (solver.half_wave_flow, solver.kg_flow, solver.coupling_flow, solver.strang_step):
+            flow(smooth_state, 0.05)
+        solver.run(SolverConfig(grid=smooth_state.grid, dt=0.05, t_end=0.5), smooth_state)
+        assert np.array_equal(smooth_state.a, a) and np.array_equal(smooth_state.f, f)
+
+
 class TestInitState:
     def test_plus_range_data(self, grid):
         psi0 = np.ones((grid.n_x, 2), dtype=complex)
@@ -97,6 +121,14 @@ class TestInitState:
                 np.zeros((grid.n_x, 3), complex), np.zeros(grid.n_x), np.zeros(grid.n_x), 1, 1, grid
             )
 
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, grid, field, value):
+        data = [np.zeros((grid.n_x, 2), complex), np.zeros(grid.n_x), np.zeros(grid.n_x)]
+        data[field][3] = value
+        with pytest.raises(ValueError, match="finite"):
+            solver.init_state(*data, 1.0, 1.0, grid)
+
     @pytest.mark.parametrize("M, m", [(np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0)])
     def test_rejects_bad_masses(self, grid, M, m):
         with pytest.raises(ValueError, match="masses"):
@@ -109,7 +141,7 @@ class TestHalfWaveFlow:
     def test_single_mode_phase(self, grid):
         k = 5
         mode = np.exp(1j * grid.xi[grid.n_x // 2 + k] * grid.x)
-        state = DKGState(mode.copy(), 0 * mode, np.zeros(grid.n_x), np.zeros(grid.n_x), 0.0, 0.0, 0.0, grid)
+        state = DKGState(np.stack((mode, 0 * mode)), np.zeros((2, grid.n_x)), 0.0, 0.0, 0.0, grid)
         out = solver.half_wave_flow(state, 0.25)
         xi_k = grid.xi[grid.n_x // 2 + k]
         assert_allclose(out.psi_plus, np.exp(-1j * xi_k * 0.25) * mode, atol=1e-13)
@@ -120,14 +152,14 @@ class TestHalfWaveFlow:
 
     def test_mass_phase(self, grid):
         ones = np.ones(grid.n_x, complex)
-        state = DKGState(ones.copy(), ones.copy(), np.zeros(grid.n_x), np.zeros(grid.n_x), 0.0, 2.0, 0.0, grid)
+        state = DKGState(np.stack((ones, ones)), np.zeros((2, grid.n_x)), 0.0, 2.0, 0.0, grid)
         out = solver.half_wave_flow(state, 0.5)
         assert_allclose(out.psi_plus, np.exp(-1j * 1.0) * ones, atol=1e-13)
 
     def test_transport(self):
         g = GridSpec1D(512, 32.0)
         a0 = np.exp(-((g.x) / 1.5) ** 2) * np.exp(2j * g.x)
-        state = DKGState(a0.copy(), 0 * a0, np.zeros(g.n_x), np.zeros(g.n_x), 0.0, 0.0, 0.0, g)
+        state = DKGState(np.stack((a0, 0 * a0)), np.zeros((2, g.n_x)), 0.0, 0.0, 0.0, g)
         shift_cells = 16
         out = solver.half_wave_flow(state, shift_cells * g.dx)
         assert np.abs(out.psi_plus - np.roll(a0, shift_cells)).max() <= 1e-12
@@ -137,18 +169,14 @@ class TestKGFlow:
     def test_standing_mode_oscillates(self):
         g = GridSpec1D(64, 2 * np.pi)
         phi0 = np.cos(3 * g.x)
-        state = DKGState(
-            np.zeros(g.n_x, complex), np.zeros(g.n_x, complex), phi0.copy(), np.zeros(g.n_x), 0.0, 0.0, 0.0, g
-        )
+        state = DKGState(np.zeros((2, g.n_x), complex), np.stack((phi0, 0 * phi0)), 0.0, 0.0, 0.0, g)
         out = solver.kg_flow(state, 0.4)
         assert_allclose(out.phi, np.cos(3 * 0.4) * phi0, atol=1e-13)
 
     def test_zero_mode_free_drift(self):
         g = GridSpec1D(64, 2 * np.pi)
         phi_t0 = np.full(g.n_x, 0.7)
-        state = DKGState(
-            np.zeros(g.n_x, complex), np.zeros(g.n_x, complex), np.zeros(g.n_x), phi_t0.copy(), 0.0, 0.0, 0.0, g
-        )
+        state = DKGState(np.zeros((2, g.n_x), complex), np.stack((0 * phi_t0, phi_t0)), 0.0, 0.0, 0.0, g)
         out = solver.kg_flow(state, 0.3)
         assert_allclose(out.phi, 0.3 * phi_t0, atol=1e-14)
         assert_allclose(out.phi_t, phi_t0, atol=1e-14)
@@ -157,9 +185,7 @@ class TestKGFlow:
         rng = np.random.default_rng(1)
         phi0 = np.real(np.fft.ifft(np.exp(-np.abs(np.fft.fftfreq(grid.n_x) * 40)) * rng.standard_normal(grid.n_x)))
         phi1 = np.roll(phi0, 3)
-        state = DKGState(
-            np.zeros(grid.n_x, complex), np.zeros(grid.n_x, complex), phi0, phi1, 0.0, 0.0, 1.0, grid
-        )
+        state = DKGState(np.zeros((2, grid.n_x), complex), np.stack((phi0, phi1)), 0.0, 0.0, 1.0, grid)
         e0 = solver.kg_energy(state)
         for _ in range(200):
             state = solver.kg_flow(state, 0.03)
@@ -232,16 +258,7 @@ class TestStep:
         back = solver.strang_step(forward, -dt)
         scale = state_distance(
             smooth_state,
-            DKGState(
-                0 * smooth_state.psi_plus,
-                0 * smooth_state.psi_minus,
-                0 * smooth_state.phi,
-                0 * smooth_state.phi_t,
-                0.0,
-                1.0,
-                1.0,
-                smooth_state.grid,
-            ),
+            DKGState(0 * smooth_state.a, 0 * smooth_state.f, 0.0, 1.0, 1.0, smooth_state.grid),
         )
         assert state_distance(back, smooth_state) <= 1e-12 * scale
 
@@ -344,6 +361,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="t_end"):
             SolverConfig(grid=grid, dt=grid.dx / 2, t_end=t_end)
 
+    @pytest.mark.parametrize("name", ["diag_s", "diag_r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_diagnostic_regularity_finite(self, grid, name, value):
+        with pytest.raises(ValueError, match="diag_s and diag_r"):
+            SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, **{name: value})
+
     def test_splitting_name(self, grid):
         with pytest.raises(ValueError, match="splitting"):
             SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, splitting="yoshida")
@@ -407,9 +430,9 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_abort(self, grid):
-        psi0 = np.zeros((grid.n_x, 2), complex)
-        psi0[0, 0] = np.inf
-        state = solver.init_state(psi0, np.zeros(grid.n_x), np.zeros(grid.n_x), 1, 1, grid)
+        a = np.zeros((2, grid.n_x), complex)
+        a[:, 0] = np.inf
+        state = DKGState(a, np.zeros((2, grid.n_x)), 0.0, 1.0, 1.0, grid)
         config = SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, diagnostics_every=4)
         with pytest.raises(solver.BlowUpError) as err:
             solver.run(config, state)
@@ -472,10 +495,8 @@ class TestSnapshot:
     def test_flat_layout(self, tmp_path):
         g = GridSpec1D(4, 2.5)
         state = DKGState(
-            np.array([1 + 2j, 3, 4, 5]),
-            np.full(4, -1j),
-            np.arange(4.0),
-            np.full(4, 0.5),
+            np.stack((np.array([1 + 2j, 3, 4, 5]), np.full(4, -1j))),
+            np.stack((np.arange(4.0), np.full(4, 0.5))),
             0.75,
             1.0,
             2.0,
@@ -544,30 +565,16 @@ class TestSnapshot:
     def test_save_rejects_inconsistent_state(self, smooth_state, tmp_path):
         path = tmp_path / "state.bin"
         n = smooth_state.grid.n_x
-        short = DKGState(
-            smooth_state.psi_plus,
-            smooth_state.psi_minus[: n // 2],
-            smooth_state.phi,
-            smooth_state.phi_t,
-            0.0,
-            1.0,
-            1.0,
-            smooth_state.grid,
-        )
-        with pytest.raises(ValueError, match="psi_minus"):
+        short = DKGState(smooth_state.a[:, : n // 2], smooth_state.f, 0.0, 1.0, 1.0, smooth_state.grid)
+        with pytest.raises(ValueError, match="shapes"):
             solver.save_state(path, short)
-        complex_phi = DKGState(
-            smooth_state.psi_plus,
-            smooth_state.psi_minus,
-            smooth_state.phi + 1j,
-            smooth_state.phi_t,
-            0.0,
-            1.0,
-            1.0,
-            smooth_state.grid,
-        )
+        one_row = DKGState(smooth_state.a, smooth_state.f[:1], 0.0, 1.0, 1.0, smooth_state.grid)
+        with pytest.raises(ValueError, match="shapes"):
+            solver.save_state(path, one_row)
+        complex_phi = DKGState(smooth_state.a, smooth_state.f + 1j, 0.0, 1.0, 1.0, smooth_state.grid)
         with pytest.raises(ValueError, match="real"):
             solver.save_state(path, complex_phi)
+        assert not path.exists()
 
 
 # Deterministic and bounded, so that the suite stays reproducible and fast.
