@@ -172,7 +172,6 @@ def _cmd_solve(args) -> int:
         grid=grid,
         dt=dt,
         t_end=args.T,
-        splitting=args.splitting,
         diagnostics_every=args.every,
         diag_s=args.s,
         diag_r=args.r,
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--s", type=float, default=0.0)
     p_solve.add_argument("--r", type=float, default=0.0)
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--splitting", choices=["strang", "lie"], default="strang")
     p_solve.add_argument("--every", type=int, default=16)
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--state-out", default=None)

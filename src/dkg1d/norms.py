@@ -20,9 +20,8 @@ in this module and nowhere else:
 Grids are centered on both sides: ``t_j = (j - n_t/2) dt`` and
 ``tau_k = (k - n_t/2) dtau`` with ``dtau = 2 pi / t_extent`` (same in x).
 Values are stored row-major in t.  A periodic box stands in for the plane:
-physical-side data is trusted only if it decays at the box boundary
-(``assert_boundary_decay``), Fourier-side data only if its support is
-contained in the frequency box.
+physical-side data is trusted only if it decays at the box boundary,
+Fourier-side data only if its support is contained in the frequency box.
 
 Weight families, with ``<y> = 1 + |y|``:
 
@@ -43,7 +42,6 @@ import numpy as np
 import scipy.fft as sfft
 
 _WORKERS = 2
-_CHUNK_ROWS = 128
 
 Side = Literal["physical", "fourier"]
 Flavor = Literal["X_plus", "X_minus", "H"]
@@ -58,8 +56,9 @@ def bracket(x):
 class Grid2D:
     """Uniform centered space-time grid and its dual frequency grid.
 
-    Sizes must be even (the centered index convention needs n/2 integral);
-    FFT-friendly 5-smooth sizes are strongly recommended.  Extents must be
+    Sizes must be even (the centered index convention needs n/2 integral)
+    and fit the int64 of the file header; FFT-friendly 5-smooth sizes are
+    strongly recommended.  Extents, and the spacings on both sides, must be
     finite and positive.
     """
 
@@ -69,10 +68,12 @@ class Grid2D:
     x_extent: float
 
     def __post_init__(self):
-        if self.n_t < 2 or self.n_t % 2 or self.n_x < 2 or self.n_x % 2:
-            raise ValueError("grid sizes must be even integers >= 2")
+        if not all(2 <= n < 2**63 and n % 2 == 0 for n in (self.n_t, self.n_x)):
+            raise ValueError("grid sizes must be even integers in [2, 2^63)")
         if not (0 < self.t_extent < math.inf and 0 < self.x_extent < math.inf):
             raise ValueError("grid extents must be finite and positive")
+        if not (self.dt > 0 and self.dx > 0 and self.dtau < math.inf and self.dxi < math.inf):
+            raise ValueError("grid spacings must be finite and positive")
 
     @property
     def dt(self) -> float:
@@ -138,36 +139,6 @@ class GridFunction2D:
             raise ValueError(f"unknown side {self.side!r}")
 
 
-def boundary_maximum(u: GridFunction2D) -> float:
-    """Largest |value| on the outermost rows/columns, relative to the peak."""
-    v = u.values
-    peak = float(np.abs(v).max())
-    if peak == 0.0:
-        return 0.0
-    edge = max(
-        float(np.abs(v[0, :]).max()),
-        float(np.abs(v[-1, :]).max()),
-        float(np.abs(v[:, 0]).max()),
-        float(np.abs(v[:, -1]).max()),
-    )
-    return edge / peak
-
-
-def assert_boundary_decay(u: GridFunction2D, tol: float = 1e-12) -> None:
-    """Reject physical-side data that has not decayed at the box boundary.
-
-    The periodic box is an honest stand-in for the plane only for data that
-    is negligible at the boundary; band-limited data built directly on the
-    Fourier side is exempt (its exactness condition is support containment
-    instead).
-    """
-    rel = boundary_maximum(u)
-    if rel > tol:
-        raise ValueError(
-            f"boundary decay violated: relative edge magnitude {rel:.3e} > {tol:.1e}"
-        )
-
-
 def _centered_fft2(values: np.ndarray) -> np.ndarray:
     return sfft.fftshift(
         sfft.fft2(sfft.ifftshift(values), workers=_WORKERS)
@@ -180,16 +151,10 @@ def _centered_ifft2(values: np.ndarray) -> np.ndarray:
     )
 
 
-def transform(u: GridFunction2D, *, boundary_decay_tol: float | None = None) -> GridFunction2D:
-    """Forward space-time transform (physical -> fourier), Riemann-sum scaled.
-
-    With ``boundary_decay_tol`` set, the input is additionally required to
-    have decayed at the box boundary to that relative tolerance.
-    """
+def transform(u: GridFunction2D) -> GridFunction2D:
+    """Forward space-time transform (physical -> fourier), Riemann-sum scaled."""
     if u.side != "physical":
         raise ValueError("transform expects a physical-side function")
-    if boundary_decay_tol is not None:
-        assert_boundary_decay(u, boundary_decay_tol)
     vals = _centered_fft2(np.asarray(u.values, dtype=complex)) * u.grid.cell_physical
     return GridFunction2D(u.grid, vals, "fourier")
 
@@ -240,24 +205,13 @@ def weight(idx: NormIndex, tau, xi) -> np.ndarray:
 
 
 def weighted_norm(u_hat: GridFunction2D, idx: NormIndex) -> float:
-    """L2(dtau dxi) norm of the weighted Fourier-side values.
-
-    Processes the array in row chunks so that the 2d weight array is never
-    materialized in full.
-    """
+    """L2(dtau dxi) norm of the weighted Fourier-side values."""
     if u_hat.side != "fourier":
         raise ValueError("weighted_norm expects a fourier-side function")
+    if not np.all(np.isfinite(u_hat.values)):
+        raise ValueError("weighted_norm: non-finite values in input")
     grid = u_hat.grid
-    vals = u_hat.values
-    total = 0.0
-    for start in range(0, grid.n_t, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, grid.n_t))
-        chunk = vals[rows]
-        if not np.all(np.isfinite(chunk)):
-            raise ValueError("weighted_norm: non-finite values in input")
-        w = weight(idx, grid.tau[rows][:, None], grid.xi[None, :])
-        total += float(np.sum((w * np.abs(chunk)) ** 2))
-    return float(np.sqrt(total * grid.cell_fourier))
+    return point_norm(u_hat.values, grid.tau[:, None], grid.xi[None, :], idx, grid.cell_fourier)
 
 
 def point_norm(values, tau, xi, idx: NormIndex, cell: float) -> float:

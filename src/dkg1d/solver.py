@@ -2,9 +2,8 @@
 
 The evolved system, on a periodic spatial interval (D = -i d):
 
-    (D_t + D_x) psi_+ + M psi_+ = P_+(phi beta psi),
-    (D_t - D_x) psi_- + M psi_- = P_-(phi beta psi),
-    (d_tt - d_xx + m^2) phi     = <beta psi, psi>.
+    (D_t + alpha D_x) psi + M beta psi = phi beta psi,
+    (d_tt - d_xx + m^2) phi            = <beta psi, psi>.
 
 The state is stored as two stacked arrays, the layout every flow acts on.
 The spinor is kept through scalar amplitudes on the one-dimensional ranges
@@ -15,17 +14,17 @@ and make the half-wave flows scalar.
 
 A step composes three flows, each solved exactly:
 
-* half-wave: per Fourier mode, a_+ picks up exp(-i (xi + M) dt) and a_-
-  picks up exp(-i (-xi + M) dt)  (unitary, exact transport for M = 0);
+* half-wave: per Fourier mode, a_+ picks up exp(-i xi dt) and a_- picks up
+  exp(+i xi dt)  (unitary, exact transport);
 * Klein-Gordon: per mode with omega = sqrt(xi^2 + m^2), (phi, phi_t)
   rotates by the exact harmonic-oscillator flow (energy preserving, with
   the omega -> 0 limit phi <- phi + dt phi_t);
-* coupling: with phi frozen, psi <- cos(phi dt) psi + i sin(phi dt) beta psi,
-  exact because (phi beta)^2 = phi^2 I; in amplitudes beta swaps the two
-  ranges, so (a_+, a_-) mix through a pointwise unitary rotation.
-  Simultaneously phi_t gains dt <beta psi, psi>; the density
-  <beta psi, psi> = 2 Re(a_+ conj a_-) is invariant under the rotation, so
-  the kick is exact as well.
+* coupling: with phi frozen, psi <- cos(theta) psi + i sin(theta) beta psi
+  with theta = (phi - M) dt, exact because ((phi - M) beta)^2 = (phi - M)^2 I;
+  in amplitudes beta swaps the two ranges, so (a_+, a_-) mix through a
+  pointwise unitary rotation.  Simultaneously phi_t gains dt <beta psi, psi>;
+  the density <beta psi, psi> = 2 Re(a_+ conj a_-) is invariant under the
+  rotation, so the kick is exact as well.
 
 Every substep is unitary on the spinor, so the charge ||psi||_L2 is
 conserved to roundoff over arbitrarily many steps; every substep is exactly
@@ -37,12 +36,12 @@ Each flow is written once, as a private kernel on the arrays ``a`` and
 one batched complex FFT pair and one batched real FFT pair per step.  It
 also fuses adjacent coupling substeps: the coupling leaves phi and the
 density unchanged, so two coupling flows of lengths h1 and h2 compose to one
-of length h1 + h2 exactly (the rotation angles phi h add, and so do the
-kicks).  A Strang run therefore applies coupling(dt/2) once to open,
+of length h1 + h2 exactly (the rotation angles (phi - M) h add, and so do
+the kicks).  A run therefore applies coupling(dt/2) once to open,
 coupling(dt) between steps and coupling(dt/2) to close before each
 diagnostics row; N steps with K recorded rows cost N + K coupling flows
-instead of 2N.  A Lie run goes through the same loop with nothing to fuse.
-The public flows and steps are thin wrappers over the same kernels.
+instead of 2N.  The public flows and ``strang_step`` are thin wrappers over
+the same kernels.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import io
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Literal
 
 import numpy as np
 import scipy.fft as sfft
@@ -76,16 +74,22 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec1D:
-    """Periodic spatial grid; power-of-two size for FFT efficiency."""
+    """Periodic spatial grid; power-of-two size for FFT efficiency.
+
+    ``n_x`` fits the int64 of the snapshot header, and the spacings ``dx``
+    and ``2 pi / x_extent`` are finite and positive.
+    """
 
     n_x: int
     x_extent: float
 
     def __post_init__(self):
-        if self.n_x < 2 or self.n_x & (self.n_x - 1):
-            raise ValueError("n_x must be a power of two")
+        if not 2 <= self.n_x < 2**63 or self.n_x & (self.n_x - 1):
+            raise ValueError("n_x must be a power of two in [2, 2^62]")
         if not 0 < self.x_extent < math.inf:
             raise ValueError("x_extent must be finite and positive")
+        if not (self.dx > 0 and 2 * math.pi / self.x_extent < math.inf):
+            raise ValueError("grid spacings must be finite and positive")
 
     @property
     def dx(self) -> float:
@@ -151,7 +155,6 @@ class SolverConfig:
     grid: GridSpec1D
     dt: float
     t_end: float
-    splitting: Literal["lie", "strang"] = "strang"
     diagnostics_every: int = 16
     diag_s: float = 0.0
     diag_r: float = 0.0
@@ -163,8 +166,6 @@ class SolverConfig:
             raise ValueError("t_end must be finite")
         if self.dt > self.grid.dx + 1e-15:
             raise ValueError("dt must not exceed dx")
-        if self.splitting not in ("lie", "strang"):
-            raise ValueError("splitting must be 'lie' or 'strang'")
         if self.diagnostics_every < 1:
             raise ValueError("diagnostics_every must be >= 1")
         if not (math.isfinite(self.diag_s) and math.isfinite(self.diag_r)):
@@ -221,10 +222,10 @@ def spinor_density(state: DKGState) -> np.ndarray:
 # returns new arrays.
 
 
-def _wave_phases(grid: GridSpec1D, M: float, dt: float) -> np.ndarray:
+def _wave_phases(grid: GridSpec1D, dt: float) -> np.ndarray:
     """Per-mode half-wave phases of (a_+, a_-), shape (2, n_x)."""
     xi = grid.xi_fft
-    return np.exp(-1j * (np.stack((xi, -xi)) + M) * dt)
+    return np.exp(-1j * np.stack((xi, -xi)) * dt)
 
 
 def _kg_propagator(grid: GridSpec1D, m: float, dt: float) -> np.ndarray:
@@ -247,10 +248,11 @@ def _kg(f: np.ndarray, propagator: np.ndarray) -> np.ndarray:
     return sfft.irfft(new, n=f.shape[-1], axis=-1, overwrite_x=True)
 
 
-def _coupling(a: np.ndarray, f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _coupling(a: np.ndarray, f: np.ndarray, M: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     if h == 0.0:
         return a, f
-    theta = f[0] * h
+    theta = f[0] - M
+    theta *= h
     kick = _density(a)  # invariant under the rotation below
     kick *= h
     # beta swaps the ranges: a_+- <- cos(theta) a_+- + i sin(theta) a_-+.
@@ -262,10 +264,10 @@ def _coupling(a: np.ndarray, f: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
 
 
 def half_wave_flow(state: DKGState, dt: float) -> DKGState:
-    """Exact linear Dirac flow: per-mode unit phases on each amplitude."""
+    """Exact massless Dirac flow (transport): per-mode unit phases on each amplitude."""
     if dt == 0.0:
         return state
-    return replace(state, a=_half_wave(state.a, _wave_phases(state.grid, state.M, dt)))
+    return replace(state, a=_half_wave(state.a, _wave_phases(state.grid, dt)))
 
 
 def kg_flow(state: DKGState, dt: float) -> DKGState:
@@ -278,61 +280,47 @@ def kg_flow(state: DKGState, dt: float) -> DKGState:
 def coupling_flow(state: DKGState, dt: float) -> DKGState:
     """Exact coupling substep with phi frozen.
 
-    Rotates the spinor pointwise by exp(i phi beta dt) (which preserves |psi|
-    pointwise) and kicks phi_t by dt times the quadratic density.
+    Rotates the spinor pointwise by exp(i (phi - M) beta dt) (which preserves
+    |psi| pointwise) and kicks phi_t by dt times the quadratic density.
     """
     if dt == 0.0:
         return state
-    a, f = _coupling(state.a, state.f, dt)
+    a, f = _coupling(state.a, state.f, state.M, dt)
     return replace(state, a=a, f=f)
 
 
-# Coupling fractions (before, after) around the commuting pair half-wave | kg.
-_SPLITTINGS = {"strang": (0.5, 0.5), "lie": (1.0, 0.0)}
-
-
-def _march(state: DKGState, dt: float, n_steps: int, splitting: str, every: int):
-    """Take ``n_steps`` steps of ``dt``; yield (k, state) after every
+def _march(state: DKGState, dt: float, n_steps: int, every: int):
+    """Take ``n_steps`` Strang steps of ``dt``; yield (k, state) after every
     ``every``-th step and after the last one.
 
-    Between steps the closing coupling of one step and the opening coupling
-    of the next fuse into one coupling(dt); before a yield the step is closed
-    and afterwards the next one is opened, so every yielded state equals the
-    one that step-by-step composition gives, up to roundoff.
+    Between steps the closing coupling(dt/2) of one step and the opening
+    coupling(dt/2) of the next fuse into one coupling(dt); before a yield the
+    step is closed and afterwards the next one is opened, so every yielded
+    state equals the one that step-by-step composition gives, up to roundoff.
     """
     if n_steps < 1:
         return
-    before, after = _SPLITTINGS[splitting]
-    phases = _wave_phases(state.grid, state.M, dt)
+    M = state.M
+    phases = _wave_phases(state.grid, dt)
     propagator = _kg_propagator(state.grid, state.m, dt)
-    a, f = _coupling(state.a, state.f, before * dt)
+    a, f = _coupling(state.a, state.f, M, dt / 2)
     t = state.t
     for k in range(1, n_steps + 1):
         a = _half_wave(a, phases)
         f = _kg(f, propagator)
         t += dt
         if k % every and k < n_steps:
-            a, f = _coupling(a, f, dt)
+            a, f = _coupling(a, f, M, dt)
             continue
-        a, f = _coupling(a, f, after * dt)
+        a, f = _coupling(a, f, M, dt / 2)
         yield k, replace(state, a=a, f=f, t=t)
         if k < n_steps:
-            a, f = _coupling(a, f, before * dt)
+            a, f = _coupling(a, f, M, dt / 2)
 
 
 def strang_step(state: DKGState, dt: float) -> DKGState:
     """coupling(dt/2), then the commuting pair half-wave(dt) | kg(dt), then coupling(dt/2)."""
-    return next(_march(state, dt, 1, "strang", 1))[1]
-
-
-def lie_step(state: DKGState, dt: float) -> DKGState:
-    """coupling(dt), then the commuting pair half-wave(dt) | kg(dt)."""
-    return next(_march(state, dt, 1, "lie", 1))[1]
-
-
-def step(state: DKGState, config: SolverConfig) -> DKGState:
-    stepper = strang_step if config.splitting == "strang" else lie_step
-    return stepper(state, config.dt)
+    return next(_march(state, dt, 1, 1))[1]
 
 
 def kg_energy(state: DKGState) -> float:
@@ -441,11 +429,14 @@ def run(
     """Advance to t_end (rounded to whole steps), recording diagnostics.
 
     Aborts with ``BlowUpError`` carrying the step index as soon as a
-    recorded quantity or a field value stops being finite.
+    recorded quantity or a field value stops being finite.  ``config.grid``
+    must be the state's grid, since its ``dt <= dx`` check is made there.
     """
+    if config.grid != state.grid:
+        raise ValueError(f"config grid {config.grid} does not match the state grid {state.grid}")
     n_steps = max(0, int(round((config.t_end - state.t) / config.dt)))
     records = [_record(state, config)]
-    rows = _march(state, config.dt, n_steps, config.splitting, config.diagnostics_every)
+    rows = _march(state, config.dt, n_steps, config.diagnostics_every)
     for k, state in rows:
         row = _record(state, config)
         if not (np.isfinite(row).all() and np.isfinite(state.a).all() and np.isfinite(state.f).all()):

@@ -31,6 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Share of a ``sample_margins`` budget spent on each corner manifold.
+CORNER_FRACTION = 0.1
+
 
 class WeightTriple(NamedTuple):
     gamma: np.ndarray
@@ -83,14 +86,12 @@ def sum_bound_margin(tau, xi, lam, eta) -> np.ndarray:
     return np.abs(g) + np.abs(tp) + np.abs(sm) - 2 * smallest
 
 
-def sample_margins(
-    n_samples: int, seed: int = 0, box: float = 1e3, corner_fraction: float = 0.1
-) -> dict[str, float]:
+def sample_margins(n_samples: int, seed: int = 0, box: float = 1e3) -> dict[str, float]:
     """Monte-Carlo sweep of the inequality over [-box, box]^4 plus corner manifolds.
 
     The near-tight cases of the inequality live where ``tau = +-xi`` and
-    ``eta in {0, xi}``, so a ``corner_fraction`` of the budget is spent on
-    those manifolds (and on ``xi = 0``) rather than on the bulk.
+    ``eta in {0, xi}``, so a ``CORNER_FRACTION`` of the budget is spent on
+    each of those manifolds (and on ``xi = 0``) rather than on the bulk.
 
     Returns min/max margin, the max identity residual relative to the scale
     of the inputs, and the min margin of the summed bound, both absolute and
@@ -98,7 +99,7 @@ def sample_margins(
     at the default box).
     """
     rng = np.random.default_rng(seed)
-    n_corner = int(n_samples * corner_fraction)
+    n_corner = int(n_samples * CORNER_FRACTION)
     n_bulk = n_samples - 5 * n_corner
 
     samples = [rng.uniform(-box, box, size=(n_bulk, 4))]

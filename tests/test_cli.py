@@ -199,6 +199,12 @@ class TestSolve:
         state = solver.load_state(state_out)
         assert state.t == pytest.approx(0.5)
 
+    def test_splitting_option_gone(self, tmp_path):
+        # Strang is the only splitting; argparse exits with 2 on the old flag.
+        with pytest.raises(SystemExit) as err:
+            cli.main(["solve", "--splitting", "strang", "--out", str(tmp_path / "diag.csv")])
+        assert err.value.code == 2
+
     def test_rough_run(self, capsys, tmp_path):
         out = tmp_path / "diag.csv"
         code, payload = run_cli(

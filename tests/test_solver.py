@@ -151,10 +151,13 @@ class TestHalfWaveFlow:
         assert out is smooth_state
 
     def test_mass_phase(self, grid):
-        ones = np.ones(grid.n_x, complex)
-        state = DKGState(np.stack((ones, ones)), np.zeros((2, grid.n_x)), 0.0, 2.0, 0.0, grid)
-        out = solver.half_wave_flow(state, 0.5)
-        assert_allclose(out.psi_plus, np.exp(-1j * 1.0) * ones, atol=1e-13)
+        # M acts as M beta, in the coupling; the half-wave is pure transport.
+        ones, M, h = np.ones(grid.n_x, complex), 2.0, 0.5
+        state = DKGState(np.stack((ones, 0 * ones)), np.zeros((2, grid.n_x)), 0.0, M, 0.0, grid)
+        assert_allclose(solver.half_wave_flow(state, h).a, state.a, atol=1e-13)
+        out = solver.coupling_flow(state, h)
+        assert_allclose(out.psi_plus, np.cos(M * h) * ones, atol=1e-15)
+        assert_allclose(out.psi_minus, -1j * np.sin(M * h) * ones, atol=1e-15)
 
     def test_transport(self):
         g = GridSpec1D(512, 32.0)
@@ -196,7 +199,8 @@ class TestCouplingFlow:
     def test_zero_field_kicks_phi_t(self, grid):
         rng = np.random.default_rng(2)
         psi0 = rng.standard_normal((grid.n_x, 2)) + 1j * rng.standard_normal((grid.n_x, 2))
-        state = solver.init_state(psi0, np.zeros(grid.n_x), np.zeros(grid.n_x), 1, 1, grid)
+        # At M = 0 a zero field leaves the spinor alone.
+        state = solver.init_state(psi0, np.zeros(grid.n_x), np.zeros(grid.n_x), 0, 1, grid)
         out = solver.coupling_flow(state, 0.2)
         assert_allclose(out.psi_plus, state.psi_plus)
         density = np.abs(psi0[:, 0]) ** 2 - np.abs(psi0[:, 1]) ** 2
@@ -237,20 +241,11 @@ class TestStep:
         state = solver.init_state(
             np.zeros((grid.n_x, 2), complex), np.zeros(grid.n_x), np.zeros(grid.n_x), 1, 1, grid
         )
-        config = SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0)
-        out = solver.step(state, config)
+        dt = grid.dx / 2
+        out = solver.strang_step(state, dt)
         assert np.abs(out.psi_plus).max() == 0.0
         assert np.abs(out.phi).max() == 0.0
-        assert out.t == pytest.approx(config.dt)
-
-    def test_lie_dispatch(self, smooth_state):
-        config = SolverConfig(
-            grid=smooth_state.grid, dt=0.02, t_end=1.0, splitting="lie"
-        )
-        via_step = solver.step(smooth_state, config)
-        direct = solver.lie_step(smooth_state, 0.02)
-        assert np.array_equal(via_step.psi_plus, direct.psi_plus)
-        assert np.array_equal(via_step.phi_t, direct.phi_t)
+        assert out.t == pytest.approx(dt)
 
     def test_time_reversal(self, smooth_state):
         dt = smooth_state.grid.dx / 2
@@ -274,17 +269,33 @@ class TestStep:
         order = np.log2(e1 / e2)
         assert order == pytest.approx(2.0, abs=0.2)
 
-    def test_lie_self_convergence(self, smooth_state):
-        def advance(dt, n):
-            s = smooth_state
-            for _ in range(n):
-                s = solver.lie_step(s, dt)
-            return s
+    @pytest.mark.parametrize("M", [0.0, 1.0, 7.0])
+    def test_energy_drift_second_order(self, M):
+        # E = <H psi, psi> + kg_energy with H = alpha D + (M - phi) beta is
+        # conserved by the DKG system: d/dt <H psi, psi> = -int phi_t <beta psi, psi>
+        # cancels the rate of kg_energy.  In amplitudes alpha = diag(1, -1)
+        # and <beta psi, psi> = 2 Re(a_+ conj a_-).  A Strang run conserves E
+        # to O(dt^2), so halving dt quarters the drift.
+        g = GridSpec1D(512, 32.0)
+        psi0, phi0, phi1 = solver.smooth_data(g)
+        start = solver.init_state(psi0, phi0, phi1, M, 1.0, g)
 
-        e1 = state_distance(advance(0.05, 8), advance(0.025, 16))
-        e2 = state_distance(advance(0.025, 16), advance(0.0125, 32))
-        order = np.log2(e1 / e2)
-        assert order == pytest.approx(1.0, abs=0.2)
+        def energy(s):
+            a_hat = np.fft.fft(s.a, axis=-1) * g.dx
+            dirac = np.sum(g.xi_fft * (np.abs(a_hat[0]) ** 2 - np.abs(a_hat[1]) ** 2)) / g.x_extent
+            coupling = np.sum((M - s.phi) * solver.spinor_density(s)) * g.dx
+            return dirac + coupling + solver.kg_energy(s)
+
+        def max_drift(dt):
+            s, e0, drift = start, energy(start), 0.0
+            for _ in range(int(round(2.0 / dt))):
+                s = solver.strang_step(s, dt)
+                drift = max(drift, abs(energy(s) - e0))
+            return drift
+
+        drifts = [max_drift(g.dx / k) for k in (2, 4, 8)]
+        ratios = [drifts[0] / drifts[1], drifts[1] / drifts[2]]
+        assert all(3.8 <= r <= 4.2 for r in ratios), (drifts, ratios)
 
     def test_decoupled_transport(self):
         g = GridSpec1D(1024, 64.0)
@@ -292,10 +303,9 @@ class TestStep:
         psi0 = np.stack([a0, a0], axis=-1) / np.sqrt(2)
         state = solver.init_state(psi0, np.zeros(g.n_x), np.zeros(g.n_x), 0.0, 1.0, g)
         dt = g.dx / 2
-        config = SolverConfig(grid=g, dt=dt, t_end=1.0)
         s = state
         for _ in range(int(round(1.0 / dt))):
-            s = solver.step(s, config)
+            s = solver.strang_step(s, dt)
         shift = int(round(1.0 / g.dx))
         assert np.abs(s.psi_plus - np.roll(state.psi_plus, shift)).max() <= 1e-8
         assert np.abs(s.phi).max() == 0.0
@@ -366,10 +376,6 @@ class TestConfigValidation:
     def test_diagnostic_regularity_finite(self, grid, name, value):
         with pytest.raises(ValueError, match="diag_s and diag_r"):
             SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, **{name: value})
-
-    def test_splitting_name(self, grid):
-        with pytest.raises(ValueError, match="splitting"):
-            SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, splitting="yoshida")
 
 
 class TestRoughData:
@@ -443,15 +449,24 @@ class TestRun:
         series, final = solver.run(config, smooth_state, return_final=True)
         assert final.t == pytest.approx(series.t[-1])
 
+    def test_rejects_grid_mismatch(self, grid):
+        # The config's dt <= dx check is made on its own grid, so it must be
+        # the state's: dt = dx(64 cells) is 4 dx on the 256-cell state grid.
+        coarse = GridSpec1D(64, 16.0)
+        psi0, phi0, phi1 = solver.smooth_data(grid)
+        state = solver.init_state(psi0, phi0, phi1, 1.0, 1.0, grid)
+        config = SolverConfig(grid=coarse, dt=coarse.dx, t_end=2 * coarse.dx)
+        with pytest.raises(ValueError, match="grid"):
+            solver.run(config, state)
+
     def test_zero_steps(self, smooth_state):
         config = SolverConfig(grid=smooth_state.grid, dt=smooth_state.grid.dx / 2, t_end=smooth_state.t)
         series, final = solver.run(config, smooth_state, return_final=True)
         assert series.t.size == 1
         assert final is smooth_state
 
-    @pytest.mark.parametrize("splitting", ["strang", "lie"])
     @pytest.mark.parametrize("every", [1, 3, 16])
-    def test_matches_step_loop(self, smooth_state, splitting, every):
+    def test_matches_step_loop(self, smooth_state, every):
         # 37 steps is a multiple of neither 3 nor 16, so the last row comes
         # off the diagnostics interval, as in the loop below.  A non-dyadic
         # dt makes the accumulated times round, so the t column must follow
@@ -461,14 +476,12 @@ class TestRun:
             grid=smooth_state.grid,
             dt=dt,
             t_end=n_steps * dt,
-            splitting=splitting,
             diagnostics_every=every,
         )
         series, final = solver.run(config, smooth_state, return_final=True)
-        stepper = solver.strang_step if splitting == "strang" else solver.lie_step
         s, rows = smooth_state, [smooth_state]
         for k in range(1, n_steps + 1):
-            s = stepper(s, dt)
+            s = solver.strang_step(s, dt)
             if k % every == 0 or k == n_steps:
                 rows.append(s)
         assert series.t.size == len(rows)
@@ -622,3 +635,44 @@ class TestSnapshotFuzz:
     @given(length=st.integers(0, 10**6))
     def test_truncation(self, tmp_path, valid, length):
         self._load(tmp_path, valid[: length % len(valid)])
+
+
+# Arbitrary integers and floats, NaN and +-inf included, with powers of two
+# and positive floats mixed in so that valid grids are drawn often.
+SIZES = st.one_of(st.integers(), st.integers(0, 70).map(lambda k: 2**k))
+
+
+class TestConfigFuzz:
+    """The validators construct an object that meets its invariants, or raise ValueError."""
+
+    @FUZZ
+    @given(n_x=SIZES, x_extent=st.one_of(st.floats(), st.floats(min_value=0.0, exclude_min=True)))
+    def test_grid(self, n_x, x_extent):
+        try:
+            g = GridSpec1D(n_x, x_extent)
+        except ValueError:
+            return
+        assert 2 <= g.n_x < 2**63 and g.n_x & (g.n_x - 1) == 0
+        assert 0 < g.x_extent < np.inf
+        assert 0 < g.dx < np.inf and 0 < 2 * np.pi / g.x_extent < np.inf
+
+    @FUZZ
+    @given(
+        grid=st.builds(GridSpec1D, st.integers(1, 20).map(lambda k: 2**k), st.floats(1e-3, 1e3)),
+        dt=st.floats(),
+        dt_in_cells=st.one_of(st.none(), st.floats(0, 2)),
+        t_end=st.floats(),
+        every=st.integers(),
+        diag_s=st.floats(),
+        diag_r=st.floats(),
+    )
+    def test_solver_config(self, grid, dt, dt_in_cells, t_end, every, diag_s, diag_r):
+        if dt_in_cells is not None:
+            dt = dt_in_cells * grid.dx
+        try:
+            c = SolverConfig(grid=grid, dt=dt, t_end=t_end, diagnostics_every=every, diag_s=diag_s, diag_r=diag_r)
+        except ValueError:
+            return
+        assert 0 < c.dt <= grid.dx + 1e-15
+        assert np.isfinite([c.t_end, c.diag_s, c.diag_r]).all()
+        assert c.diagnostics_every >= 1
