@@ -12,7 +12,8 @@ Subcommands:
     solve                          evolve the coupled system, diagnostics -> CSV
 
 All informational output is JSON on stdout; exit code 0 means every check
-requested by the subcommand passed.
+requested by the subcommand passed, and exit code 2 with ``{"error": ...}``
+means ``verify`` or ``solve`` rejected its input.
 """
 
 from __future__ import annotations
@@ -38,16 +39,21 @@ def _emit(payload) -> None:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        if args.target == "spinor":
+            residuals = spinor.verify_identities(n_samples=args.samples, seed=args.seed)
+        else:
+            stats = weights.sample_margins(args.samples, seed=args.seed)
+    except ValueError as err:
+        _emit({"error": str(err)})
+        return 2
     if args.target == "spinor":
-        residuals = spinor.verify_identities(n_samples=args.samples, seed=args.seed)
         ok = all(
             value <= (NULL_FORM_TOL if key == "null_form_vanishing" else IDENTITY_TOL)
             for key, value in residuals.items()
         )
         _emit({"target": "spinor", "residuals": residuals, "pass": ok})
         return 0 if ok else 1
-    # lemma3
-    stats = weights.sample_margins(args.samples, seed=args.seed)
     ok = (
         stats["min_relative_margin"] >= -1e-9
         and stats["min_relative_sum_bound_margin"] >= -1e-9
@@ -166,23 +172,27 @@ def _cmd_region_grid(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    grid = solver.GridSpec1D(n_x=args.n, x_extent=args.xbox)
-    dt = grid.dx / 2 if args.dt == "auto" else float(args.dt)
-    config = solver.SolverConfig(
-        grid=grid,
-        dt=dt,
-        t_end=args.T,
-        diagnostics_every=args.every,
-        diag_s=args.s,
-        diag_r=args.r,
-    )
-    if args.data == "smooth":
-        psi0, phi0, phi1 = solver.smooth_data(grid)
-    else:
-        psi0 = solver.rough_data(args.s, args.seed, grid)
-        phi0 = np.zeros(grid.n_x)
-        phi1 = np.zeros(grid.n_x)
-    state = solver.init_state(psi0, phi0, phi1, args.M, args.m, grid)
+    try:
+        grid = solver.GridSpec1D(n_x=args.n, x_extent=args.xbox)
+        dt = grid.dx / 2 if args.dt == "auto" else float(args.dt)
+        config = solver.SolverConfig(
+            grid=grid,
+            dt=dt,
+            t_end=args.T,
+            diagnostics_every=args.every,
+            diag_s=args.s,
+            diag_r=args.r,
+        )
+        if args.data == "smooth":
+            psi0, phi0, phi1 = solver.smooth_data(grid)
+        else:
+            psi0 = solver.rough_data(args.s, args.seed, grid)
+            phi0 = np.zeros(grid.n_x)
+            phi1 = np.zeros(grid.n_x)
+        state = solver.init_state(psi0, phi0, phi1, args.M, args.m, grid)
+    except ValueError as err:
+        _emit({"error": str(err)})
+        return 2
     try:
         series, final = solver.run(config, state, return_final=True)
     except solver.BlowUpError as err:

@@ -222,19 +222,22 @@ def spinor_density(state: DKGState) -> np.ndarray:
 # returns new arrays.
 
 
+@functools.lru_cache(maxsize=32)
 def _wave_phases(grid: GridSpec1D, dt: float) -> np.ndarray:
-    """Per-mode half-wave phases of (a_+, a_-), shape (2, n_x)."""
+    """Per-mode half-wave phases of (a_+, a_-), shape (2, n_x); cached, read-only."""
     xi = grid.xi_fft
-    return np.exp(-1j * np.stack((xi, -xi)) * dt)
+    return _read_only(np.exp(-1j * np.stack((xi, -xi)) * dt))
 
 
+@functools.lru_cache(maxsize=32)
 def _kg_propagator(grid: GridSpec1D, m: float, dt: float) -> np.ndarray:
     """Per-mode matrix [[cos, sin/omega], [-omega sin, cos]] of the exact
-    Klein-Gordon flow on (phi_hat, phi_t_hat), shape (2, 2, n_x // 2 + 1)."""
+    Klein-Gordon flow on (phi_hat, phi_t_hat), shape (2, 2, n_x // 2 + 1);
+    cached, read-only."""
     omega = np.sqrt(grid.xi_rfft**2 + m**2)
     c = np.cos(omega * dt)
     s_over_omega = dt * np.sinc(omega * dt / np.pi)  # sin(omega dt)/omega, exact at 0
-    return np.array([[c, s_over_omega], [-omega * np.sin(omega * dt), c]])
+    return _read_only(np.array([[c, s_over_omega], [-omega * np.sin(omega * dt), c]]))
 
 
 def _half_wave(a: np.ndarray, phases: np.ndarray) -> np.ndarray:

@@ -31,6 +31,12 @@ class TestVerify:
         assert payload["max_margin"] > payload["min_margin"]
         assert payload["min_relative_sum_bound_margin"] >= -1e-9
 
+    @pytest.mark.parametrize("target", ["lemma3", "spinor"])
+    def test_bad_sample_count_reported(self, capsys, target):
+        code, payload = run_cli(capsys, "verify", target, "--samples", "0")
+        assert code == 2
+        assert "n_samples" in payload["error"]
+
     def test_lemma3_gates_relative_sum_bound(self, capsys, monkeypatch):
         stats = weights.sample_margins(1000, seed=4)
         stats["min_relative_sum_bound_margin"] = -1e-6
@@ -198,6 +204,21 @@ class TestSolve:
 
         state = solver.load_state(state_out)
         assert state.t == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "64", "--xbox", "16", "--dt", "1"], "dt must not exceed dx"),
+            (["--M", "-1"], "masses must be finite and nonnegative"),
+            (["--n", "100"], "power of two"),
+        ],
+    )
+    def test_bad_input_reported(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "diag.csv"
+        code, payload = run_cli(capsys, "solve", *argv, "--out", str(out))
+        assert code == 2
+        assert message in payload["error"]
+        assert not out.exists()
 
     def test_splitting_option_gone(self, tmp_path):
         # Strang is the only splitting; argparse exits with 2 on the old flag.

@@ -236,6 +236,28 @@ class TestCouplingFlow:
         assert state_distance(twice, once) <= 1e-14 * state_norm(once)
 
 
+class TestPropagatorCache:
+    def test_repeated_calls_share_one_read_only_array(self, grid):
+        dt = grid.dx / 2
+        for build in (
+            lambda: solver._wave_phases(grid, dt),
+            lambda: solver._kg_propagator(grid, 1.0, dt),
+        ):
+            first = build()
+            assert build() is first
+            with pytest.raises(ValueError, match="read-only"):
+                first[0, 0] = 0.0
+
+    def test_cache_keyed_by_arguments(self, grid):
+        dt = grid.dx / 2
+        assert solver._wave_phases(grid, dt) is not solver._wave_phases(grid, dt / 2)
+        assert solver._kg_propagator(grid, 1.0, dt) is not solver._kg_propagator(grid, 2.0, dt)
+        assert np.array_equal(
+            solver._kg_propagator(GridSpec1D(256, 16.0), 1.0, dt),
+            solver._kg_propagator(grid, 1.0, dt),
+        )
+
+
 class TestStep:
     def test_zero_state_fixed(self, grid):
         state = solver.init_state(

@@ -126,3 +126,8 @@ class TestIdentities:
         for key, value in residuals.items():
             tol = 1e-12 if key == "null_form_vanishing" else 1e-14
             assert value <= tol, (key, value)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_verify_identities_rejects_bad_sample_count(self, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            spinor.verify_identities(n)

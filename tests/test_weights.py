@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -98,3 +101,68 @@ class TestSampleMargins:
         # corner manifolds, so the minimum relative margin should be small.
         stats = weights.sample_margins(200_000, seed=11)
         assert stats["min_relative_margin"] < 0.05
+
+
+def whole_array_sweep(n_samples, seed, box):
+    """The sweep as one (n, 4) array: the bulk draw, five corner blocks, then
+    the three public functions on the concatenation."""
+    rng = np.random.default_rng(seed)
+    n_corner = int(n_samples * weights.CORNER_FRACTION)
+    samples = [rng.uniform(-box, box, size=(n_samples - 5 * n_corner, 4))]
+    for kind in range(5):
+        block = rng.uniform(-box, box, size=(n_corner, 4))
+        if kind == 0:
+            block[:, 0] = block[:, 1]
+        elif kind == 1:
+            block[:, 0] = -block[:, 1]
+        elif kind == 2:
+            block[:, 3] = 0.0
+        elif kind == 3:
+            block[:, 3] = block[:, 1]
+        else:
+            block[:, 1] = 0.0
+        samples.append(block)
+    pts = np.concatenate(samples, axis=0)
+    tau, xi, lam, eta = pts.T
+    margin = weights.dominance_margin(tau, xi, lam, eta)
+    residual = weights.sign_split_residual(tau, xi, lam, eta)
+    scale = np.abs(pts).max(axis=1) + 1.0
+    sum_margin = weights.sum_bound_margin(tau, xi, lam, eta)
+    return {
+        "samples": int(pts.shape[0]),
+        "min_margin": float(margin.min()),
+        "max_margin": float(margin.max()),
+        "min_relative_margin": float((margin / scale).min()),
+        "max_relative_residual": float((residual / scale).max()),
+        "min_sum_bound_margin": float(sum_margin.min()),
+        "min_relative_sum_bound_margin": float((sum_margin / scale).min()),
+    }
+
+
+class TestStreamedSweep:
+    # Sizes below, at and above one chunk (2**14) and n_corner = 0 (n < 10).
+    @pytest.mark.parametrize("n", [1, 7, 10, 16_383, 16_384, 16_385, 100_003])
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    @pytest.mark.parametrize("box", [1.0, 1e3, 1e9])
+    def test_equals_whole_array_sweep(self, n, seed, box):
+        assert weights.sample_margins(n, seed=seed, box=box) == whole_array_sweep(n, seed, box)
+
+    def test_memory_is_one_chunk(self):
+        # The whole-array sweep peaks at about 131 MiB for 10**6 samples.
+        tracemalloc.start()
+        try:
+            weights.sample_margins(1_000_000, seed=2024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5])
+    def test_rejects_bad_sample_count(self, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            weights.sample_margins(n)
+
+    @pytest.mark.parametrize("box", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_box(self, box):
+        with pytest.raises(ValueError, match="box"):
+            weights.sample_margins(100, box=box)
