@@ -4,7 +4,6 @@ Subcommands:
 
     verify spinor                  self-test of the projection identities
     verify lemma3                  Monte-Carlo sweep of the 3/2 inequality
-    norms                          weighted norm of a serialized grid function
     counterexample                 ratio ladder for one strip family -> CSV
     fit                            log-log slope fit of a ratio CSV -> JSON
     region                         region membership / parameter choice at (s, r)
@@ -13,7 +12,7 @@ Subcommands:
 
 All informational output is JSON on stdout; exit code 0 means every check
 requested by the subcommand passed, and exit code 2 with ``{"error": ...}``
-means ``verify`` or ``solve`` rejected its input.
+means ``verify``, ``counterexample`` or ``solve`` rejected its input.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import sys
 import numpy as np
 
 from . import counterexamples as cx
-from . import norms, regions, solver, spinor, weights
+from . import regions, solver, spinor, weights
 
 IDENTITY_TOL = 1e-14
 NULL_FORM_TOL = 1e-12
@@ -63,23 +62,6 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_norms(args) -> int:
-    gf = norms.load_gridfunction(args.input)
-    if gf.side == "physical":
-        gf = norms.transform(gf)
-    value = norms.weighted_norm(gf, norms.NormIndex(args.a, args.alpha, args.flavor))
-    _emit(
-        {
-            "input": args.input,
-            "a": args.a,
-            "alpha": args.alpha,
-            "flavor": args.flavor,
-            "norm": value,
-        }
-    )
-    return 0
-
-
 def _parse_exponents(text: str) -> cx.ExponentTuple:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 6:
@@ -88,8 +70,12 @@ def _parse_exponents(text: str) -> cx.ExponentTuple:
 
 
 def _cmd_counterexample(args) -> int:
-    L_values = [float(v) for v in args.L.split(",")]
-    rows = cx.ratio_ladder(args.family, L_values, [args.exps])
+    try:
+        L_values = [float(v) for v in args.L.split(",")]
+        rows = cx.ratio_ladder(args.family, L_values, [args.exps])
+    except ValueError as err:
+        _emit({"error": str(err)})
+        return 2
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["family", "L", "numerator", "denom_u", "denom_v", "ratio"])
@@ -200,13 +186,14 @@ def _cmd_solve(args) -> int:
         return 1
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(solver.DiagnosticsSeries.COLUMNS)
-        writer.writerows(series.rows())
+        columns = vars(series)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
     if args.state_out:
         solver.save_state(args.state_out, final)
     drift = float(np.abs(series.charge - series.charge[0]).max())
     rel = drift / series.charge[0] if series.charge[0] > 0 else 0.0
-    _emit({"out": args.out, "steps": int(round(args.T / dt)), "charge_drift_rel": rel})
+    _emit({"out": args.out, "steps": int(round(final.t / dt)), "charge_drift_rel": rel})
     return 0
 
 
@@ -219,13 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=100_000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
-
-    p_norms = sub.add_parser("norms", help="weighted norm of a stored grid function")
-    p_norms.add_argument("--input", required=True)
-    p_norms.add_argument("--a", type=float, required=True)
-    p_norms.add_argument("--alpha", type=float, required=True)
-    p_norms.add_argument("--flavor", choices=["X_plus", "X_minus", "H"], required=True)
-    p_norms.set_defaults(func=_cmd_norms)
 
     p_cx = sub.add_parser("counterexample", help="ratio ladder for one strip family")
     p_cx.add_argument("--family", choices=sorted(cx.FAMILIES), required=True)

@@ -208,8 +208,8 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
         raise ValueError(f"unknown family {family_id!r}")
     family = FAMILIES[family_id]
     L_values = list(L_values)
-    if any(L <= 4 for L in L_values):
-        raise ValueError("family scale L must exceed 4")
+    if not all(math.isfinite(L) and L > 4 for L in L_values):
+        raise ValueError("family scale L must be finite and exceed 4")
     tuples = [ExponentTuple(*t) for t in tuples]
     rows: list[RatioResult] = []
     for L in L_values:
@@ -259,10 +259,14 @@ def fit_exponent(
     entries in [-1, 1], the slope agrees with -delta(family, e) to within
     0.15.  Measured over the 64 corners of that box and 3000 random tuples,
     the worst error is 0.06 for cond2, at (1, 1, 1, 1, 1, 1), and under
-    0.02 for the other families.  Beyond that box cond2's slope carries a
-    finite-L bias that this ladder does not resolve: with entries in
-    [-2, 2] its error reaches about 0.5, e.g. (2, 2, 2, 2, 1, -1) gives
-    -5.93 against -delta = -6.5.
+    0.02 for the other families.  Beyond that box cond2's error reaches
+    about 0.5 for entries in [-2, 2], and it does not shrink with L: for
+    (2, 2, 2, 2, 1, -1) the local slopes over L = 64, ..., 1024 read -5.88,
+    -5.94, -5.97 and -5.98, converging to -6 rather than -delta = -6.5.
+    The numerator is taken over the product's whole xi-support
+    A - B = [-5L/4, 0], where for c > 1 the few pairs near xi = 0, at
+    weight O(1), dominate; the construction pairs the product with a strip
+    over C only.
     """
     L = _validate_ladder(L_values)
     rows = ratio_ladder(family_id, L, [e])
@@ -272,13 +276,15 @@ def fit_exponent(
     return loglog_fit(L, ratios)
 
 
-def default_wave_grid(n: int = 1024, x_extent: float = 32.0) -> Grid2D:
-    return Grid2D(n_t=n, n_x=n, t_extent=x_extent / 2, x_extent=x_extent)
+# Half-width of the coefficient band of ``embedding_probe``.
+PROBE_BAND = 32.0
 
 
-def wave_product_constant(
-    f_hat: np.ndarray, g_hat: np.ndarray, grid: Grid2D, decay_tol: float = 1e-12
-) -> float:
+def default_wave_grid(n: int = 1024) -> Grid2D:
+    return Grid2D(n_t=n, n_x=n, t_extent=16.0, x_extent=32.0)
+
+
+def wave_product_constant(f_hat: np.ndarray, g_hat: np.ndarray, grid: Grid2D) -> float:
     """||u v||_L2 / (||f|| ||g||) for the transversal free waves u, v.
 
     Synthesizes ``u(t, x) = f(x - t)`` and ``v(t, x) = g(x + t)`` from the
@@ -288,7 +294,7 @@ def wave_product_constant(
     1/sqrt(2) for every pair of profiles; the value is invariant under
     rescaling and translation of f and g.
 
-    The profiles must decay below ``decay_tol`` (relative) at the spatial
+    The profiles must decay below 1e-12 (relative) at the spatial
     boundary for the periodic box to stand in for the line.  On the
     spatially periodic box the two waves realign every half spatial period,
     so the time extent must not exceed half the spatial extent; otherwise
@@ -311,7 +317,7 @@ def wave_product_constant(
         raise ValueError("wave_product_constant: zero profile")
     for name, prof in (("f", f), ("g", g)):
         edge = max(abs(prof[0]), abs(prof[-1])) / np.abs(prof).max()
-        if edge > decay_tol:
+        if edge > 1e-12:
             raise ValueError(
                 f"profile {name} does not decay at the spatial boundary "
                 f"(relative edge magnitude {edge:.3e})"
@@ -324,22 +330,19 @@ def wave_product_constant(
     return norm_uv / (norm_f * norm_g)
 
 
-def default_probe_grid(n: int = 288, dmode: float = 0.5) -> Grid2D:
-    return Grid2D(n_t=n, n_x=n, t_extent=2 * np.pi / dmode, x_extent=2 * np.pi / dmode)
+def default_probe_grid(n: int = 288) -> Grid2D:
+    """Square grid with frequency spacing 1/2 on both axes."""
+    return Grid2D(n_t=n, n_x=n, t_extent=4 * np.pi, x_extent=4 * np.pi)
 
 
 def embedding_probe(
-    alpha: float,
-    trials: int,
-    seed: int = 0,
-    grid: Grid2D | None = None,
-    band: float = 32.0,
+    alpha: float, trials: int, seed: int = 0, grid: Grid2D | None = None
 ) -> float:
     """Max of ||u v||_L2 / (||u||_{X+^{0,alpha}} ||v||_{X-^{0,alpha}}) over trials.
 
     u and v have i.i.d. complex Gaussian Fourier coefficients on the band
-    |tau|, |xi| <= band, normalized to unit X norm, so every ratio is the
-    raw embedding quotient.  The products stay band-limited within the
+    |tau|, |xi| <= ``PROBE_BAND``, normalized to unit X norm, so every ratio
+    is the raw embedding quotient.  The products stay band-limited within the
     frequency box (the default grid covers twice the band), making the
     pointwise products alias-free.  The max is non-increasing in alpha for a
     fixed seed and bounded uniformly in the grid size.
@@ -348,10 +351,10 @@ def embedding_probe(
         raise ValueError("embedding_probe requires alpha > 1/2")
     if grid is None:
         grid = default_probe_grid()
-    if grid.tau[-1] < 2 * band or grid.xi[-1] < 2 * band:
+    if grid.tau[-1] < 2 * PROBE_BAND or grid.xi[-1] < 2 * PROBE_BAND:
         raise ValueError("probe grid must cover twice the coefficient band")
     rng = np.random.default_rng(seed)
-    mask = (np.abs(grid.tau)[:, None] <= band) & (np.abs(grid.xi)[None, :] <= band)
+    mask = (np.abs(grid.tau)[:, None] <= PROBE_BAND) & (np.abs(grid.xi)[None, :] <= PROBE_BAND)
     best = 0.0
     for _ in range(trials):
         factors = []

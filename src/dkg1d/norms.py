@@ -32,9 +32,7 @@ Weight families, with ``<y> = 1 + |y|``:
 
 from __future__ import annotations
 
-import io
 import math
-import struct
 from dataclasses import dataclass
 from typing import Literal
 
@@ -57,9 +55,9 @@ class Grid2D:
     """Uniform centered space-time grid and its dual frequency grid.
 
     Sizes must be even (the centered index convention needs n/2 integral)
-    and fit the int64 of the file header; FFT-friendly 5-smooth sizes are
-    strongly recommended.  Extents, and the spacings on both sides, must be
-    finite and positive.
+    and below 2^63, the largest count numpy indexes; FFT-friendly 5-smooth
+    sizes are strongly recommended.  Extents, and the spacings on both
+    sides, must be finite and positive.
     """
 
     n_t: int
@@ -292,73 +290,13 @@ def bilinear_convolution(
     return GridFunction2D(grid, np.ascontiguousarray(out) * cell, "fourier")
 
 
-def product_norm(
-    u: GridFunction2D,
-    v: GridFunction2D,
-    idx: NormIndex,
-    conjugate_second: bool = False,
-) -> float:
-    """Weighted norm of the pointwise product u*v (or u*conj(v))."""
+def product_norm(u: GridFunction2D, v: GridFunction2D, idx: NormIndex) -> float:
+    """Weighted norm of the pointwise product u*conj(v)."""
     if u.side != "physical" or v.side != "physical":
         raise ValueError("product_norm expects physical-side functions")
     if u.grid != v.grid:
         raise ValueError("product_norm: grid mismatch")
-    w = u.values * (np.conj(v.values) if conjugate_second else v.values)
+    w = u.values * np.conj(v.values)
     w_hat = transform(GridFunction2D(u.grid, w, "physical"))
     return weighted_norm(w_hat, idx)
 
-
-# Binary layout: little-endian header (int64 n_t, int64 n_x, float64 t_extent,
-# float64 x_extent, int64 side flag 0=physical/1=fourier) followed by the
-# values as interleaved re/im float64 pairs, row-major in t.
-_HEADER = struct.Struct("<qqddq")
-_SIDE_FLAG = {"physical": 0, "fourier": 1}
-_FLAG_SIDE = {v: k for k, v in _SIDE_FLAG.items()}
-
-
-def write_gridfunction(fh, gf: GridFunction2D) -> None:
-    """Serialize one grid function to an open binary file object."""
-    fh.write(
-        _HEADER.pack(
-            gf.grid.n_t,
-            gf.grid.n_x,
-            gf.grid.t_extent,
-            gf.grid.x_extent,
-            _SIDE_FLAG[gf.side],
-        )
-    )
-    interleaved = np.empty((gf.grid.n_t, gf.grid.n_x, 2), dtype="<f8")
-    interleaved[..., 0] = gf.values.real
-    interleaved[..., 1] = gf.values.imag
-    fh.write(interleaved.tobytes())
-
-
-def read_gridfunction(fh) -> GridFunction2D:
-    """Read one grid function from an open binary file object."""
-    raw = fh.read(_HEADER.size)
-    if len(raw) != _HEADER.size:
-        raise ValueError("truncated grid-function header")
-    n_t, n_x, t_extent, x_extent, flag = _HEADER.unpack(raw)
-    if flag not in _FLAG_SIDE:
-        raise ValueError(f"unknown side flag {flag}")
-    grid = Grid2D(n_t, n_x, t_extent, x_extent)
-    # Check the declared size against the stream before reading, so that a
-    # corrupt header cannot ask for an arbitrarily large read.
-    nbytes = 16 * n_t * n_x
-    start = fh.tell()
-    if fh.seek(0, io.SEEK_END) - start < nbytes:
-        raise ValueError("truncated grid-function payload")
-    fh.seek(start)
-    pairs = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(n_t, n_x, 2)
-    values = pairs[..., 0] + 1j * pairs[..., 1]
-    return GridFunction2D(grid, values, _FLAG_SIDE[flag])
-
-
-def save_gridfunction(path, gf: GridFunction2D) -> None:
-    with open(path, "wb") as fh:
-        write_gridfunction(fh, gf)
-
-
-def load_gridfunction(path) -> GridFunction2D:
-    with open(path, "rb") as fh:
-        return read_gridfunction(fh)

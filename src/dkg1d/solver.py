@@ -403,18 +403,6 @@ class DiagnosticsSeries:
     hr_phi: np.ndarray
     kg_energy: np.ndarray
 
-    COLUMNS = ("t", "charge", "hs_psi", "hr_phi", "kg_energy")
-
-    def rows(self):
-        for i in range(self.t.size):
-            yield (
-                self.t[i],
-                self.charge[i],
-                self.hs_psi[i],
-                self.hr_phi[i],
-                self.kg_energy[i],
-            )
-
 
 def _record(state: DKGState, config: SolverConfig) -> tuple[float, ...]:
     return (

@@ -1,11 +1,9 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
-from dkg1d import cli, norms, weights
-from dkg1d.counterexamples import default_wave_grid
+from dkg1d import cli, weights
 
 
 def run_cli(capsys, *argv):
@@ -46,34 +44,11 @@ class TestVerify:
         assert payload["pass"] is False
 
 
-class TestNorms:
-    def test_norm_of_stored_field(self, capsys, tmp_path):
-        grid = norms.Grid2D(64, 64, 20.0, 20.0)
-        T, X = np.meshgrid(grid.t, grid.x, indexing="ij")
-        u = norms.GridFunction2D(grid, np.exp(-(T**2 + X**2) / 2) + 0j, "physical")
-        path = tmp_path / "gauss.bin"
-        norms.save_gridfunction(path, u)
-        code, payload = run_cli(
-            capsys, "norms", "--input", str(path), "--a", "0", "--alpha", "0", "--flavor", "H"
-        )
-        assert code == 0
-        expected = 2 * np.pi * norms.l2_norm_physical(u)
-        assert payload["norm"] == pytest.approx(expected, rel=1e-8)
-
-    def test_fourier_side_input_used_directly(self, capsys, tmp_path):
-        grid = norms.Grid2D(32, 32, 10.0, 10.0)
-        rng = np.random.default_rng(5)
-        vals = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        u_hat = norms.GridFunction2D(grid, vals, "fourier")
-        path = tmp_path / "hat.bin"
-        norms.save_gridfunction(path, u_hat)
-        code, payload = run_cli(
-            capsys, "norms", "--input", str(path), "--a", "1", "--alpha", "0.5",
-            "--flavor", "X_minus",
-        )
-        assert code == 0
-        expected = norms.weighted_norm(u_hat, norms.NormIndex(1.0, 0.5, "X_minus"))
-        assert payload["norm"] == pytest.approx(expected, rel=1e-12)
+def test_norms_subcommand_gone():
+    # Weighted norms are library calls only; argparse exits with 2 on the subcommand.
+    with pytest.raises(SystemExit) as err:
+        cli.main(["norms", "--input", "x", "--a", "0", "--alpha", "0", "--flavor", "H"])
+    assert err.value.code == 2
 
 
 class TestCounterexampleAndFit:
@@ -120,6 +95,19 @@ class TestCounterexampleAndFit:
         assert code == 0
         assert {entry["family"] for entry in payload} == {"cond3", "cond1_ab"}
         assert all(entry["pass"] for entry in payload)
+
+    @pytest.mark.parametrize(
+        "L, message",
+        [("inf,64", "finite and exceed 4"), ("4,8", "finite and exceed 4"), ("abc", "abc")],
+    )
+    def test_bad_scale_reported(self, capsys, tmp_path, L, message):
+        out = tmp_path / "x.csv"
+        code, payload = run_cli(
+            capsys, "counterexample", "--family", "cond3", "--L", L, "--out", str(out)
+        )
+        assert code == 2
+        assert message in payload["error"]
+        assert not out.exists()
 
     def test_bad_exps_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
@@ -195,6 +183,7 @@ class TestSolve:
             str(state_out),
         )
         assert code == 0
+        assert payload["steps"] == 16  # T / dt with dt = dx / 2 = 1 / 32
         assert payload["charge_drift_rel"] <= 1e-10
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -219,6 +208,16 @@ class TestSolve:
         assert code == 2
         assert message in payload["error"]
         assert not out.exists()
+
+    def test_negative_end_time_takes_no_steps(self, capsys, tmp_path):
+        out = tmp_path / "diag.csv"
+        code, payload = run_cli(
+            capsys, "solve", "--n", "64", "--xbox", "16", "--T", "-1", "--out", str(out)
+        )
+        assert code == 0
+        assert payload["steps"] == 0
+        with open(out, newline="") as fh:
+            assert [float(r["t"]) for r in csv.DictReader(fh)] == [0.0]
 
     def test_splitting_option_gone(self, tmp_path):
         # Strang is the only splitting; argparse exits with 2 on the old flag.

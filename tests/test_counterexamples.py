@@ -49,7 +49,6 @@ def dense_ratio(family, L, e):
         norms.inverse_transform(u_hat),
         norms.inverse_transform(v_hat),
         NormIndex(-e.c, -e.gamma, "H"),
-        conjugate_second=True,
     )
     du = norms.weighted_norm(u_hat, NormIndex(e.a, e.alpha, "X_plus"))
     dv = norms.weighted_norm(v_hat, NormIndex(e.b, e.beta, "X_minus"))
@@ -125,6 +124,11 @@ class TestBuildFamily:
     def test_rejects_tiny_scale(self):
         with pytest.raises(ValueError, match="exceed 4"):
             cx.ratio_ladder("cond1_ab", [64.0, 2.0], [ZEROS])
+
+    @pytest.mark.parametrize("L", [np.inf, np.nan, 4.0])
+    def test_rejects_non_finite_or_small_scale(self, L):
+        with pytest.raises(ValueError, match="finite and exceed 4"):
+            cx.ratio_ladder("cond2", [64.0, L], [ZEROS])
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
