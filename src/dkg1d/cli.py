@@ -12,7 +12,10 @@ Subcommands:
 
 All informational output is JSON on stdout; exit code 0 means every check
 requested by the subcommand passed, and exit code 2 with ``{"error": ...}``
-means ``verify``, ``counterexample`` or ``solve`` rejected its input.
+means ``verify``, ``counterexample``, ``fit`` or ``solve`` rejected its input:
+for ``fit``, a CSV that cannot be read, lacks the ``family``, ``L`` or
+``ratio`` column, has no rows or an unknown family, or holds an ``L`` or
+ratio that is not a finite positive number.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -66,6 +70,8 @@ def _parse_exponents(text: str) -> cx.ExponentTuple:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("expected 6 comma-separated exponents")
+    if not all(math.isfinite(p) for p in parts):
+        raise argparse.ArgumentTypeError("exponents must be finite")
     return cx.ExponentTuple(*parts)
 
 
@@ -83,23 +89,54 @@ def _cmd_counterexample(args) -> int:
             writer.writerow(
                 [row.family, row.L, row.numerator, row.denom_u, row.denom_v, row.ratio]
             )
-    _emit({"family": args.family, "rows": len(rows), "out": args.out})
+    family = cx.FAMILIES[args.family]
+    ladder = []
+    for row in rows:
+        A, B, _ = family.intervals(row.L)
+        ladder.append(
+            {
+                "L": row.L,
+                "points_u": cx.strip_points(A, "plus").shape[1],
+                "points_v": cx.strip_points(B, family.v_line).shape[1],
+                "offsets": row.offsets,
+                "pairs": row.pairs,
+            }
+        )
+    _emit({"family": args.family, "rows": len(rows), "out": args.out, "ladder": ladder})
     return 0
 
 
-def _cmd_fit(args) -> int:
+def _read_ratios(path) -> dict[str, list[tuple[float, float]]]:
+    """(L, ratio) pairs of a ``counterexample`` CSV, grouped by family."""
     by_family: dict[str, list[tuple[float, float]]] = {}
-    with open(args.infile, newline="") as fh:
-        for record in csv.DictReader(fh):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        missing = sorted({"family", "L", "ratio"} - set(reader.fieldnames or ()))
+        if missing:
+            raise ValueError(f"ratio CSV lacks column(s) {', '.join(missing)}")
+        for record in reader:
+            if record["family"] not in cx.FAMILIES:
+                raise ValueError(f"unknown family {record['family']!r}")
             by_family.setdefault(record["family"], []).append(
                 (float(record["L"]), float(record["ratio"]))
             )
+    if not by_family:
+        raise ValueError("ratio CSV has no rows")
+    return by_family
+
+
+def _cmd_fit(args) -> int:
+    try:
+        by_family = _read_ratios(args.infile)
+        fits = {}
+        for family, pairs in by_family.items():
+            L, ratio = np.array(sorted(pairs)).T
+            fits[family] = cx.loglog_fit(L, ratio)
+    except (OSError, ValueError, csv.Error) as err:
+        _emit({"error": str(err)})
+        return 2
     results = []
-    for family, pairs in by_family.items():
-        pairs.sort()
-        L = np.array([p[0] for p in pairs])
-        ratio = np.array([p[1] for p in pairs])
-        slope, r_squared = cx.loglog_fit(L, ratio)
+    for family, (slope, r_squared) in fits.items():
         delta = cx.predicted_delta(family, args.exps)
         results.append(
             {

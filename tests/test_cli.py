@@ -109,6 +109,58 @@ class TestCounterexampleAndFit:
         assert message in payload["error"]
         assert not out.exists()
 
+    def test_ladder_reports_offsets_and_pairs(self, capsys, tmp_path):
+        out = tmp_path / "cond2.csv"
+        code, payload = run_cli(
+            capsys, "counterexample", "--family", "cond2", "--L", "64,128", "--out", str(out)
+        )
+        assert code == 0
+        small, large = payload["ladder"]
+        assert [small["L"], large["L"]] == [64.0, 128.0]
+        for entry in (small, large):
+            assert entry["pairs"] == entry["points_u"] * entry["points_v"]
+        # About 22.5 L distinct offsets against about 25 L^2 pairs.
+        assert 1.9 <= large["offsets"] / small["offsets"] <= 2.1
+        assert 3.9 <= large["pairs"] / small["pairs"] <= 4.1
+
+    @pytest.mark.parametrize("exps", ["nan,0,0,0,0,0", "0,0,0,0,0,inf", "0,-inf,0,0,0,0"])
+    def test_non_finite_exps_rejected(self, capsys, tmp_path, exps):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main(
+                ["counterexample", "--family", "cond2", "--exps", exps, "--out", str(out)]
+            )
+        assert err.value.code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("family,L,numerator\ncond3,32.0,1.0\n", "ratio"),
+            ("family,L,ratio\ncond3,32.0,nan\ncond3,64.0,1.0\n", "positive ratio"),
+            ("family,L,ratio\ncond3,32.0,0.0\ncond3,64.0,1.0\n", "positive ratio"),
+            ("family,L,ratio\ncond3,32.0,-1.0\ncond3,64.0,1.0\n", "positive ratio"),
+            ("family,L,ratio\ncond3,inf,1.0\ncond3,64.0,1.0\n", "positive L"),
+            ("family,L,ratio\ncond3,32.0\ncond3,64.0,1.0\n", "float"),
+            ("family,L,ratio\ncond3,32.0,x\n", "float"),
+            ("family,L,ratio\ncond5,32.0,1.0\ncond5,64.0,1.0\n", "unknown family"),
+            ("family,L,ratio\n", "no rows"),
+            ("family,L,ratio\ncond3,32.0,1.0\n", "two distinct L"),
+        ],
+    )
+    def test_fit_rejects_malformed_csv(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code, payload = run_cli(capsys, "fit", "--in", str(bad))
+        assert code == 2
+        assert message in payload["error"]
+
+    def test_fit_reports_missing_file(self, capsys, tmp_path):
+        code, payload = run_cli(capsys, "fit", "--in", str(tmp_path / "absent.csv"))
+        assert code == 2
+        assert "absent.csv" in payload["error"]
+
     def test_bad_exps_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(

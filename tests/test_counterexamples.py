@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,22 @@ ZEROS = ExponentTuple()
 def two_point_slope(family, e, L0=64.0):
     r0, r1 = cx.ratio_ladder(family, [L0, 2 * L0], [e])
     return np.log(r1.ratio / r0.ratio) / np.log(2.0)
+
+
+def point_pair_counts(u, v):
+    """Brute-force pair count: every point pair's offset, binned.
+
+    Returns the distinct offsets p_u - p_v, shape (2, m), in lexicographic
+    order and how many pairs give each.  The key (di - lo_i) span +
+    (dj - lo_j) is linear in the points, so the keys of all pairs are
+    differences of per-point keys.
+    """
+    lo = u.min(axis=1) - v.max(axis=1)
+    span = int(u[1].max() - v[1].min() - lo[1]) + 1
+    keys = (u[0] * span + u[1])[:, None] - (v[0] * span + v[1])[None, :]
+    counts = np.bincount((keys - (lo[0] * span + lo[1])).ravel())
+    nonzero = np.flatnonzero(counts)
+    return np.stack([nonzero // span, nonzero % span]) + lo[:, None], counts[nonzero]
 
 
 def strip_tau_xi(interval, line):
@@ -130,9 +147,63 @@ class TestBuildFamily:
         with pytest.raises(ValueError, match="finite and exceed 4"):
             cx.ratio_ladder("cond2", [64.0, L], [ZEROS])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", range(6))
+    def test_rejects_non_finite_exponents(self, bad, slot):
+        e = [0.0] * 6
+        e[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cx.ratio_ladder("cond2", [64.0, 128.0], [ZEROS, ExponentTuple(*e)])
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             cx.ratio_ladder("cond5", [64.0], [ZEROS])
+
+
+class TestPairCounts:
+    """The closed-form counts of ``pair_counts`` against every point pair."""
+
+    @pytest.mark.parametrize(
+        "family, L",
+        [(f, L) for f in sorted(cx.FAMILIES) for L in (32.0, 33.0, 64.0, 100.0, 256.0)]
+        + [("cond2", 512.0)],
+    )
+    def test_matches_point_pairs(self, family, L):
+        A, B, _ = cx.FAMILIES[family].intervals(L)
+        line = cx.FAMILIES[family].v_line
+        want_offsets, want_counts = point_pair_counts(
+            cx.strip_points(A, "plus"), cx.strip_points(B, line)
+        )
+        offsets, counts = cx.pair_counts(A, B, line)
+        assert np.array_equal(offsets, want_offsets)
+        assert np.array_equal(counts, want_counts)
+
+    def test_ladder_memory_is_linear(self):
+        # Forming every point pair of cond2 at L = 512 peaked at 125.5 MiB.
+        tracemalloc.start()
+        try:
+            cx.ratio_ladder("cond2", [512.0], [ZEROS])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_long_ladder(self):
+        L = 2.0 ** np.arange(6, 15)
+        rows = cx.ratio_ladder("cond2", L, [ZEROS, ExponentTuple(0.5, 0, 0, 0, 0.5, 0)])
+        assert len(rows) == 2 * L.size
+        assert all(np.isfinite([r.numerator, r.denom_u, r.denom_v, r.ratio]).all() for r in rows)
+        assert all(r.ratio > 0 for r in rows)
+
+    def test_rows_report_offsets_and_pairs(self):
+        for family, spec in cx.FAMILIES.items():
+            A, B, _ = spec.intervals(100.0)
+            offsets, counts = cx.pair_counts(A, B, spec.v_line)
+            (row,) = cx.ratio_ladder(family, [100.0], [ZEROS])
+            assert row.offsets == offsets.shape[1]
+            assert row.pairs == counts.sum()
+            points = cx.strip_points(A, "plus").shape[1] * cx.strip_points(B, spec.v_line).shape[1]
+            assert row.pairs == points
 
 
 class TestRatio:
@@ -198,6 +269,22 @@ class TestFitExponent:
                 ratios = np.array([row.ratio for row in rows[k :: len(tuples)]])
                 slope, _ = cx.loglog_fit(L, ratios)
                 assert abs(slope + cx.predicted_delta(family, e)) <= 0.15, (family, e, slope)
+
+    @pytest.mark.parametrize(
+        "L, ratios",
+        [
+            ([64.0, 128.0], [1.0, np.nan]),
+            ([64.0, 128.0], [1.0, 0.0]),
+            ([64.0, 128.0], [-1.0, 2.0]),
+            ([64.0, np.inf], [1.0, 2.0]),
+            ([0.0, 128.0], [1.0, 2.0]),
+            ([64.0, 64.0], [1.0, 2.0]),
+            ([64.0], [1.0]),
+        ],
+    )
+    def test_loglog_fit_rejects_bad_input(self, L, ratios):
+        with pytest.raises(ValueError, match="log-log fit"):
+            cx.loglog_fit(np.array(L), np.array(ratios))
 
     def test_predicted_delta_formulas(self):
         e = ExponentTuple(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)

@@ -207,6 +207,33 @@ class TestWeightedNorm:
             assert abs(a - b) <= 1e-12 * a
 
 
+class TestPointNorm:
+    """Exponent columns give, row by row, the bits of one exponent at a time."""
+
+    # numpy evaluates ``array ** -1.0`` and ``** 0.5`` apart from its general
+    # power, so those two exponents are in the list next to random ones.
+    EXPONENTS = [-1.0, 0.5, 2.0, 1.0, 0.0, -0.0, -0.5, -2.0, 1.5]
+    EXPONENTS += list(np.random.default_rng(11).uniform(-2, 2, 40))
+
+    @pytest.mark.parametrize("flavor", ["X_plus", "X_minus", "H"])
+    @pytest.mark.parametrize("n", [13, 1000, 10_000])
+    def test_exponent_columns_bit_equal(self, flavor, n):
+        rng = np.random.default_rng(n)
+        tau = rng.integers(-4 * n, 4 * n, n) * 0.5
+        xi = rng.integers(-4 * n, 4 * n, n) * 0.25
+        values = rng.integers(1, 50, n) * 0.01
+        a = np.array(self.EXPONENTS)
+        alpha = a[::-1].copy()
+        batch = NormIndex(a[:, None], alpha[:, None], flavor)
+        weights = norms.weight(batch, tau, xi)
+        norm = norms.point_norm(values, tau, xi, batch, 0.125)
+        assert weights.shape == (a.size, n) and norm.shape == (a.size,)
+        for k in range(a.size):
+            idx = NormIndex(float(a[k]), float(alpha[k]), flavor)
+            assert np.array_equal(weights[k], norms.weight(idx, tau, xi)), (a[k], alpha[k])
+            assert norm[k] == norms.point_norm(values, tau, xi, idx, 0.125), (a[k], alpha[k])
+
+
 class TestBilinearConvolution:
     def test_zero(self):
         g = Grid2D(8, 8, 1.0, 1.0)
