@@ -12,10 +12,13 @@ Subcommands:
 
 All informational output is JSON on stdout; exit code 0 means every check
 requested by the subcommand passed, and exit code 2 with ``{"error": ...}``
-means ``verify``, ``counterexample``, ``fit`` or ``solve`` rejected its input:
-for ``fit``, a CSV that cannot be read, lacks the ``family``, ``L`` or
-``ratio`` column, has no rows or an unknown family, or holds an ``L`` or
-ratio that is not a finite positive number.
+means ``verify``, ``counterexample``, ``fit``, ``region``, ``region-grid`` or
+``solve`` rejected its input or could not write its output: for ``fit``, a
+CSV that cannot be read, lacks the ``family``, ``L`` or ``ratio`` column, has
+no rows or an unknown family, or holds an ``L`` or ratio that is not a
+finite positive number; for ``region`` and ``region-grid``, a non-finite
+``--s``, ``--r``, ``--s-min``, ``--s-max`` or ``--r-max``, or ``--ns`` or
+``--nr`` below 1; for any subcommand, an ``--out`` it cannot open.
 """
 
 from __future__ import annotations
@@ -42,21 +45,15 @@ def _emit(payload) -> None:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        if args.target == "spinor":
-            residuals = spinor.verify_identities(n_samples=args.samples, seed=args.seed)
-        else:
-            stats = weights.sample_margins(args.samples, seed=args.seed)
-    except ValueError as err:
-        _emit({"error": str(err)})
-        return 2
     if args.target == "spinor":
+        residuals = spinor.verify_identities(n_samples=args.samples, seed=args.seed)
         ok = all(
             value <= (NULL_FORM_TOL if key == "null_form_vanishing" else IDENTITY_TOL)
             for key, value in residuals.items()
         )
         _emit({"target": "spinor", "residuals": residuals, "pass": ok})
         return 0 if ok else 1
+    stats = weights.sample_margins(args.samples, seed=args.seed)
     ok = (
         stats["min_relative_margin"] >= -1e-9
         and stats["min_relative_sum_bound_margin"] >= -1e-9
@@ -76,12 +73,8 @@ def _parse_exponents(text: str) -> cx.ExponentTuple:
 
 
 def _cmd_counterexample(args) -> int:
-    try:
-        L_values = [float(v) for v in args.L.split(",")]
-        rows = cx.ratio_ladder(args.family, L_values, [args.exps])
-    except ValueError as err:
-        _emit({"error": str(err)})
-        return 2
+    L_values = [float(v) for v in args.L.split(",")]
+    rows = cx.ratio_ladder(args.family, L_values, [args.exps])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["family", "L", "numerator", "denom_u", "denom_v", "ratio"])
@@ -126,17 +119,10 @@ def _read_ratios(path) -> dict[str, list[tuple[float, float]]]:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        by_family = _read_ratios(args.infile)
-        fits = {}
-        for family, pairs in by_family.items():
-            L, ratio = np.array(sorted(pairs)).T
-            fits[family] = cx.loglog_fit(L, ratio)
-    except (OSError, ValueError, csv.Error) as err:
-        _emit({"error": str(err)})
-        return 2
     results = []
-    for family, (slope, r_squared) in fits.items():
+    for family, pairs in _read_ratios(args.infile).items():
+        L, ratio = np.array(sorted(pairs)).T
+        slope, r_squared = cx.loglog_fit(L, ratio)
         delta = cx.predicted_delta(family, args.exps)
         results.append(
             {
@@ -151,7 +137,15 @@ def _cmd_fit(args) -> int:
     return 0 if all(r["pass"] for r in results) else 1
 
 
+def _require_finite(args, *names) -> None:
+    for name in names:
+        value = getattr(args, name.replace("-", "_"))
+        if not math.isfinite(value):
+            raise ValueError(f"--{name} must be finite, got {value}")
+
+
 def _cmd_region(args) -> int:
+    _require_finite(args, "s", "r")
     payload = {
         "s": args.s,
         "r": args.r,
@@ -176,6 +170,9 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_region_grid(args) -> int:
+    _require_finite(args, "s-min", "s-max", "r-max")
+    if min(args.ns, args.nr) < 1:
+        raise ValueError("--ns and --nr must be at least 1")
     s_values = np.linspace(args.s_min, args.s_max, args.ns)
     r_values = args.r_max * (np.arange(args.nr) + 1) / args.nr  # half-open (0, r_max]
     violations = 0
@@ -195,27 +192,23 @@ def _cmd_region_grid(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        grid = solver.GridSpec1D(n_x=args.n, x_extent=args.xbox)
-        dt = grid.dx / 2 if args.dt == "auto" else float(args.dt)
-        config = solver.SolverConfig(
-            grid=grid,
-            dt=dt,
-            t_end=args.T,
-            diagnostics_every=args.every,
-            diag_s=args.s,
-            diag_r=args.r,
-        )
-        if args.data == "smooth":
-            psi0, phi0, phi1 = solver.smooth_data(grid)
-        else:
-            psi0 = solver.rough_data(args.s, args.seed, grid)
-            phi0 = np.zeros(grid.n_x)
-            phi1 = np.zeros(grid.n_x)
-        state = solver.init_state(psi0, phi0, phi1, args.M, args.m, grid)
-    except ValueError as err:
-        _emit({"error": str(err)})
-        return 2
+    grid = solver.GridSpec1D(n_x=args.n, x_extent=args.xbox)
+    dt = grid.dx / 2 if args.dt == "auto" else float(args.dt)
+    config = solver.SolverConfig(
+        grid=grid,
+        dt=dt,
+        t_end=args.T,
+        diagnostics_every=args.every,
+        diag_s=args.s,
+        diag_r=args.r,
+    )
+    if args.data == "smooth":
+        psi0, phi0, phi1 = solver.smooth_data(grid)
+    else:
+        psi0 = solver.rough_data(args.s, args.seed, grid)
+        phi0 = np.zeros(grid.n_x)
+        phi1 = np.zeros(grid.n_x)
+    state = solver.init_state(psi0, phi0, phi1, args.M, args.m, grid)
     try:
         series, final = solver.run(config, state, return_final=True)
     except solver.BlowUpError as err:
@@ -293,7 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, csv.Error) as err:
+        _emit({"error": str(err)})
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ that eta in A, xi in C implies eta - xi in B.  The measured quantity is
 which for these constructions scales like L^(-delta) with a per-family
 exponent delta(a, b, c, alpha, beta, gamma) that is linear in the inputs.
 A negative delta therefore certifies unboundedness of the corresponding
-product estimate; nonnegativity of delta over all families yields the
-necessary conditions checked in ``regions.bilinear_necessary_conditions``.
+product estimate; nonnegativity of delta over all families, on the tuple
+and on its mirror (b, a, c, beta, alpha, gamma), yields the necessary
+conditions checked in ``regions.bilinear_necessary_conditions``.
 
 Families (intervals at scale L, v's strip line, decay exponent):
 
@@ -300,8 +301,9 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
 def loglog_fit(L_values: np.ndarray, ratios: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of log(ratio) against log(L), with r^2.
 
-    Raises ``ValueError`` unless every L and ratio is finite and positive
-    and there are at least two distinct L.
+    Both come in closed form from the centred logs: slope = sxy / sxx and
+    r^2 = sxy^2 / (sxx syy).  Raises ``ValueError`` unless every L and ratio
+    is finite and positive and there are at least two distinct L.
     """
     # log is finite exactly on the finite positive numbers.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -312,13 +314,12 @@ def loglog_fit(L_values: np.ndarray, ratios: np.ndarray) -> tuple[float, float]:
             raise ValueError(f"log-log fit needs finite, positive {name} values")
     if not x.max() > x.min():
         raise ValueError("log-log fit needs at least two distinct L")
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    x = x - x.mean()
+    y = y - y.mean()
+    sxx, sxy, syy = float(x @ x), float(x @ y), float(y @ y)
     # A ladder that is constant to roundoff carries no variance to explain.
-    r_squared = 1.0 if ss_tot < 1e-18 else 1.0 - ss_res / ss_tot
-    return float(slope), r_squared
+    r_squared = 1.0 if syy < 1e-18 else sxy**2 / (sxx * syy)
+    return sxy / sxx, r_squared
 
 
 def _validate_ladder(L_values) -> np.ndarray:

@@ -10,22 +10,32 @@ X_+-^{s,sigma} x H^{r,rho} works precisely when the twelve inequalities of
 the recipe rho = 1/2 + eps with eps half the exact bound
 min(1/4, s + 1/4, r) below which that recipe is feasible.
 
-Also here: the hypothesis checkers for the wave-Sobolev product law
-(sufficient side) and for the necessary conditions attached to the explicit
-counterexample families in ``counterexamples``.
+Also here: the hypothesis checker for the wave-Sobolev product law
+(sufficient side), and the necessary conditions of a bilinear estimate,
+each derived from the decay exponents of its counterexample families in
+``counterexamples`` (``CONDITION_FAMILIES``) on the tuple and its mirror.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counterexamples import ExponentTuple
+from .counterexamples import ExponentTuple, predicted_delta
 
 CONSTRAINT_KEYS = (
     "r1", "r2", "sigma1", "rho_sigma", "r6", "s2", "s3", "r7", "r3", "r4", "s1", "rho1",
 )
 
 WELLPOSED_INEQUALITIES = ("s > -1/4", "r > 0", "|s| <= r", "r <= 1+s")
+
+# The strip families that bound each necessary condition.  cond1 has two:
+# the transversal pair probes alpha and beta, the parallel pair gamma.
+CONDITION_FAMILIES = {
+    "cond1": ("cond1_gamma", "cond1_ab"),
+    "cond2": ("cond2",),
+    "cond3": ("cond3",),
+    "cond4": ("cond4",),
+}
 
 
 @dataclass(frozen=True)
@@ -80,7 +90,7 @@ def check_constraints(s: float, r: float, choice: ParameterChoice) -> dict[str, 
     the same inequality and always agree.
     """
     sigma, rho, eps = choice.sigma, choice.rho, choice.eps
-    report = {
+    return {
         "r1": r > sigma - 0.5 + eps,
         "r2": r >= abs(s),
         "sigma1": sigma <= 1 - eps,
@@ -94,7 +104,6 @@ def check_constraints(s: float, r: float, choice: ParameterChoice) -> dict[str, 
         "s1": s >= -sigma / 2,
         "rho1": rho <= 1 - eps,
     }
-    return report
 
 
 def all_constraints_hold(report: dict[str, bool]) -> bool:
@@ -147,32 +156,21 @@ def product_law_conditions(
 def bilinear_necessary_conditions(e: ExponentTuple) -> dict[str, dict]:
     """Necessary conditions for the two-sided null-form estimate, with margins.
 
-    Each entry carries the slack (lhs - rhs, negative means violated) and
-    the id of the counterexample family whose decay rate quantifies the
-    failure.  For cond1 the family depends on which of alpha, beta, gamma
-    realizes the minimum: the transversal-strip pair probes alpha/beta, the
-    parallel-strip pair probes gamma.
+    The estimate for e = (a, b, c, alpha, beta, gamma) holds iff it holds
+    for the mirror e* = (b, a, c, beta, alpha, gamma): with Ru(t, x) =
+    u(t, -x), the pair (Rv, Ru) has e*'s ratio equal to (u, v)'s ratio for
+    e, since reflection swaps X+ and X- and the H norm is even and
+    conjugation-invariant.  Each margin (negative means violated) is the
+    least ``delta`` of the condition's families over e and e*, and
+    ``family`` and ``exponents`` name where it is attained (ties go to e,
+    then to the family listed first), so that
+    ``ratio_ladder(family, L, [exponents])`` grows at rate -margin.
     """
-    m_abc = min(e.alpha, e.beta, e.gamma)
-    cond1_family = "cond1_gamma" if e.gamma <= min(e.alpha, e.beta) else "cond1_ab"
-    report = {
-        "cond1": {
-            "margin": e.a + e.b + m_abc,
-            "family": cond1_family,
-        },
-        "cond2": {
-            "margin": e.a + e.b + e.c + min(e.alpha, e.beta) - 0.5,
-            "family": "cond2",
-        },
-        "cond4": {
-            "margin": e.a + e.b + e.c + e.gamma,
-            "family": "cond4",
-        },
-        "cond3": {
-            "margin": min(e.a, e.b) + e.c,
-            "family": "cond3",
-        },
-    }
-    for entry in report.values():
-        entry["holds"] = entry["margin"] >= 0
+    mirror = e._replace(a=e.b, b=e.a, alpha=e.beta, beta=e.alpha)
+    report = {}
+    for condition, family_ids in CONDITION_FAMILIES.items():
+        candidates = [(predicted_delta(f, t), f, t) for f in family_ids for t in (e, mirror)]
+        margin, family, exponents = min(candidates, key=lambda candidate: candidate[0])
+        report[condition] = {"margin": margin, "family": family, "exponents": exponents}
+        report[condition]["holds"] = margin >= 0
     return report

@@ -109,6 +109,14 @@ class TestCounterexampleAndFit:
         assert message in payload["error"]
         assert not out.exists()
 
+    def test_unwritable_out_reported(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, payload = run_cli(
+            capsys, "counterexample", "--family", "cond2", "--L", "64,128", "--out", str(out)
+        )
+        assert code == 2
+        assert "No such file or directory" in payload["error"]
+
     def test_ladder_reports_offsets_and_pairs(self, capsys, tmp_path):
         out = tmp_path / "cond2.csv"
         code, payload = run_cli(
@@ -215,6 +223,42 @@ class TestRegion:
         ]
         assert gained
 
+    def test_grid_unwritable_out_reported(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "grid.csv"
+        code, payload = run_cli(capsys, "region-grid", "--out", str(out), "--ns", "2", "--nr", "2")
+        assert code == 2
+        assert "No such file or directory" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--s", "nan", "--r", "0.5", "--solve"], "--s must be finite"),
+            (["--s", "0", "--r", "inf"], "--r must be finite"),
+            (["--s=-inf", "--r", "0.5"], "--s must be finite"),
+        ],
+    )
+    def test_non_finite_point_rejected(self, capsys, argv, message):
+        code, payload = run_cli(capsys, "region", *argv)
+        assert code == 2
+        assert message in payload["error"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--s-max", "inf"], "--s-max must be finite"),
+            (["--s-min", "nan"], "--s-min must be finite"),
+            (["--r-max=-inf"], "--r-max must be finite"),
+            (["--ns", "-1"], "at least 1"),
+            (["--nr", "0"], "at least 1"),
+        ],
+    )
+    def test_grid_bad_numbers_rejected(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "grid.csv"
+        code, payload = run_cli(capsys, "region-grid", *argv, "--out", str(out))
+        assert code == 2
+        assert message in payload["error"]
+        assert not out.exists()
+
 
 class TestSolve:
     def test_smooth_run_writes_diagnostics(self, capsys, tmp_path):
@@ -260,6 +304,14 @@ class TestSolve:
         assert code == 2
         assert message in payload["error"]
         assert not out.exists()
+
+    def test_unwritable_out_reported(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "diag.csv"
+        code, payload = run_cli(
+            capsys, "solve", "--n", "64", "--xbox", "16", "--T", "0.1", "--out", str(out)
+        )
+        assert code == 2
+        assert "No such file or directory" in payload["error"]
 
     def test_negative_end_time_takes_no_steps(self, capsys, tmp_path):
         out = tmp_path / "diag.csv"

@@ -286,6 +286,37 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="log-log fit"):
             cx.loglog_fit(np.array(L), np.array(ratios))
 
+    def test_loglog_fit_matches_polyfit(self):
+        # The closed form against numpy's least-squares line through the same
+        # logs: the (family, tuple) ladders of acceptance criteria 4 and 6,
+        # then seeded tuples on every family.
+        ladders = {
+            "cond1_ab": [(1, 0, 0, 1, 1, 1)],
+            "cond2": [(0.5, 0, 0, 0, 0.5, 0), (0, 0, 0, 0.6, 0, 0.6)],
+            "cond3": [(1, 0, 1, 0, 0, 0), (-0.5, 0.5, 0, 0.5, 0.5, 0.5)],
+            "cond1_gamma": [(0.5, 0.5, 0, 1, 1, 0), (0, 0, 1, 1, 1, -0.5)],
+            "cond4": [(0.5, 0.5, -0.5, 0, 0, 0.5), (1, 1, -1, 1, 1, -1.5)],
+        }
+        seeded = np.random.default_rng(11).uniform(-2, 2, (20, 6))
+        L = np.array(cx.DEFAULT_L_LADDER)
+        x = np.log(L)
+        for family, tuples in ladders.items():
+            tuples = [ExponentTuple(*e) for e in (ZEROS, *tuples, *seeded)]
+            rows = cx.ratio_ladder(family, L, tuples)
+            for k, e in enumerate(tuples):
+                ratios = np.array([row.ratio for row in rows[k :: len(tuples)]])
+                y = np.log(ratios)
+                ref_slope, intercept = np.polyfit(x, y, 1)
+                ss_res = np.sum((y - (ref_slope * x + intercept)) ** 2)
+                ss_tot = np.sum((y - y.mean()) ** 2)
+                ref_r_squared = 1.0 if ss_tot < 1e-18 else 1 - ss_res / ss_tot
+                slope, r_squared = cx.loglog_fit(L, ratios)
+                assert slope == pytest.approx(ref_slope, abs=1e-12), (family, e)
+                assert r_squared == pytest.approx(ref_r_squared, abs=1e-12), (family, e)
+
+    def test_loglog_fit_constant_ladder(self):
+        assert cx.loglog_fit(np.array(cx.DEFAULT_L_LADDER), np.full(4, 0.3)) == (0.0, 1.0)
+
     def test_predicted_delta_formulas(self):
         e = ExponentTuple(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
         assert cx.predicted_delta("cond1_ab", e) == pytest.approx(0.8)

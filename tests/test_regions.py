@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkg1d import regions
+from dkg1d import counterexamples as cx
+from dkg1d import norms, regions
 from dkg1d.counterexamples import ExponentTuple
 from dkg1d.regions import ParameterChoice
 
@@ -229,3 +230,110 @@ class TestNecessaryConditions:
         assert gamma_min["cond1"]["family"] == "cond1_gamma"
         beta_min = regions.bilinear_necessary_conditions(ExponentTuple(0, 0, 0, 1, 0.2, 1))
         assert beta_min["cond1"]["family"] == "cond1_ab"
+
+
+def stated_margins(e):
+    # The condition margins written out as formulas: the minima over alpha,
+    # beta (and gamma) and over a, b are what the mirrored tuple supplies.
+    return {
+        "cond1": e.a + e.b + min(e.alpha, e.beta, e.gamma),
+        "cond2": e.a + e.b + e.c + min(e.alpha, e.beta) - 0.5,
+        "cond3": min(e.a, e.b) + e.c,
+        "cond4": e.a + e.b + e.c + e.gamma,
+    }
+
+
+def mirror(e):
+    return ExponentTuple(e.b, e.a, e.c, e.beta, e.alpha, e.gamma)
+
+
+class TestConditionsFromFamilies:
+    def test_margins_bit_equal_to_formulas(self):
+        for e in np.random.default_rng(31).uniform(-2, 2, (2000, 6)):
+            e = ExponentTuple(*e)
+            report = regions.bilinear_necessary_conditions(e)
+            for name, margin in stated_margins(e).items():
+                entry = report[name]
+                assert entry["margin"] == margin, (name, e)
+                assert cx.predicted_delta(entry["family"], entry["exponents"]) == margin
+                assert entry["exponents"] in (e, mirror(e))
+                assert entry["holds"] == (margin >= 0)
+
+    def test_ties_prefer_tuple_then_first_family(self):
+        e = ExponentTuple(0.2, 0.2, 0, 0.5, 0.5, 0.5)
+        report = regions.bilinear_necessary_conditions(e)
+        assert all(entry["exponents"] == e for entry in report.values())
+        assert report["cond1"]["family"] == "cond1_gamma"
+
+    @pytest.mark.parametrize(
+        "e, condition, violation",
+        [
+            (ExponentTuple(0, 0, 0.1, 0.25, 0.75, 0.6), "cond2", 0.15),
+            (ExponentTuple(0, 0, 0, -1, 1, 1), "cond1", 1.0),
+            (ExponentTuple(0.3, -0.3, 0.1, 0.7, 0.3, 0.6), "cond3", 0.2),
+        ],
+    )
+    def test_mirror_named_when_it_decays_least(self, e, condition, violation):
+        entry = regions.bilinear_necessary_conditions(e)[condition]
+        assert entry["margin"] == pytest.approx(-violation)
+        assert entry["exponents"] == mirror(e)
+        assert cx.fit_exponent(entry["family"], entry["exponents"])[0] >= violation - 0.15
+        # The unmirrored ladder of the same family decays instead.
+        assert cx.fit_exponent(entry["family"], e)[0] < 0
+
+    def test_named_family_is_a_witness(self):
+        # Violators with alpha < beta or b < a, where the mirror matters.
+        rng = np.random.default_rng(32)
+        checked = 0
+        while checked < 60:
+            e = ExponentTuple(*rng.uniform(-2, 2, 6))
+            if not (e.alpha < e.beta or e.b < e.a):
+                continue
+            for name, entry in regions.bilinear_necessary_conditions(e).items():
+                if not entry["holds"]:
+                    slope = cx.fit_exponent(entry["family"], entry["exponents"])[0]
+                    assert slope >= -entry["margin"] - 0.15, (name, e, slope)
+                    checked += 1
+
+    def test_acceptance_violators_keep_family_and_tuple(self):
+        violators = {
+            "cond1": (ExponentTuple(0, 0, 1, 1, 1, -0.5), "cond1_gamma"),
+            "cond2": (ExponentTuple(0, 0, 0, 0.6, 0, 0.6), "cond2"),
+            "cond3": (ExponentTuple(-0.5, 0.5, 0, 0.5, 0.5, 0.5), "cond3"),
+            "cond4": (ExponentTuple(1, 1, -1, 1, 1, -1.5), "cond4"),
+        }
+        for name, (e, family) in violators.items():
+            entry = regions.bilinear_necessary_conditions(e)[name]
+            assert (entry["family"], entry["exponents"]) == (family, e)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mirror_symmetry_of_the_ratio(self, seed):
+        # (u, v) -> (Rv, Ru), Ru(t, x) = u(t, -x), maps the ratio of e onto
+        # the ratio of its mirror.  The data are band-limited and vanish on
+        # the Nyquist row and column, whose frequencies have no reflection.
+        grid = norms.Grid2D(n_t=16, n_x=16, t_extent=8.0, x_extent=8.0)
+        rng = np.random.default_rng(seed)
+        band = np.zeros((16, 16), dtype=bool)
+        band[4:13, 4:13] = True
+
+        def random_function():
+            z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+            spectrum = norms.GridFunction2D(grid, np.where(band, z, 0), "fourier")
+            return norms.inverse_transform(spectrum)
+
+        def reflect(u):
+            return norms.GridFunction2D(grid, np.roll(u.values[:, ::-1], 1, axis=1), "physical")
+
+        def ratio(u, v, e):
+            num = norms.product_norm(u, v, norms.NormIndex(-e.c, -e.gamma, "H"))
+            du = norms.weighted_norm(norms.transform(u), norms.NormIndex(e.a, e.alpha, "X_plus"))
+            dv = norms.weighted_norm(norms.transform(v), norms.NormIndex(e.b, e.beta, "X_minus"))
+            return num / (du * dv)
+
+        u, v = random_function(), random_function()
+        for e in rng.uniform(-1, 1, (5, 6)):
+            e = ExponentTuple(*e)
+            expected = ratio(u, v, e)
+            assert ratio(reflect(v), reflect(u), mirror(e)) == pytest.approx(expected, rel=1e-12)
+            # Swapping the roles without the reflection changes the ratio.
+            assert ratio(v, u, mirror(e)) != pytest.approx(expected, rel=1e-3)
