@@ -19,11 +19,15 @@ no rows or an unknown family, or holds an ``L`` or ratio that is not a
 finite positive number; for ``region`` and ``region-grid``, a non-finite
 ``--s``, ``--r``, ``--s-min``, ``--s-max`` or ``--r-max``, or ``--ns`` or
 ``--nr`` below 1; for any subcommand, an ``--out`` it cannot open.
+``solve`` opens ``--out`` and ``--state-out`` before it steps, so an
+unwritable path is reported at once; after a blow-up (exit code 1 with
+``{"error": ..., "step": ...}``) both files are left empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -209,18 +213,21 @@ def _cmd_solve(args) -> int:
         phi0 = np.zeros(grid.n_x)
         phi1 = np.zeros(grid.n_x)
     state = solver.init_state(psi0, phi0, phi1, args.M, args.m, grid)
-    try:
-        series, final = solver.run(config, state, return_final=True)
-    except solver.BlowUpError as err:
-        _emit({"error": str(err), "step": err.step})
-        return 1
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    # Open the outputs before the run, so that an unwritable path fails at once.
+    with contextlib.ExitStack() as outputs:
+        out = outputs.enter_context(open(args.out, "w", newline=""))
+        state_out = outputs.enter_context(open(args.state_out, "wb")) if args.state_out else None
+        try:
+            series, final = solver.run(config, state, return_final=True)
+        except solver.BlowUpError as err:
+            _emit({"error": str(err), "step": err.step})
+            return 1
+        writer = csv.writer(out)
         columns = vars(series)
         writer.writerow(columns)
         writer.writerows(zip(*columns.values()))
-    if args.state_out:
-        solver.save_state(args.state_out, final)
+        if state_out:
+            solver.save_state(state_out, final)
     drift = float(np.abs(series.charge - series.charge[0]).max())
     rel = drift / series.charge[0] if series.charge[0] > 0 else 0.0
     _emit({"out": args.out, "steps": int(round(final.t / dt)), "charge_drift_rel": rel})

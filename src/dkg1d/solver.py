@@ -39,16 +39,24 @@ density unchanged, so two coupling flows of lengths h1 and h2 compose to one
 of length h1 + h2 exactly (the rotation angles (phi - M) h add, and so do
 the kicks).  A run therefore applies coupling(dt/2) once to open,
 coupling(dt) between steps and coupling(dt/2) to close before each
-diagnostics row; N steps with K recorded rows cost N + K coupling flows
-instead of 2N.  The public flows and ``strang_step`` are thin wrappers over
-the same kernels.
+diagnostics row and to reopen after it; N steps with K recorded rows cost
+N + K coupling flows instead of 2N.  The closing and reopening half-steps
+around a row share one rotation (one cos and one sin of (phi - M) dt/2),
+since the closing one leaves phi unchanged.  A row costs one complex FFT of
+(a_+, a_-) for the H^s norm and one real FFT of phi each for the H^r norm
+and the energy (whose phi_x^2 term comes by Parseval); the charge and the
+other energy terms are dot products.  A non-finite field value makes its
+row non-finite, so the row check is the only finiteness scan.  The public
+flows and ``strang_step`` are thin wrappers over the same kernels.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -251,16 +259,20 @@ def _kg(f: np.ndarray, propagator: np.ndarray) -> np.ndarray:
     return sfft.irfft(new, n=f.shape[-1], axis=-1, overwrite_x=True)
 
 
-def _coupling(a: np.ndarray, f: np.ndarray, M: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    if h == 0.0:
-        return a, f
-    theta = f[0] - M
+def _rotation(phi: np.ndarray, M: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta) and i sin(theta) of the coupling angle theta = (phi - M) h."""
+    theta = phi - M
     theta *= h
+    return np.cos(theta), 1j * np.sin(theta)
+
+
+def _coupling(a: np.ndarray, f: np.ndarray, h: float, rotation) -> tuple[np.ndarray, np.ndarray]:
     kick = _density(a)  # invariant under the rotation below
     kick *= h
     # beta swaps the ranges: a_+- <- cos(theta) a_+- + i sin(theta) a_-+.
-    rotated = np.cos(theta) * a
-    rotated += (1j * np.sin(theta)) * a[::-1]
+    cos, isin = rotation
+    rotated = cos * a
+    rotated += isin * a[::-1]
     f = f.copy()
     f[1] += kick
     return rotated, f
@@ -288,7 +300,7 @@ def coupling_flow(state: DKGState, dt: float) -> DKGState:
     """
     if dt == 0.0:
         return state
-    a, f = _coupling(state.a, state.f, state.M, dt)
+    a, f = _coupling(state.a, state.f, dt, _rotation(state.phi, state.M, dt))
     return replace(state, a=a, f=f)
 
 
@@ -298,27 +310,30 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
 
     Between steps the closing coupling(dt/2) of one step and the opening
     coupling(dt/2) of the next fuse into one coupling(dt); before a yield the
-    step is closed and afterwards the next one is opened, so every yielded
-    state equals the one that step-by-step composition gives, up to roundoff.
+    step is closed and afterwards the next one is opened with the same
+    rotation, since the closing coupling leaves phi unchanged.  So every
+    yielded state equals the one that step-by-step composition gives, up to
+    roundoff.
     """
     if n_steps < 1:
         return
-    M = state.M
+    M, half = state.M, dt / 2
     phases = _wave_phases(state.grid, dt)
     propagator = _kg_propagator(state.grid, state.m, dt)
-    a, f = _coupling(state.a, state.f, M, dt / 2)
+    a, f = _coupling(state.a, state.f, half, _rotation(state.f[0], M, half))
     t = state.t
     for k in range(1, n_steps + 1):
         a = _half_wave(a, phases)
         f = _kg(f, propagator)
         t += dt
         if k % every and k < n_steps:
-            a, f = _coupling(a, f, M, dt)
+            a, f = _coupling(a, f, dt, _rotation(f[0], M, dt))
             continue
-        a, f = _coupling(a, f, M, dt / 2)
+        rotation = _rotation(f[0], M, half)
+        a, f = _coupling(a, f, half, rotation)
         yield k, replace(state, a=a, f=f, t=t)
         if k < n_steps:
-            a, f = _coupling(a, f, M, dt / 2)
+            a, f = _coupling(a, f, half, rotation)
 
 
 def strang_step(state: DKGState, dt: float) -> DKGState:
@@ -326,27 +341,66 @@ def strang_step(state: DKGState, dt: float) -> DKGState:
     return next(_march(state, dt, 1, 1))[1]
 
 
+def _hermitian(weight: np.ndarray) -> np.ndarray:
+    """Weight on the real-FFT bins of a real signal: the bins strictly between
+    DC and Nyquist stand for themselves and their conjugate mirror, so they
+    count twice; read-only."""
+    weight[1 : weight.size - 1] *= 2
+    return _read_only(weight)
+
+
+@functools.lru_cache(maxsize=32)
+def _gradient_weight(grid: GridSpec1D) -> np.ndarray:
+    """Real-FFT weight w with sum(w |phi_hat|^2) = 1/2 int phi_x^2 dx
+    (Parseval); the Nyquist derivative is dropped, as an inverse real FFT of
+    i xi phi_hat drops it.  Cached, read-only."""
+    weight = grid.xi_rfft**2 * (grid.dx / (2 * grid.n_x))
+    weight[-1] = 0.0
+    return _hermitian(weight)
+
+
 def kg_energy(state: DKGState) -> float:
-    """Discrete 1/2 int (phi_t^2 + phi_x^2 + m^2 phi^2) dx, spectral derivative."""
-    phi_x = sfft.irfft(1j * state.grid.xi_rfft * sfft.rfft(state.phi), n=state.grid.n_x)
-    integrand = state.phi_t**2 + phi_x**2 + state.m**2 * state.phi**2
-    return float(0.5 * integrand.sum() * state.grid.dx)
+    """Discrete 1/2 int (phi_t^2 + phi_x^2 + m^2 phi^2) dx, spectral derivative.
+
+    The phi_x^2 term comes from one real FFT of phi by Parseval, with the
+    Nyquist mode's derivative dropped (it is the imaginary part that an
+    inverse real FFT of i xi phi_hat discards); the other two terms are
+    physical dot products.
+    """
+    phi, phi_t = state.f
+    phi_hat = sfft.rfft(phi)
+    gradient = np.vdot(phi_hat * _gradient_weight(state.grid), phi_hat).real
+    return float(0.5 * state.grid.dx * (phi_t @ phi_t + state.m**2 * (phi @ phi)) + gradient)
 
 
 @functools.lru_cache(maxsize=32)
 def _sobolev_weight(grid: GridSpec1D, s: float) -> np.ndarray:
-    return _read_only((1.0 + np.abs(grid.xi_fft)) ** s)
+    """FFT weight dx (1 + |xi|)^s of the H^s norm; cached, read-only."""
+    return _read_only(grid.dx * (1.0 + np.abs(grid.xi_fft)) ** s)
+
+
+@functools.lru_cache(maxsize=32)
+def _real_sobolev_weight(grid: GridSpec1D, s: float) -> np.ndarray:
+    """Real-FFT weight w with sum(w |values_hat|^2) = ||values||_{H^s}^2:
+    (1 + xi)^(2s) with the normalisation dx^2 / x_extent folded in.  Cached,
+    read-only."""
+    return _hermitian((1.0 + grid.xi_rfft) ** (2 * s) * (grid.dx**2 / grid.x_extent))
 
 
 def sobolev_norm(values: np.ndarray, s: float, grid: GridSpec1D) -> float:
     """H^s norm over the last axis (leading axes summed in quadrature).
 
-    Normalized so that s = 0 gives the physical L2(dx) norm.
+    Normalized so that s = 0 gives the physical L2(dx) norm.  Real values
+    take one real FFT, whose bins strictly between DC and Nyquist count
+    twice by Hermitian symmetry; complex values take a full FFT.
     """
     values = np.asarray(values)
     if values.shape[-1] != grid.n_x:
         raise ValueError("last axis must match the grid")
-    weighted = sfft.fft(values, axis=-1) * (grid.dx * _sobolev_weight(grid, s))
+    if not np.iscomplexobj(values):
+        hat = sfft.rfft(values, axis=-1)
+        return float(np.sqrt(np.vdot(hat * _real_sobolev_weight(grid, s), hat).real))
+    weighted = sfft.fft(values, axis=-1) * _sobolev_weight(grid, s)
     dxi = 2 * np.pi / grid.x_extent
     total = np.vdot(weighted, weighted).real * dxi / (2 * np.pi)
     return float(np.sqrt(total))
@@ -420,7 +474,9 @@ def run(
     """Advance to t_end (rounded to whole steps), recording diagnostics.
 
     Aborts with ``BlowUpError`` carrying the step index as soon as a
-    recorded quantity or a field value stops being finite.  ``config.grid``
+    recorded row stops being finite.  That covers every field value: a
+    non-finite amplitude makes the charge non-finite, a non-finite phi the
+    H^r norm and a non-finite phi_t the energy.  ``config.grid``
     must be the state's grid, since its ``dt <= dx`` check is made there.
     """
     if config.grid != state.grid:
@@ -430,7 +486,7 @@ def run(
     rows = _march(state, config.dt, n_steps, config.diagnostics_every)
     for k, state in rows:
         row = _record(state, config)
-        if not (np.isfinite(row).all() and np.isfinite(state.a).all() and np.isfinite(state.f).all()):
+        if not all(map(math.isfinite, row)):
             raise BlowUpError(k, state.t)
         records.append(row)
     cols = np.array(records, dtype=float).T
@@ -449,12 +505,14 @@ _BYTES_PER_POINT = 2 * (_A_DTYPE.itemsize + _F_DTYPE.itemsize)
 
 
 def save_state(path, state: DKGState) -> None:
+    """Write a snapshot of ``state`` to ``path``: a file name, or a binary
+    file open for writing."""
     shape = (2, state.grid.n_x)
     if state.a.shape != shape or state.f.shape != shape:
         raise ValueError(f"a and f have shapes {state.a.shape} and {state.f.shape}, expected {shape}")
     if np.iscomplexobj(state.f):
         raise ValueError("f = (phi, phi_t) must be real")
-    with open(path, "wb") as fh:
+    with open(path, "wb") if isinstance(path, (str, os.PathLike)) else contextlib.nullcontext(path) as fh:
         fh.write(_STATE_HEADER.pack(_STATE_MAGIC, state.t, state.M, state.m, shape[1], state.grid.x_extent))
         fh.write(state.a.astype(_A_DTYPE).tobytes())
         fh.write(state.f.astype(_F_DTYPE).tobytes())

@@ -313,6 +313,21 @@ class TestSolve:
         assert code == 2
         assert "No such file or directory" in payload["error"]
 
+    @pytest.mark.parametrize("option", ["--out", "--state-out"])
+    def test_unwritable_output_reported_before_run(self, capsys, tmp_path, monkeypatch, option):
+        from dkg1d import solver
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("solver.run called before the outputs were opened")
+
+        monkeypatch.setattr(solver, "run", no_run)
+        paths = {"--out": str(tmp_path / "diag.csv"), "--state-out": str(tmp_path / "state.bin")}
+        paths[option] = str(tmp_path / "missing" / "file")
+        argv = [arg for pair in paths.items() for arg in pair]
+        code, payload = run_cli(capsys, "solve", "--n", "64", "--xbox", "16", "--T", "0.1", *argv)
+        assert code == 2
+        assert "No such file or directory" in payload["error"]
+
     def test_negative_end_time_takes_no_steps(self, capsys, tmp_path):
         out = tmp_path / "diag.csv"
         code, payload = run_cli(

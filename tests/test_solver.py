@@ -429,6 +429,57 @@ class TestRoughData:
         assert hs == pytest.approx([1.0, 1.0, 1.0], rel=1e-12)
 
 
+def reference_sobolev_norm(values, s, grid):
+    """H^s norm by a full complex FFT, every bin weighted once."""
+    weighted = np.fft.fft(values, axis=-1) * (grid.dx * (1.0 + np.abs(grid.xi_fft)) ** s)
+    return float(np.sqrt(np.sum(np.abs(weighted) ** 2) / grid.x_extent))
+
+
+def reference_kg_energy(state):
+    """Energy with phi_x taken by an inverse real FFT of i xi phi_hat."""
+    g = state.grid
+    phi_x = np.fft.irfft(1j * g.xi_rfft * np.fft.rfft(state.phi), n=g.n_x)
+    return float(0.5 * np.sum(state.phi_t**2 + phi_x**2 + state.m**2 * state.phi**2) * g.dx)
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("n", [2, 4, 64, 4096])
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.25, 1.0])
+    def test_sobolev_norm_matches_full_fft(self, n, s):
+        grid = GridSpec1D(n, 16.0)
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal(n), rng.standard_normal((2, n))):
+            expected = reference_sobolev_norm(values, s, grid)
+            assert solver.sobolev_norm(values, s, grid) == pytest.approx(expected, rel=1e-13, abs=0)
+            complex_values = values + 1j * rng.standard_normal(values.shape)
+            expected = reference_sobolev_norm(complex_values, s, grid)
+            assert solver.sobolev_norm(complex_values, s, grid) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 4, 64, 4096])
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_kg_energy_matches_inverse_fft_derivative(self, n, m):
+        grid = GridSpec1D(n, 16.0)
+        f = np.random.default_rng(n).standard_normal((2, n))
+        state = DKGState(np.zeros((2, n), complex), f, 0.0, 1.0, m, grid)
+        assert solver.kg_energy(state) == pytest.approx(reference_kg_energy(state), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 4, 64, 4096])
+    def test_nyquist_derivative_dropped(self, n):
+        # phi = cos(pi j) lives on the Nyquist bin alone, so both energies
+        # keep only its m^2 phi^2 term; its H^s norm weighs that bin once.
+        grid = GridSpec1D(n, 16.0)
+        phi = np.cos(np.pi * np.arange(n))
+        for m in (0.0, 1.0):
+            state = DKGState(np.zeros((2, n), complex), np.stack((phi, 0 * phi)), 0.0, 1.0, m, grid)
+            physical = 0.5 * m**2 * np.sum(phi**2) * grid.dx
+            undropped = 0.5 * np.sum((grid.xi_rfft[-1] * phi) ** 2) * grid.dx
+            for energy in (solver.kg_energy(state), reference_kg_energy(state)):
+                assert abs(energy - physical) <= 1e-13 * undropped
+        for s in (-0.5, 1.0):
+            expected = reference_sobolev_norm(phi, s, grid)
+            assert solver.sobolev_norm(phi, s, grid) == pytest.approx(expected, rel=1e-13, abs=0)
+
+
 class TestRun:
     def test_zero_data(self, grid):
         state = solver.init_state(
@@ -465,6 +516,21 @@ class TestRun:
         with pytest.raises(solver.BlowUpError) as err:
             solver.run(config, state)
         assert err.value.step == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("row", ["psi_plus", "psi_minus", "phi", "phi_t"])
+    def test_blowup_in_any_field(self, smooth_state, row, value):
+        # The row check is the only finiteness scan: a non-finite entry in
+        # any of the four rows must end the run at the first recorded row.
+        a, f = smooth_state.a.copy(), smooth_state.f.copy()
+        fields = {"psi_plus": a[0], "psi_minus": a[1], "phi": f[0], "phi_t": f[1]}
+        fields[row][5] = value
+        state = dataclasses.replace(smooth_state, a=a, f=f)
+        config = SolverConfig(grid=state.grid, dt=state.grid.dx / 2, t_end=1.0, diagnostics_every=3)
+        with pytest.raises(solver.BlowUpError) as err:
+            solver.run(config, state)
+        assert err.value.step == 3
 
     def test_final_state_returned(self, smooth_state):
         config = SolverConfig(grid=smooth_state.grid, dt=smooth_state.grid.dx / 2, t_end=0.25)
@@ -512,6 +578,25 @@ class TestRun:
         assert_allclose(series.kg_energy, [solver.kg_energy(r) for r in rows], rtol=1e-12)
         assert final.t == s.t
         assert state_distance(final, s) <= 1e-12 * state_norm(s)
+
+    @pytest.mark.parametrize("data", ["smooth", "rough"])
+    @pytest.mark.parametrize("M", [0.0, 1.0])
+    def test_row_every_step_bit_equal_to_step_loop(self, grid, data, M):
+        # Around each row the closing and reopening half-steps share one
+        # rotation; that must give the same bits as a loop of strang_step.
+        if data == "smooth":
+            psi0, phi0, phi1 = solver.smooth_data(grid)
+        else:
+            psi0, phi0, phi1 = solver.rough_data(0.25, 9, grid), np.zeros(grid.n_x), np.zeros(grid.n_x)
+        state = solver.init_state(psi0, phi0, phi1, M, 1.0, grid)
+        dt, n_steps = 0.3 * grid.dx, 12  # non-dyadic, so a reordered angle rounds differently
+        config = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, diagnostics_every=1, diag_s=0.25, diag_r=0.5)
+        _, final = solver.run(config, state, return_final=True)
+        s = state
+        for _ in range(n_steps):
+            s = solver.strang_step(s, dt)
+        assert np.array_equal(final.a, s.a)
+        assert np.array_equal(final.f, s.f)
 
 
 class TestSnapshot:
