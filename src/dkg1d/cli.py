@@ -230,7 +230,8 @@ def _cmd_solve(args) -> int:
             solver.save_state(state_out, final)
     drift = float(np.abs(series.charge - series.charge[0]).max())
     rel = drift / series.charge[0] if series.charge[0] > 0 else 0.0
-    _emit({"out": args.out, "steps": int(round(final.t / dt)), "charge_drift_rel": rel})
+    steps = int(round(final.t / dt))
+    _emit({"out": args.out, "n_x": grid.n_x, "steps": steps, "rows": series.t.size, "charge_drift_rel": rel})
     return 0
 
 

@@ -31,22 +31,23 @@ conserved to roundoff over arbitrarily many steps; every substep is exactly
 invertible, so a Strang step followed by its negative-dt mirror returns the
 state to roundoff.
 
-Each flow is written once, as a private kernel on the arrays ``a`` and
-``f``.  ``run`` builds the per-mode propagator factors once and then costs
-one batched complex FFT pair and one batched real FFT pair per step.  It
-also fuses adjacent coupling substeps: the coupling leaves phi and the
-density unchanged, so two coupling flows of lengths h1 and h2 compose to one
-of length h1 + h2 exactly (the rotation angles (phi - M) h add, and so do
-the kicks).  A run therefore applies coupling(dt/2) once to open,
-coupling(dt) between steps and coupling(dt/2) to close before each
-diagnostics row and to reopen after it; N steps with K recorded rows cost
-N + K coupling flows instead of 2N.  The closing and reopening half-steps
-around a row share one rotation (one cos and one sin of (phi - M) dt/2),
-since the closing one leaves phi unchanged.  A row costs one complex FFT of
-(a_+, a_-) for the H^s norm and one real FFT of phi each for the H^r norm
-and the energy (whose phi_x^2 term comes by Parseval); the charge and the
-other energy terms are dot products.  A non-finite field value makes its
-row non-finite, so the row check is the only finiteness scan.  The public
+Each flow is written once, as a private kernel.  ``run`` builds the
+per-mode propagator factors once and keeps (phi, phi_t) in Fourier space
+between diagnostics rows, where the Klein-Gordon flow is a multiplication:
+a step costs one batched complex FFT pair for the amplitudes, one inverse
+real FFT row (phi, for the coupling angle) and one forward row (the kick to
+phi_t).  ``run`` also fuses adjacent coupling substeps: the coupling leaves
+phi and the density unchanged, so coupling flows of lengths h1 and h2
+compose to one of length h1 + h2 exactly.  A run therefore applies
+coupling(dt/2) to open, coupling(dt) between steps and coupling(dt/2) to
+close before each diagnostics row and to reopen after it, with one shared
+rotation; N steps with K rows cost N + K coupling flows instead of 2N.  A
+step with a row inverts both real rows, couples in physical space and
+transforms both rows back, so with a row every step ``run`` gives the bits
+of a ``strang_step`` loop.  A row takes one complex FFT of (a_+, a_-) for
+the H^s norm; the H^r norm and the energy's phi_x^2 term (by Parseval)
+read the phi_hat the step holds.  A non-finite field value makes its row
+non-finite, so the row check is the only finiteness scan.  The public
 flows and ``strang_step`` are thin wrappers over the same kernels.
 """
 
@@ -176,8 +177,16 @@ class SolverConfig:
             raise ValueError("dt must not exceed dx")
         if self.diagnostics_every < 1:
             raise ValueError("diagnostics_every must be >= 1")
-        if not (math.isfinite(self.diag_s) and math.isfinite(self.diag_r)):
-            raise ValueError("diag_s and diag_r must be finite")
+        if not all(math.isfinite(s) and _top_weight_finite(self.grid, s) for s in (self.diag_s, self.diag_r)):
+            raise ValueError("diag_s and diag_r must be finite, with finite H^s weights on the grid")
+
+
+def _top_weight_finite(grid: GridSpec1D, s: float) -> bool:
+    """Whether dx^2 (1 + xi_Nyquist)^(2s), the largest squared H^s weight, is finite."""
+    try:
+        return math.isfinite(grid.dx**2 * (1 + math.pi * grid.n_x / grid.x_extent) ** (2 * s))
+    except OverflowError:
+        return False
 
 
 def init_state(
@@ -252,11 +261,10 @@ def _half_wave(a: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return sfft.ifft(phases * sfft.fft(a, axis=-1), axis=-1, overwrite_x=True)
 
 
-def _kg(f: np.ndarray, propagator: np.ndarray) -> np.ndarray:
-    phi_hat, phi_t_hat = sfft.rfft(f, axis=-1)
-    new = propagator[:, 0] * phi_hat
-    new += propagator[:, 1] * phi_t_hat
-    return sfft.irfft(new, n=f.shape[-1], axis=-1, overwrite_x=True)
+def _kg(f_hat: np.ndarray, propagator: np.ndarray) -> np.ndarray:
+    new = propagator[:, 0] * f_hat[0]
+    new += propagator[:, 1] * f_hat[1]
+    return new
 
 
 def _rotation(phi: np.ndarray, M: float, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -266,16 +274,21 @@ def _rotation(phi: np.ndarray, M: float, h: float) -> tuple[np.ndarray, np.ndarr
     return np.cos(theta), 1j * np.sin(theta)
 
 
-def _coupling(a: np.ndarray, f: np.ndarray, h: float, rotation) -> tuple[np.ndarray, np.ndarray]:
+def _coupling(a: np.ndarray, h: float, rotation) -> tuple[np.ndarray, np.ndarray]:
+    """The rotated amplitudes and the kick h <beta psi, psi> to phi_t."""
     kick = _density(a)  # invariant under the rotation below
     kick *= h
     # beta swaps the ranges: a_+- <- cos(theta) a_+- + i sin(theta) a_-+.
     cos, isin = rotation
     rotated = cos * a
     rotated += isin * a[::-1]
+    return rotated, kick
+
+
+def _kicked(f: np.ndarray, kick: np.ndarray) -> np.ndarray:
     f = f.copy()
     f[1] += kick
-    return rotated, f
+    return f
 
 
 def half_wave_flow(state: DKGState, dt: float) -> DKGState:
@@ -289,7 +302,8 @@ def kg_flow(state: DKGState, dt: float) -> DKGState:
     """Exact homogeneous Klein-Gordon flow on (phi, phi_t)."""
     if dt == 0.0:
         return state
-    return replace(state, f=_kg(state.f, _kg_propagator(state.grid, state.m, dt)))
+    f_hat = _kg(sfft.rfft(state.f, axis=-1), _kg_propagator(state.grid, state.m, dt))
+    return replace(state, f=sfft.irfft(f_hat, n=state.grid.n_x, axis=-1, overwrite_x=True))
 
 
 def coupling_flow(state: DKGState, dt: float) -> DKGState:
@@ -300,13 +314,14 @@ def coupling_flow(state: DKGState, dt: float) -> DKGState:
     """
     if dt == 0.0:
         return state
-    a, f = _coupling(state.a, state.f, dt, _rotation(state.phi, state.M, dt))
-    return replace(state, a=a, f=f)
+    a, kick = _coupling(state.a, dt, _rotation(state.phi, state.M, dt))
+    return replace(state, a=a, f=_kicked(state.f, kick))
 
 
 def _march(state: DKGState, dt: float, n_steps: int, every: int):
-    """Take ``n_steps`` Strang steps of ``dt``; yield (k, state) after every
-    ``every``-th step and after the last one.
+    """Take ``n_steps`` Strang steps of ``dt``; yield (k, state, phi_hat)
+    after every ``every``-th step and after the last one, with phi_hat the
+    real FFT of the state's phi, which (phi, phi_t) keep between rows.
 
     Between steps the closing coupling(dt/2) of one step and the opening
     coupling(dt/2) of the next fuse into one coupling(dt); before a yield the
@@ -317,23 +332,28 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
     """
     if n_steps < 1:
         return
-    M, half = state.M, dt / 2
+    M, half, n = state.M, dt / 2, state.grid.n_x
     phases = _wave_phases(state.grid, dt)
     propagator = _kg_propagator(state.grid, state.m, dt)
-    a, f = _coupling(state.a, state.f, half, _rotation(state.f[0], M, half))
+    a, kick = _coupling(state.a, half, _rotation(state.f[0], M, half))
+    f_hat = sfft.rfft(_kicked(state.f, kick), axis=-1)
     t = state.t
     for k in range(1, n_steps + 1):
         a = _half_wave(a, phases)
-        f = _kg(f, propagator)
+        f_hat = _kg(f_hat, propagator)
         t += dt
         if k % every and k < n_steps:
-            a, f = _coupling(a, f, dt, _rotation(f[0], M, dt))
+            a, kick = _coupling(a, dt, _rotation(sfft.irfft(f_hat[0], n=n), M, dt))
+            f_hat[1] += sfft.rfft(kick)
             continue
+        f = sfft.irfft(f_hat, n=n, axis=-1)
         rotation = _rotation(f[0], M, half)
-        a, f = _coupling(a, f, half, rotation)
-        yield k, replace(state, a=a, f=f, t=t)
+        a, kick = _coupling(a, half, rotation)
+        f[1] += kick
+        yield k, replace(state, a=a, f=f, t=t), f_hat[0]
         if k < n_steps:
-            a, f = _coupling(a, f, half, rotation)
+            a, kick = _coupling(a, half, rotation)
+            f_hat = sfft.rfft(_kicked(f, kick), axis=-1)
 
 
 def strang_step(state: DKGState, dt: float) -> DKGState:
@@ -359,18 +379,22 @@ def _gradient_weight(grid: GridSpec1D) -> np.ndarray:
     return _hermitian(weight)
 
 
+def _kg_energy(state: DKGState, phi_hat: np.ndarray) -> float:
+    phi, phi_t = state.f
+    gradient = np.vdot(phi_hat * _gradient_weight(state.grid), phi_hat).real
+    return float(0.5 * state.grid.dx * (phi_t @ phi_t + state.m**2 * (phi @ phi)) + gradient)
+
+
 def kg_energy(state: DKGState) -> float:
     """Discrete 1/2 int (phi_t^2 + phi_x^2 + m^2 phi^2) dx, spectral derivative.
 
-    The phi_x^2 term comes from one real FFT of phi by Parseval, with the
+    One real FFT of phi, then the helper a diagnostics row calls on the
+    phi_hat it already holds: the phi_x^2 term comes by Parseval, with the
     Nyquist mode's derivative dropped (it is the imaginary part that an
     inverse real FFT of i xi phi_hat discards); the other two terms are
     physical dot products.
     """
-    phi, phi_t = state.f
-    phi_hat = sfft.rfft(phi)
-    gradient = np.vdot(phi_hat * _gradient_weight(state.grid), phi_hat).real
-    return float(0.5 * state.grid.dx * (phi_t @ phi_t + state.m**2 * (phi @ phi)) + gradient)
+    return _kg_energy(state, sfft.rfft(state.phi))
 
 
 @functools.lru_cache(maxsize=32)
@@ -387,19 +411,23 @@ def _real_sobolev_weight(grid: GridSpec1D, s: float) -> np.ndarray:
     return _hermitian((1.0 + grid.xi_rfft) ** (2 * s) * (grid.dx**2 / grid.x_extent))
 
 
+def _real_sobolev_norm(hat: np.ndarray, s: float, grid: GridSpec1D) -> float:
+    return float(np.sqrt(np.vdot(hat * _real_sobolev_weight(grid, s), hat).real))
+
+
 def sobolev_norm(values: np.ndarray, s: float, grid: GridSpec1D) -> float:
     """H^s norm over the last axis (leading axes summed in quadrature).
 
     Normalized so that s = 0 gives the physical L2(dx) norm.  Real values
-    take one real FFT, whose bins strictly between DC and Nyquist count
-    twice by Hermitian symmetry; complex values take a full FFT.
+    take one real FFT, then the helper a diagnostics row calls on the
+    phi_hat it already holds; bins strictly between DC and Nyquist count
+    twice there, by Hermitian symmetry.  Complex values take a full FFT.
     """
     values = np.asarray(values)
     if values.shape[-1] != grid.n_x:
         raise ValueError("last axis must match the grid")
     if not np.iscomplexobj(values):
-        hat = sfft.rfft(values, axis=-1)
-        return float(np.sqrt(np.vdot(hat * _real_sobolev_weight(grid, s), hat).real))
+        return _real_sobolev_norm(sfft.rfft(values, axis=-1), s, grid)
     weighted = sfft.fft(values, axis=-1) * _sobolev_weight(grid, s)
     dxi = 2 * np.pi / grid.x_extent
     total = np.vdot(weighted, weighted).real * dxi / (2 * np.pi)
@@ -458,13 +486,13 @@ class DiagnosticsSeries:
     kg_energy: np.ndarray
 
 
-def _record(state: DKGState, config: SolverConfig) -> tuple[float, ...]:
+def _record(state: DKGState, phi_hat: np.ndarray, config: SolverConfig) -> tuple[float, ...]:
     return (
         state.t,
         charge(state),
         spinor_sobolev_norm(state, config.diag_s),
-        sobolev_norm(state.phi, config.diag_r, state.grid),
-        kg_energy(state),
+        _real_sobolev_norm(phi_hat, config.diag_r, state.grid),
+        _kg_energy(state, phi_hat),
     )
 
 
@@ -482,10 +510,10 @@ def run(
     if config.grid != state.grid:
         raise ValueError(f"config grid {config.grid} does not match the state grid {state.grid}")
     n_steps = max(0, int(round((config.t_end - state.t) / config.dt)))
-    records = [_record(state, config)]
+    records = [_record(state, sfft.rfft(state.phi), config)]
     rows = _march(state, config.dt, n_steps, config.diagnostics_every)
-    for k, state in rows:
-        row = _record(state, config)
+    for k, state, phi_hat in rows:
+        row = _record(state, phi_hat, config)
         if not all(map(math.isfinite, row)):
             raise BlowUpError(k, state.t)
         records.append(row)

@@ -280,6 +280,8 @@ class TestSolve:
         )
         assert code == 0
         assert payload["steps"] == 16  # T / dt with dt = dx / 2 = 1 / 32
+        assert payload["n_x"] == 256
+        assert payload["rows"] == 2  # t = 0 and the last step; the default interval is 16
         assert payload["charge_drift_rel"] <= 1e-10
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -296,6 +298,7 @@ class TestSolve:
             (["--n", "64", "--xbox", "16", "--dt", "1"], "dt must not exceed dx"),
             (["--M", "-1"], "masses must be finite and nonnegative"),
             (["--n", "100"], "power of two"),
+            (["--n", "256", "--xbox", "16", "--T", "0.2", "--s", "100", "--r", "0", "--every", "1"], "weights"),
         ],
     )
     def test_bad_input_reported(self, capsys, tmp_path, argv, message):

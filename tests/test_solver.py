@@ -399,6 +399,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="diag_s and diag_r"):
             SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, **{name: value})
 
+    @pytest.mark.parametrize("name", ["diag_s", "diag_r"])
+    def test_diagnostic_weight_finite(self, grid, name):
+        # On 256 cells over 16 the Nyquist weight (1 + 16 pi)^(2s) overflows
+        # at s = 100: the first row would be non-finite and the run would
+        # report a blow-up of a finite state.  s = 60 still fits in a float.
+        with pytest.raises(ValueError, match="weights"):
+            SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, **{name: 100.0})
+        SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, **{name: 60.0})
+
 
 class TestRoughData:
     def test_unit_l2_at_zero_regularity(self, grid):
@@ -598,6 +607,54 @@ class TestRun:
         assert np.array_equal(final.a, s.a)
         assert np.array_equal(final.f, s.f)
 
+    @pytest.mark.parametrize("every", [1, 3, 16])
+    @pytest.mark.parametrize("data", ["smooth", "rough"])
+    @pytest.mark.parametrize("M", [0.0, 1.0])
+    def test_norm_columns_match_public_functions(self, grid, data, M, every):
+        # The rows take hr_phi from the phi_hat that run keeps between rows,
+        # not from a transform of phi; both columns must still be the public
+        # norms of the states a strang_step loop reaches.
+        if data == "smooth":
+            psi0, phi0, phi1 = solver.smooth_data(grid)
+        else:
+            psi0, phi0, phi1 = solver.rough_data(0.25, 9, grid), np.zeros(grid.n_x), np.zeros(grid.n_x)
+        state = solver.init_state(psi0, phi0, phi1, M, 1.0, grid)
+        dt, n_steps, s, r = 0.3 * grid.dx, 37, 0.25, 0.5
+        config = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every, diag_s=s, diag_r=r)
+        series = solver.run(config, state)
+        rows = [state]
+        for _ in range(n_steps):
+            rows.append(solver.strang_step(rows[-1], dt))
+        rows = [row for k, row in enumerate(rows) if k % every == 0 or k == n_steps]
+        assert_allclose(series.hs_psi, [solver.spinor_sobolev_norm(row, s) for row in rows], rtol=1e-12)
+        assert_allclose(series.hr_phi, [solver.sobolev_norm(row.phi, r, grid) for row in rows], rtol=1e-12)
+
+    @pytest.mark.parametrize("every", [1, 3, 16])
+    def test_transform_budget(self, smooth_state, monkeypatch, every):
+        # (phi, phi_t) stay in Fourier space between rows: a step transforms
+        # one real row each way and a step with a row both rows each way,
+        # while the H^r norm and the energy take no transform of phi.  The
+        # amplitudes take one complex pair per step and one forward
+        # transform per row.
+        rows = {}
+
+        def counted(name, transform):
+            def wrapper(x, *args, **kwargs):
+                rows[name] = rows.get(name, 0) + int(np.prod(np.shape(x)[:-1]))
+                return transform(x, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(solver.sfft, name, counted(name, getattr(solver.sfft, name)))
+        dt, n_steps = smooth_state.grid.dx / 2, 37
+        config = SolverConfig(grid=smooth_state.grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every)
+        yielded = solver.run(config, smooth_state).t.size - 1
+        assert rows["rfft"] <= n_steps + yielded + 1
+        assert rows["irfft"] <= n_steps + yielded
+        assert rows["fft"] == 2 * n_steps + 2 * (yielded + 1)
+        assert rows["ifft"] == 2 * n_steps
+
 
 class TestSnapshot:
     def test_roundtrip(self, smooth_state, tmp_path):
@@ -782,4 +839,8 @@ class TestConfigFuzz:
             return
         assert 0 < c.dt <= grid.dx + 1e-15
         assert np.isfinite([c.t_end, c.diag_s, c.diag_r]).all()
+        nyquist = np.pi * grid.n_x / grid.x_extent
+        with np.errstate(over="ignore"):
+            weights = grid.dx**2 * (1 + nyquist) ** (2 * np.array([c.diag_s, c.diag_r]))
+        assert np.isfinite(weights).all()
         assert c.diagnostics_every >= 1
