@@ -76,6 +76,13 @@ def _parse_exponents(text: str) -> cx.ExponentTuple:
     return cx.ExponentTuple(*parts)
 
 
+def _parse_tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("tolerance must be finite and nonnegative")
+    return value
+
+
 def _cmd_counterexample(args) -> int:
     L_values = [float(v) for v in args.L.split(",")]
     rows = cx.ratio_ladder(args.family, L_values, [args.exps])
@@ -86,19 +93,16 @@ def _cmd_counterexample(args) -> int:
             writer.writerow(
                 [row.family, row.L, row.numerator, row.denom_u, row.denom_v, row.ratio]
             )
-    family = cx.FAMILIES[args.family]
-    ladder = []
-    for row in rows:
-        A, B, _ = family.intervals(row.L)
-        ladder.append(
-            {
-                "L": row.L,
-                "points_u": cx.strip_points(A, "plus").shape[1],
-                "points_v": cx.strip_points(B, family.v_line).shape[1],
-                "offsets": row.offsets,
-                "pairs": row.pairs,
-            }
-        )
+    ladder = [
+        {
+            "L": row.L,
+            "points_u": row.points_u,
+            "points_v": row.points_v,
+            "offsets": row.offsets,
+            "pairs": row.pairs,
+        }
+        for row in rows
+    ]
     _emit({"family": args.family, "rows": len(rows), "out": args.out, "ladder": ladder})
     return 0
 
@@ -255,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="log-log slope fit of a ratio CSV")
     p_fit.add_argument("--in", dest="infile", required=True)
     p_fit.add_argument("--exps", type=_parse_exponents, default=cx.ExponentTuple())
-    p_fit.add_argument("--tolerance", type=float, default=SLOPE_TOL)
+    p_fit.add_argument("--tolerance", type=_parse_tolerance, default=SLOPE_TOL)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_region = sub.add_parser("region", help="region membership at one (s, r)")

@@ -53,9 +53,9 @@ O(1) columns at every L.  Every ratio therefore follows from column
 ranges and the strips' lattice points, with no grid, no FFT and no
 periodic wrap to guard against.
 
-Also here: the exact transversal free-wave product identity
-(``wave_product_constant``) and a Monte-Carlo probe of the
-X+ x X- -> L2 embedding (``embedding_probe``).
+The X+ x X- -> L2 embedding is the tuple (0, 0, 0, alpha, alpha, 0), where
+cond2's delta = alpha - 1/2 shows it fails below alpha = 1/2.  Also here:
+the exact transversal free-wave product identity (``wave_product_constant``).
 """
 
 from __future__ import annotations
@@ -67,17 +67,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .norms import (
-    Grid2D,
-    GridFunction2D,
-    NormIndex,
-    indicator_product,
-    inverse_transform,
-    l2_norm_physical,
-    point_norm,
-    spatial_inverse,
-    weighted_norm,
-)
+from .norms import Grid2D, NormIndex, indicator_product, point_norm, spatial_inverse
 
 Interval = tuple[float, float]
 
@@ -245,7 +235,7 @@ def _lattice_norm(values, points: np.ndarray, idx: NormIndex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RatioResult:
-    """One ratio row, with the distinct offsets and point pairs it was counted from."""
+    """One ratio row, with the strip points, offsets and point pairs it was counted from."""
 
     family: str
     L: float
@@ -253,6 +243,8 @@ class RatioResult:
     numerator: float
     denom_u: float
     denom_v: float
+    points_u: int
+    points_v: int
     offsets: int
     pairs: int
 
@@ -287,10 +279,11 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     for L in L_values:
         A, B, _ = family.intervals(L)
         offsets, counts = pair_counts(A, B, family.v_line)
+        strip_u, strip_v = strip_points(A, "plus"), strip_points(B, family.v_line)
         num = _lattice_norm(indicator_product(counts, CELL), offsets, num_idx)
-        du = _lattice_norm(1.0, strip_points(A, "plus"), u_idx)
-        dv = _lattice_norm(1.0, strip_points(B, family.v_line), v_idx)
-        sizes = (offsets.shape[1], int(counts.sum()))
+        du = _lattice_norm(1.0, strip_u, u_idx)
+        dv = _lattice_norm(1.0, strip_v, v_idx)
+        sizes = (strip_u.shape[1], strip_v.shape[1], offsets.shape[1], int(counts.sum()))
         rows += [
             RatioResult(family_id, L, e, float(n), float(u), float(v), *sizes)
             for e, n, u, v in zip(tuples, num, du, dv)
@@ -360,10 +353,6 @@ def fit_exponent(
     return loglog_fit(L, ratios)
 
 
-# Half-width of the coefficient band of ``embedding_probe``.
-PROBE_BAND = 32.0
-
-
 def default_wave_grid(n: int = 1024) -> Grid2D:
     return Grid2D(n_t=n, n_x=n, t_extent=16.0, x_extent=32.0)
 
@@ -413,42 +402,3 @@ def wave_product_constant(f_hat: np.ndarray, g_hat: np.ndarray, grid: Grid2D) ->
     norm_uv = float(np.sqrt(np.sum(np.abs(u * v) ** 2) * grid.cell_physical))
     return norm_uv / (norm_f * norm_g)
 
-
-def default_probe_grid(n: int = 288) -> Grid2D:
-    """Square grid with frequency spacing 1/2 on both axes."""
-    return Grid2D(n_t=n, n_x=n, t_extent=4 * np.pi, x_extent=4 * np.pi)
-
-
-def embedding_probe(
-    alpha: float, trials: int, seed: int = 0, grid: Grid2D | None = None
-) -> float:
-    """Max of ||u v||_L2 / (||u||_{X+^{0,alpha}} ||v||_{X-^{0,alpha}}) over trials.
-
-    u and v have i.i.d. complex Gaussian Fourier coefficients on the band
-    |tau|, |xi| <= ``PROBE_BAND``, normalized to unit X norm, so every ratio
-    is the raw embedding quotient.  The products stay band-limited within the
-    frequency box (the default grid covers twice the band), making the
-    pointwise products alias-free.  The max is non-increasing in alpha for a
-    fixed seed and bounded uniformly in the grid size.
-    """
-    if alpha <= 0.5:
-        raise ValueError("embedding_probe requires alpha > 1/2")
-    if grid is None:
-        grid = default_probe_grid()
-    if grid.tau[-1] < 2 * PROBE_BAND or grid.xi[-1] < 2 * PROBE_BAND:
-        raise ValueError("probe grid must cover twice the coefficient band")
-    rng = np.random.default_rng(seed)
-    mask = (np.abs(grid.tau)[:, None] <= PROBE_BAND) & (np.abs(grid.xi)[None, :] <= PROBE_BAND)
-    best = 0.0
-    for _ in range(trials):
-        factors = []
-        for flavor in ("X_plus", "X_minus"):
-            z = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
-            gf = GridFunction2D(grid, np.where(mask, z, 0.0), "fourier")
-            nrm = weighted_norm(gf, NormIndex(0.0, alpha, flavor))
-            gf = GridFunction2D(grid, gf.values / nrm, "fourier")
-            factors.append(inverse_transform(gf))
-        u, v = factors
-        prod = GridFunction2D(grid, u.values * v.values, "physical")
-        best = max(best, l2_norm_physical(prod))
-    return best

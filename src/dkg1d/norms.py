@@ -257,13 +257,6 @@ def indicator_product(counts, cell: float):
     return np.asarray(counts) * (cell / (2 * np.pi) ** 2)
 
 
-def l2_norm_physical(u: GridFunction2D) -> float:
-    """Discrete L2(dt dx) norm of a physical-side function."""
-    if u.side != "physical":
-        raise ValueError("l2_norm_physical expects a physical-side function")
-    return float(np.sqrt(np.sum(np.abs(u.values) ** 2) * u.grid.cell_physical))
-
-
 def bilinear_convolution(
     F: GridFunction2D, G: GridFunction2D, method: Literal["fft", "direct"] = "fft"
 ) -> GridFunction2D:

@@ -64,14 +64,6 @@ def sign_convention(xi):
     return np.where(np.asarray(xi) >= 0, 1.0, -1.0)
 
 
-def pecher_matrix(xi: float, sign: int) -> np.ndarray:
-    """The projection pi_sign(xi) = [[1, s], [s, 1]] / 2 with s = sign*sgn(xi)."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    s = sign * float(sign_convention(xi))
-    return 0.5 * np.array([[1.0, s], [s, 1.0]], dtype=complex)
-
-
 def pecher_projection(xi, sign: int, psi: np.ndarray) -> np.ndarray:
     """Apply pi_sign(xi) to psi; for xi > 0 this is P_sign, for xi < 0 it is P_-sign.
 

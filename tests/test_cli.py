@@ -169,6 +169,15 @@ class TestCounterexampleAndFit:
         assert code == 2
         assert "absent.csv" in payload["error"]
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_meaningless_tolerance_rejected(self, capsys, tmp_path, tolerance):
+        ratios = tmp_path / "ratios.csv"
+        ratios.write_text("family,L,ratio\ncond3,32.0,1.0\ncond3,64.0,1.0\n")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["fit", "--in", str(ratios), "--tolerance", tolerance])
+        assert err.value.code == 2
+        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+
     def test_bad_exps_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(

@@ -202,8 +202,9 @@ class TestPairCounts:
             (row,) = cx.ratio_ladder(family, [100.0], [ZEROS])
             assert row.offsets == offsets.shape[1]
             assert row.pairs == counts.sum()
-            points = cx.strip_points(A, "plus").shape[1] * cx.strip_points(B, spec.v_line).shape[1]
-            assert row.pairs == points
+            assert row.points_u == cx.strip_points(A, "plus").shape[1]
+            assert row.points_v == cx.strip_points(B, spec.v_line).shape[1]
+            assert row.pairs == row.points_u * row.points_v
 
 
 class TestRatio:
@@ -259,9 +260,12 @@ class TestFitExponent:
         # The fit_exponent docstring's promise: entries in [-1, 1] keep every
         # family's slope within 0.15 of -delta on the default ladder.  The
         # corners of the box hold the worst case found (cond2, all ones).
+        # The X+ x X- -> L2 embedding tuples (0, 0, 0, alpha, alpha, 0) ride
+        # along: cond2's delta = alpha - 1/2 puts their threshold at 1/2.
         corners = itertools.product((-1.0, 1.0), repeat=6)
         seeded = np.random.default_rng(2024).uniform(-1, 1, (120, 6))
-        tuples = [ExponentTuple(*e) for e in (*corners, *seeded)]
+        embedding = [ExponentTuple(alpha=a, beta=a) for a in (0.4, 0.5, 0.6)]
+        tuples = [ExponentTuple(*e) for e in (*corners, *seeded, *embedding)]
         L = np.array(cx.DEFAULT_L_LADDER)
         for family in cx.FAMILIES:
             rows = cx.ratio_ladder(family, L, tuples)
@@ -269,6 +273,8 @@ class TestFitExponent:
                 ratios = np.array([row.ratio for row in rows[k :: len(tuples)]])
                 slope, _ = cx.loglog_fit(L, ratios)
                 assert abs(slope + cx.predicted_delta(family, e)) <= 0.15, (family, e, slope)
+        grows, decays = (cx.fit_exponent("cond2", e)[0] for e in (embedding[0], embedding[2]))
+        assert grows > 0 > decays
 
     @pytest.mark.parametrize(
         "L, ratios",
@@ -387,46 +393,3 @@ class TestWaveProductConstant:
         with pytest.raises(ValueError, match="transversal crossing"):
             cx.wave_product_constant(f_hat, f_hat, g)
 
-
-class TestEmbeddingProbe:
-    def test_bounded(self):
-        assert cx.embedding_probe(0.6, trials=100, seed=1) <= 10.0
-
-    def test_monotone_in_alpha(self):
-        lo = cx.embedding_probe(0.51, trials=10, seed=2)
-        hi = cx.embedding_probe(1.0, trials=10, seed=2)
-        assert hi <= lo
-
-    def test_grid_size_stability(self):
-        small = cx.embedding_probe(0.6, trials=10, seed=3)
-        large = cx.embedding_probe(0.6, trials=10, seed=3, grid=cx.default_probe_grid(n=432))
-        assert large <= 10.0 and small <= 10.0
-
-    def test_requires_supercritical_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            cx.embedding_probe(0.5, trials=1)
-
-    def test_free_wave_pair_dominated(self):
-        # A pair of thin strips on the two characteristic diagonals is the
-        # free-wave configuration; the exact product identity keeps its
-        # ratio far below the generic bound.
-        grid = cx.default_probe_grid()
-        profile = np.exp(-(grid.xi**2) / 8)
-        vals_u = np.zeros((grid.n_t, grid.n_x), complex)
-        vals_v = np.zeros((grid.n_t, grid.n_x), complex)
-        for kx in range(grid.n_x):
-            diag = grid.n_t - kx if 0 < kx < grid.n_t else None  # tau = -xi
-            if diag is not None and 0 <= diag < grid.n_t:
-                vals_u[diag, kx] = profile[kx]
-            if 0 <= kx < grid.n_t:
-                vals_v[kx, kx] = profile[kx]  # tau = +xi
-        u_hat = norms.GridFunction2D(grid, vals_u, "fourier")
-        v_hat = norms.GridFunction2D(grid, vals_v, "fourier")
-        nu = norms.weighted_norm(u_hat, norms.NormIndex(0, 0.6, "X_plus"))
-        nv = norms.weighted_norm(v_hat, norms.NormIndex(0, 0.6, "X_minus"))
-        u = norms.inverse_transform(u_hat)
-        v = norms.inverse_transform(v_hat)
-        prod = norms.GridFunction2D(grid, u.values * v.values, "physical")
-        ratio = norms.l2_norm_physical(prod) / (nu * nv)
-        assert ratio <= np.sqrt(2)
-        assert ratio <= 10.0

@@ -79,8 +79,9 @@ class TestPecherProjection:
         assert_allclose(spinor.pecher_projection(5.0, +1, [1, 1]), [1, 1])
 
     def test_zero_frequency_tie_break(self):
-        assert_allclose(spinor.pecher_matrix(0.0, +1), spinor.P_PLUS)
-        assert_allclose(spinor.pecher_matrix(0.0, -1), spinor.P_MINUS)
+        # Row k of the result is pi(0) e_k, column k of pi(0); P+- are symmetric.
+        assert_allclose(spinor.pecher_projection(0.0, +1, np.eye(2)), spinor.P_PLUS)
+        assert_allclose(spinor.pecher_projection(0.0, -1, np.eye(2)), spinor.P_MINUS)
 
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
