@@ -19,9 +19,10 @@ no rows or an unknown family, or holds an ``L`` or ratio that is not a
 finite positive number; for ``region`` and ``region-grid``, a non-finite
 ``--s``, ``--r``, ``--s-min``, ``--s-max`` or ``--r-max``, or ``--ns`` or
 ``--nr`` below 1; for any subcommand, an ``--out`` it cannot open.
-``solve`` opens ``--out`` and ``--state-out`` before it steps, so an
-unwritable path is reported at once; after a blow-up (exit code 1 with
-``{"error": ..., "step": ...}``) both files are left empty.
+``counterexample`` and ``solve`` open their outputs once their input is
+checked and before they compute, so an unwritable path is reported at
+once; after a ``solve`` blow-up (exit code 1 with ``{"error": ...,
+"step": ...}``) both files are left empty.
 """
 
 from __future__ import annotations
@@ -84,9 +85,10 @@ def _parse_tolerance(text: str) -> float:
 
 
 def _cmd_counterexample(args) -> int:
-    L_values = [float(v) for v in args.L.split(",")]
-    rows = cx.ratio_ladder(args.family, L_values, [args.exps])
+    L_values = cx._check_scales(float(v) for v in args.L.split(","))
+    # Open the output before the ladder, so that an unwritable path fails at once.
     with open(args.out, "w", newline="") as fh:
+        rows = cx.ratio_ladder(args.family, L_values, [args.exps])
         writer = csv.writer(fh)
         writer.writerow(["family", "L", "numerator", "denom_u", "denom_v", "ratio"])
         for row in rows:
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cx = sub.add_parser("counterexample", help="ratio ladder for one strip family")
     p_cx.add_argument("--family", choices=sorted(cx.FAMILIES), required=True)
-    p_cx.add_argument("--L", default="64,128,256,512")
+    p_cx.add_argument("--L", default=",".join(f"{L:g}" for L in cx.DEFAULT_L_LADDER))
     p_cx.add_argument("--exps", type=_parse_exponents, default=cx.ExponentTuple())
     p_cx.add_argument("--out", required=True)
     p_cx.set_defaults(func=_cmd_counterexample)

@@ -76,6 +76,11 @@ DTAU = 0.5
 DXI = 0.25
 CELL = DTAU * DXI
 DEFAULT_L_LADDER = (64.0, 128.0, 256.0, 512.0)
+# Largest scale L: strip endpoints such as L - 1/2 and lattice coordinates
+# up to about 2L must be exact in float64.  At zero exponents the counts hold
+# up to 2^51; at 2^52 cond1_ab keeps 8 of its 13 u-points, near 2^60 cond1_gamma
+# and cond4 count no pairs, near 1e20 the columns overflow int64.
+_MAX_L = 2.0**48
 
 
 class ExponentTuple(NamedTuple):
@@ -93,7 +98,6 @@ class ExponentTuple(NamedTuple):
 class CounterexampleFamily:
     """One counterexample construction: intervals, strip kinds, decay exponent."""
 
-    id: str
     v_line: str
     intervals: Callable[[float], tuple[Interval, Interval, Interval]]
     delta: Callable[[ExponentTuple], float]
@@ -101,31 +105,26 @@ class CounterexampleFamily:
 
 FAMILIES: dict[str, CounterexampleFamily] = {
     "cond1_ab": CounterexampleFamily(
-        id="cond1_ab",
         v_line="plus",
         intervals=lambda L: ((L - 0.5, L + 0.5), (L - 1.0, L + 1.0), (-0.5, 0.5)),
         delta=lambda e: e.a + e.b + e.beta,
     ),
     "cond2": CounterexampleFamily(
-        id="cond2",
         v_line="plus",
         intervals=lambda L: ((L / 4, L / 2), (L / 2, 3 * L / 2), (-L, -L / 2)),
         delta=lambda e: e.a + e.b + e.c + e.beta - 0.5,
     ),
     "cond3": CounterexampleFamily(
-        id="cond3",
         v_line="plus",
         intervals=lambda L: ((L - 0.5, L + 0.5), (-1.0, 1.0), (L - 0.5, L + 0.5)),
         delta=lambda e: e.a + e.c,
     ),
     "cond1_gamma": CounterexampleFamily(
-        id="cond1_gamma",
         v_line="minus",
         intervals=lambda L: ((L - 1.0, L + 1.0), (L - 2.0, L + 2.0), (-1.0, 1.0)),
         delta=lambda e: e.a + e.b + e.gamma,
     ),
     "cond4": CounterexampleFamily(
-        id="cond4",
         v_line="minus",
         intervals=lambda L: ((L - 1.0, L + 1.0), (2 * L - 2.0, 2 * L + 2.0), (-L - 1.0, -L + 1.0)),
         delta=lambda e: e.a + e.b + e.c + e.gamma,
@@ -135,16 +134,6 @@ FAMILIES: dict[str, CounterexampleFamily] = {
 
 def predicted_delta(family_id: str, e: ExponentTuple) -> float:
     return FAMILIES[family_id].delta(e)
-
-
-def abc_margin(family_id: str, L: float) -> float:
-    """Interval-arithmetic slack of (eta in A, xi in C => eta - xi in B).
-
-    Returns min(lo(A) - hi(C) - lo(B), hi(B) - hi(A) + lo(C)); nonnegative
-    means the implication holds for every point of A x C.
-    """
-    A, B, C = FAMILIES[family_id].intervals(L)
-    return min((A[0] - C[1]) - B[0], B[1] - (A[1] - C[0]))
 
 
 def _columns(interval: Interval) -> tuple[int, int]:
@@ -253,6 +242,14 @@ class RatioResult:
         return self.numerator / (self.denom_u * self.denom_v)
 
 
+def _check_scales(L_values) -> list:
+    """``L_values`` as a list, if every L satisfies 4 < L <= 2^48."""
+    L_values = list(L_values)
+    if not all(4 < L <= _MAX_L for L in L_values):
+        raise ValueError("family scale L must be finite and exceed 4, and be at most 2^48")
+    return L_values
+
+
 def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     """Ratios ||u conj(v)||_{H^{-c,-gamma}} / (X+ norm * X- norm) over L and tuples.
 
@@ -263,9 +260,7 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     if family_id not in FAMILIES:
         raise ValueError(f"unknown family {family_id!r}")
     family = FAMILIES[family_id]
-    L_values = list(L_values)
-    if not all(math.isfinite(L) and L > 4 for L in L_values):
-        raise ValueError("family scale L must be finite and exceed 4")
+    L_values = _check_scales(L_values)
     tuples = [ExponentTuple(*t) for t in tuples]
     exponents = np.array(tuples, dtype=float).reshape(-1, 6)
     if not np.all(np.isfinite(exponents)):

@@ -10,9 +10,8 @@ X_+-^{s,sigma} x H^{r,rho} works precisely when the twelve inequalities of
 the recipe rho = 1/2 + eps with eps half the exact bound
 min(1/4, s + 1/4, r) below which that recipe is feasible.
 
-Also here: the hypothesis checker for the wave-Sobolev product law
-(sufficient side), and the necessary conditions of a bilinear estimate,
-each derived from the decay exponents of its counterexample families in
+Also here: the necessary conditions of a bilinear estimate, each derived
+from the decay exponents of its counterexample families in
 ``counterexamples`` (``CONDITION_FAMILIES``) on the tuple and its mirror.
 """
 
@@ -132,25 +131,6 @@ def choose_parameters(s: float, r: float) -> ParameterChoice | Infeasible:
     report = check_constraints(s, r, choice)
     failed = tuple(key for key in CONSTRAINT_KEYS if not report[key])
     return Infeasible(failed) if failed else choice
-
-
-def product_law_conditions(
-    a: float, b: float, c: float, alpha: float, beta: float, gamma: float
-) -> str:
-    """Classify the hypotheses of the wave-Sobolev product law.
-
-    Returns ``"sufficient"`` iff the weight hypotheses (alpha, beta, gamma
-    >= 0 and their sum > 1/2), the pairwise sums a+b, a+c, b+c >= 0 and the
-    total a+b+c > 1/2 all hold.  On failure, reports the first failing group
-    in the order: weights, pairwise sums, total sum.
-    """
-    if not (alpha >= 0 and beta >= 0 and gamma >= 0 and alpha + beta + gamma > 0.5):
-        return "fails_weights"
-    if not (a + b >= 0 and a + c >= 0 and b + c >= 0):
-        return "fails_abc2"
-    if not a + b + c > 0.5:
-        return "fails_abc1"
-    return "sufficient"
 
 
 def bilinear_necessary_conditions(e: ExponentTuple) -> dict[str, dict]:

@@ -47,8 +47,8 @@ transforms both rows back, so with a row every step ``run`` gives the bits
 of a ``strang_step`` loop.  A row takes one complex FFT of (a_+, a_-) for
 the H^s norm; the H^r norm and the energy's phi_x^2 term (by Parseval)
 read the phi_hat the step holds.  A non-finite field value makes its row
-non-finite, so the row check is the only finiteness scan.  The public
-flows and ``strang_step`` are thin wrappers over the same kernels.
+non-finite, so the row check is the only finiteness scan.  ``strang_step``
+takes one step of the same march, so both apply the same kernels.
 """
 
 from __future__ import annotations
@@ -108,11 +108,6 @@ class GridSpec1D:
     def x(self) -> np.ndarray:
         return (np.arange(self.n_x) - self.n_x // 2) * self.dx
 
-    @property
-    def xi(self) -> np.ndarray:
-        """Dual modes in centered order, {-n/2, ..., n/2 - 1} * 2 pi / extent."""
-        return (np.arange(self.n_x) - self.n_x // 2) * (2 * np.pi / self.x_extent)
-
     @functools.cached_property
     def xi_fft(self) -> np.ndarray:
         """Dual modes in FFT storage order (computed once, read-only)."""
@@ -131,8 +126,8 @@ class DKGState:
     ``a`` = (a_+, a_-) holds the spinor amplitudes on the ranges of P+-,
     complex of shape (2, n_x); ``f`` = (phi, phi_t) holds the scalar field
     and its time derivative, real of shape (2, n_x).  ``psi_plus``,
-    ``psi_minus``, ``phi`` and ``phi_t`` are row views of these.  The flows
-    return new states and never write into the arrays of their input.
+    ``psi_minus``, ``phi`` and ``phi_t`` are row views of these.  ``strang_step``
+    and ``run`` return new states and never write into the arrays of their input.
     """
 
     a: np.ndarray
@@ -161,6 +156,10 @@ class DKGState:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Step, end time and diagnostics of a ``run``.  ``diag_s`` and ``diag_r``
+    (regularities of the recorded norms of psi and phi) need a finite H^s
+    weight on every mode, so that a finite state records a finite row."""
+
     grid: GridSpec1D
     dt: float
     t_end: float
@@ -177,16 +176,9 @@ class SolverConfig:
             raise ValueError("dt must not exceed dx")
         if self.diagnostics_every < 1:
             raise ValueError("diagnostics_every must be >= 1")
-        if not all(math.isfinite(s) and _top_weight_finite(self.grid, s) for s in (self.diag_s, self.diag_r)):
-            raise ValueError("diag_s and diag_r must be finite, with finite H^s weights on the grid")
-
-
-def _top_weight_finite(grid: GridSpec1D, s: float) -> bool:
-    """Whether dx^2 (1 + xi_Nyquist)^(2s), the largest squared H^s weight, is finite."""
-    try:
-        return math.isfinite(grid.dx**2 * (1 + math.pi * grid.n_x / grid.x_extent) ** (2 * s))
-    except OverflowError:
-        return False
+        for s in (self.diag_s, self.diag_r):
+            if not (math.isfinite(s) and np.isfinite(_sobolev_weight(self.grid, s)).all()):
+                raise ValueError("diag_s and diag_r must be finite, with finite H^s weights on the grid")
 
 
 def init_state(
@@ -215,24 +207,14 @@ def init_state(
     return DKGState(a, np.stack((phi0, phi1)).astype(float), 0.0, float(M), float(m), grid)
 
 
-def reconstruct(state: DKGState) -> np.ndarray:
-    """Spinor field of shape (n_x, 2) from the stored amplitudes."""
-    a_plus, a_minus = state.a
-    return np.stack([a_plus + a_minus, a_plus - a_minus], axis=-1) / SQRT2
-
-
 def charge(state: DKGState) -> float:
     """Conserved L2 norm of the spinor field."""
     return float(np.sqrt(np.vdot(state.a, state.a).real * state.grid.dx))
 
 
 def _density(a: np.ndarray) -> np.ndarray:
-    return 2.0 * np.real(a[0] * np.conj(a[1]))
-
-
-def spinor_density(state: DKGState) -> np.ndarray:
     """Pointwise source <beta psi, psi> = 2 Re(a_+ conj a_-), real."""
-    return _density(state.a)
+    return 2.0 * np.real(a[0] * np.conj(a[1]))
 
 
 # Kernels on the state arrays a = (a_+, a_-) and f = (phi, phi_t).  Each
@@ -289,33 +271,6 @@ def _kicked(f: np.ndarray, kick: np.ndarray) -> np.ndarray:
     f = f.copy()
     f[1] += kick
     return f
-
-
-def half_wave_flow(state: DKGState, dt: float) -> DKGState:
-    """Exact massless Dirac flow (transport): per-mode unit phases on each amplitude."""
-    if dt == 0.0:
-        return state
-    return replace(state, a=_half_wave(state.a, _wave_phases(state.grid, dt)))
-
-
-def kg_flow(state: DKGState, dt: float) -> DKGState:
-    """Exact homogeneous Klein-Gordon flow on (phi, phi_t)."""
-    if dt == 0.0:
-        return state
-    f_hat = _kg(sfft.rfft(state.f, axis=-1), _kg_propagator(state.grid, state.m, dt))
-    return replace(state, f=sfft.irfft(f_hat, n=state.grid.n_x, axis=-1, overwrite_x=True))
-
-
-def coupling_flow(state: DKGState, dt: float) -> DKGState:
-    """Exact coupling substep with phi frozen.
-
-    Rotates the spinor pointwise by exp(i (phi - M) beta dt) (which preserves
-    |psi| pointwise) and kicks phi_t by dt times the quadratic density.
-    """
-    if dt == 0.0:
-        return state
-    a, kick = _coupling(state.a, dt, _rotation(state.phi, state.M, dt))
-    return replace(state, a=a, f=_kicked(state.f, kick))
 
 
 def _march(state: DKGState, dt: float, n_steps: int, every: int):
@@ -385,63 +340,40 @@ def _kg_energy(state: DKGState, phi_hat: np.ndarray) -> float:
     return float(0.5 * state.grid.dx * (phi_t @ phi_t + state.m**2 * (phi @ phi)) + gradient)
 
 
-def kg_energy(state: DKGState) -> float:
-    """Discrete 1/2 int (phi_t^2 + phi_x^2 + m^2 phi^2) dx, spectral derivative.
-
-    One real FFT of phi, then the helper a diagnostics row calls on the
-    phi_hat it already holds: the phi_x^2 term comes by Parseval, with the
-    Nyquist mode's derivative dropped (it is the imaginary part that an
-    inverse real FFT of i xi phi_hat discards); the other two terms are
-    physical dot products.
-    """
-    return _kg_energy(state, sfft.rfft(state.phi))
-
-
 @functools.lru_cache(maxsize=32)
 def _sobolev_weight(grid: GridSpec1D, s: float) -> np.ndarray:
-    """FFT weight dx (1 + |xi|)^s of the H^s norm; cached, read-only."""
-    return _read_only(grid.dx * (1.0 + np.abs(grid.xi_fft)) ** s)
+    """FFT weight w with sum(w |values_hat|^2) = ||values||_{H^s}^2:
+    (1 + |xi|)^(2s) with the normalisation dx^2 / x_extent = dx / n_x folded
+    in.  An overflow leaves an inf, which ``SolverConfig`` rejects.  Cached,
+    read-only."""
+    with np.errstate(over="ignore"):
+        weight = (1.0 + np.abs(grid.xi_fft)) ** (2 * s)
+        weight *= grid.dx / grid.n_x
+    return _read_only(weight)
 
 
 @functools.lru_cache(maxsize=32)
 def _real_sobolev_weight(grid: GridSpec1D, s: float) -> np.ndarray:
-    """Real-FFT weight w with sum(w |values_hat|^2) = ||values||_{H^s}^2:
-    (1 + xi)^(2s) with the normalisation dx^2 / x_extent folded in.  Cached,
-    read-only."""
-    return _hermitian((1.0 + grid.xi_rfft) ** (2 * s) * (grid.dx**2 / grid.x_extent))
+    """The H^s weight on the real-FFT bins; cached, read-only."""
+    return _hermitian(_sobolev_weight(grid, s)[: grid.n_x // 2 + 1].copy())
 
 
-def _real_sobolev_norm(hat: np.ndarray, s: float, grid: GridSpec1D) -> float:
-    return float(np.sqrt(np.vdot(hat * _real_sobolev_weight(grid, s), hat).real))
+def _weighted_norm(hat: np.ndarray, weight: np.ndarray) -> float:
+    return float(np.sqrt(np.vdot(hat * weight, hat).real))
 
 
 def sobolev_norm(values: np.ndarray, s: float, grid: GridSpec1D) -> float:
     """H^s norm over the last axis (leading axes summed in quadrature).
 
-    Normalized so that s = 0 gives the physical L2(dx) norm.  Real values
-    take one real FFT, then the helper a diagnostics row calls on the
-    phi_hat it already holds; bins strictly between DC and Nyquist count
-    twice there, by Hermitian symmetry.  Complex values take a full FFT.
+    One complex FFT, weighted by (1 + |xi|)^(2s) and normalized so that
+    s = 0 gives the physical L2(dx) norm.  The H^s norm of psi is that of
+    the amplitudes (a_+, a_-), since the map between them is a constant
+    unitary matrix.
     """
     values = np.asarray(values)
     if values.shape[-1] != grid.n_x:
         raise ValueError("last axis must match the grid")
-    if not np.iscomplexobj(values):
-        return _real_sobolev_norm(sfft.rfft(values, axis=-1), s, grid)
-    weighted = sfft.fft(values, axis=-1) * _sobolev_weight(grid, s)
-    dxi = 2 * np.pi / grid.x_extent
-    total = np.vdot(weighted, weighted).real * dxi / (2 * np.pi)
-    return float(np.sqrt(total))
-
-
-def spinor_sobolev_norm(state: DKGState, s: float) -> float:
-    """H^s norm of the spinor field.
-
-    The map from the amplitudes (a_+, a_-) to the components of psi is a
-    constant unitary matrix, so it commutes with the Fourier transform and
-    the norm can be taken of the amplitudes directly.
-    """
-    return sobolev_norm(state.a, s, state.grid)
+    return _weighted_norm(sfft.fft(values, axis=-1), _sobolev_weight(grid, s))
 
 
 def rough_data(s: float, seed: int, grid: GridSpec1D) -> np.ndarray:
@@ -452,21 +384,15 @@ def rough_data(s: float, seed: int, grid: GridSpec1D) -> np.ndarray:
     seed.
     """
     rng = np.random.default_rng(seed)
-    xi = grid.xi_fft
-    magnitude = (1.0 + np.abs(xi)) ** (-s - 0.5 - 0.01)
+    magnitude = (1.0 + np.abs(grid.xi_fft)) ** (-s - 0.5 - 0.01)
     phases = np.exp(2j * np.pi * rng.random((2, grid.n_x)))
-    coeff = magnitude[None, :] * phases
-    components = sfft.ifft(coeff, axis=-1) / grid.dx
-    psi0 = components.T.copy()
-    norm = sobolev_norm(psi0.T, s, grid)
-    return psi0 / norm
+    components = sfft.ifft(magnitude * phases, axis=-1) / grid.dx
+    return components.T / sobolev_norm(components, s, grid)
 
 
-def smooth_data(
-    grid: GridSpec1D, width: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def smooth_data(grid: GridSpec1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compactly concentrated analytic data placed well inside the box."""
-    w = width if width is not None else grid.x_extent / 16
+    w = grid.x_extent / 16
     x = grid.x
     envelope = np.exp(-((x / w) ** 2))
     psi0 = np.stack([(1.0 + 0.0j) * envelope, (0.3 - 0.4j) * envelope], axis=-1)
@@ -490,8 +416,8 @@ def _record(state: DKGState, phi_hat: np.ndarray, config: SolverConfig) -> tuple
     return (
         state.t,
         charge(state),
-        spinor_sobolev_norm(state, config.diag_s),
-        _real_sobolev_norm(phi_hat, config.diag_r, state.grid),
+        sobolev_norm(state.a, config.diag_s, state.grid),
+        _weighted_norm(phi_hat, _real_sobolev_weight(state.grid, config.diag_r)),
         _kg_energy(state, phi_hat),
     )
 
@@ -517,8 +443,7 @@ def run(
         if not all(map(math.isfinite, row)):
             raise BlowUpError(k, state.t)
         records.append(row)
-    cols = np.array(records, dtype=float).T
-    series = DiagnosticsSeries(*cols)
+    series = DiagnosticsSeries(*np.array(records, dtype=float).T)
     return (series, state) if return_final else series
 
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from dkg1d import cli, weights
+from dkg1d import counterexamples as cx
 
 
 def run_cli(capsys, *argv):
@@ -98,7 +99,12 @@ class TestCounterexampleAndFit:
 
     @pytest.mark.parametrize(
         "L, message",
-        [("inf,64", "finite and exceed 4"), ("4,8", "finite and exceed 4"), ("abc", "abc")],
+        [
+            ("inf,64", "finite and exceed 4"),
+            ("4,8", "finite and exceed 4"),
+            ("abc", "abc"),
+            ("1e30,2e30,4e30,8e30", "at most 2^48"),
+        ],
     )
     def test_bad_scale_reported(self, capsys, tmp_path, L, message):
         out = tmp_path / "x.csv"
@@ -114,6 +120,24 @@ class TestCounterexampleAndFit:
         code, payload = run_cli(
             capsys, "counterexample", "--family", "cond2", "--L", "64,128", "--out", str(out)
         )
+        assert code == 2
+        assert "No such file or directory" in payload["error"]
+
+    def test_default_ladder_is_the_library_default(self, capsys, tmp_path, monkeypatch):
+        # The --L default is built from cx.DEFAULT_L_LADDER when the parser is.
+        monkeypatch.setattr(cx, "DEFAULT_L_LADDER", (40.0, 80.0))
+        out = tmp_path / "x.csv"
+        code, payload = run_cli(capsys, "counterexample", "--family", "cond3", "--out", str(out))
+        assert code == 0
+        assert [entry["L"] for entry in payload["ladder"]] == [40.0, 80.0]
+
+    def test_unwritable_out_reported_before_ladder(self, capsys, tmp_path, monkeypatch):
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("ratio_ladder called before the output was opened")
+
+        monkeypatch.setattr(cx, "ratio_ladder", no_ladder)
+        out = tmp_path / "missing" / "x.csv"
+        code, payload = run_cli(capsys, "counterexample", "--family", "cond2", "--out", str(out))
         assert code == 2
         assert "No such file or directory" in payload["error"]
 

@@ -88,7 +88,10 @@ class TestIntervals:
     @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
     @pytest.mark.parametrize("L", [33.0, 64.0, 100.0, 512.0])
     def test_abc_closure_exact(self, family, L):
-        assert cx.abc_margin(family, L) >= 0.0
+        # Interval arithmetic: eta in A and xi in C put eta - xi in
+        # [lo(A) - hi(C), hi(A) - lo(C)], which must lie inside B.
+        A, B, C = cx.FAMILIES[family].intervals(L)
+        assert B[0] <= A[0] - C[1] and A[1] - C[0] <= B[1]
 
     @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
     def test_abc_closure_sampled(self, family):
@@ -146,6 +149,23 @@ class TestBuildFamily:
     def test_rejects_non_finite_or_small_scale(self, L):
         with pytest.raises(ValueError, match="finite and exceed 4"):
             cx.ratio_ladder("cond2", [64.0, L], [ZEROS])
+
+    # The four families with O(1) strip columns; cond2's arrays grow like L.
+    @pytest.mark.parametrize("family", ["cond1_ab", "cond3", "cond1_gamma", "cond4"])
+    def test_largest_scale_exact(self, family):
+        # At zero exponents these rows do not depend on L, so the largest
+        # accepted scale must reproduce the row at L = 64.
+        small, large = cx.ratio_ladder(family, [64.0, 2.0**48], [ZEROS])
+        sizes = lambda row: (row.points_u, row.points_v, row.offsets, row.pairs)
+        assert sizes(large) == sizes(small)
+        assert large.ratio == pytest.approx(small.ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["cond1_ab", "cond3", "cond1_gamma", "cond4"])
+    @pytest.mark.parametrize("L", [np.nextafter(2.0**48, np.inf), 2.0**52, 2.0**60, 1e20, 1e30])
+    def test_rejects_scale_beyond_exact_range(self, family, L):
+        # Above 2^48 the lattice columns lose exactness, then overflow int64.
+        with pytest.raises(ValueError, match=r"at most 2\^48"):
+            cx.ratio_ladder(family, [64.0, L], [ZEROS])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("slot", range(6))

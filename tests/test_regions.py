@@ -181,22 +181,6 @@ class TestChooseParameters:
         assert result.violated == ("rho_sigma",)
 
 
-class TestProductLawConditions:
-    def test_sufficient(self):
-        assert regions.product_law_conditions(1, 1, 0, 0.3, 0.3, 0.3) == "sufficient"
-
-    def test_total_sum(self):
-        assert regions.product_law_conditions(0.2, 0.2, 0.05, 0.3, 0.3, 0.3) == "fails_abc1"
-
-    def test_pairwise_before_total(self):
-        # b + c < 0 is reported even though the total sum also fails.
-        assert regions.product_law_conditions(1, -0.5, -0.6, 0.3, 0.3, 0.3) == "fails_abc2"
-
-    def test_weights(self):
-        assert regions.product_law_conditions(1, 1, 1, 0.1, 0.1, 0.1) == "fails_weights"
-        assert regions.product_law_conditions(1, 1, 1, -0.1, 0.5, 0.5) == "fails_weights"
-
-
 class TestNecessaryConditions:
     def test_boundary_case_holds(self):
         report = regions.bilinear_necessary_conditions(ExponentTuple(1, 2, -1, 0, 0, 0))

@@ -38,12 +38,37 @@ def state_norm(a: DKGState) -> float:
     return float(np.sqrt(sum(np.sum(np.abs(v) ** 2) for v in fields)))
 
 
+def plus_range_state(a_plus, grid, M=0.0):
+    """psi in the range of P+ with phi = phi_t = 0: at M = 0 the coupling
+    and Klein-Gordon substeps of a Strang step are exact identities there,
+    so the step is the half-wave flow alone."""
+    return DKGState(np.stack((a_plus, 0 * a_plus)), np.zeros((2, grid.n_x)), 0.0, M, 0.0, grid)
+
+
+def scalar_state(phi, phi_t, grid, m=0.0):
+    """psi = 0: the coupling substeps of a Strang step are exact identities,
+    so the step is the Klein-Gordon flow alone."""
+    return DKGState(np.zeros((2, grid.n_x), complex), np.stack((phi, phi_t)), 0.0, 0.0, m, grid)
+
+
+def coupled(state, h):
+    """The coupling flow of length h through the kernels ``run`` applies."""
+    a, kick = solver._coupling(state.a, h, solver._rotation(state.phi, state.M, h))
+    return dataclasses.replace(state, a=a, f=np.stack((state.phi, state.phi_t + kick)))
+
+
+def diagnostics(state, s=0.0, r=0.0):
+    """The one diagnostics row of a zero-step ``run`` from ``state``."""
+    config = SolverConfig(grid=state.grid, dt=state.grid.dx / 2, t_end=state.t, diag_s=s, diag_r=r)
+    return solver.run(config, state)
+
+
 class TestGridSpec:
     def test_spacing(self):
         g = GridSpec1D(8, 4.0)
         assert g.dx == 0.5
         assert g.x[4] == 0.0
-        assert sorted(g.xi_fft) == pytest.approx(sorted(g.xi))
+        assert sorted(g.xi_fft) == pytest.approx((np.arange(8) - 4) * np.pi / 2)
 
     def test_dual_modes_cached_read_only(self):
         g = GridSpec1D(8, 4.0)
@@ -80,8 +105,8 @@ class TestStateLayout:
 
     def test_flows_leave_input_arrays_alone(self, smooth_state):
         a, f = smooth_state.a.copy(), smooth_state.f.copy()
-        for flow in (solver.half_wave_flow, solver.kg_flow, solver.coupling_flow, solver.strang_step):
-            flow(smooth_state, 0.05)
+        solver.strang_step(smooth_state, 0.05)
+        coupled(smooth_state, 0.05)
         solver.run(SolverConfig(grid=smooth_state.grid, dt=0.05, t_end=0.5), smooth_state)
         assert np.array_equal(smooth_state.a, a) and np.array_equal(smooth_state.f, f)
 
@@ -102,7 +127,9 @@ class TestInitState:
         rng = np.random.default_rng(0)
         psi0 = rng.standard_normal((grid.n_x, 2)) + 1j * rng.standard_normal((grid.n_x, 2))
         state = solver.init_state(psi0, np.zeros(grid.n_x), np.zeros(grid.n_x), 1, 1, grid)
-        assert np.abs(solver.reconstruct(state) - psi0).max() <= 1e-14
+        a_plus, a_minus = state.a
+        psi = np.stack([a_plus + a_minus, a_plus - a_minus], axis=-1) / np.sqrt(2)
+        assert np.abs(psi - psi0).max() <= 1e-14
 
     def test_rejects_complex_phi(self, grid):
         with pytest.raises(ValueError, match="real"):
@@ -138,70 +165,72 @@ class TestInitState:
 
 
 class TestHalfWaveFlow:
+    """Strang steps of plus-range data at phi = phi_t = 0, and at M = 0 unless stated."""
+
     def test_single_mode_phase(self, grid):
-        k = 5
-        mode = np.exp(1j * grid.xi[grid.n_x // 2 + k] * grid.x)
-        state = DKGState(np.stack((mode, 0 * mode)), np.zeros((2, grid.n_x)), 0.0, 0.0, 0.0, grid)
-        out = solver.half_wave_flow(state, 0.25)
-        xi_k = grid.xi[grid.n_x // 2 + k]
+        xi_k = 5 * 2 * np.pi / grid.x_extent
+        mode = np.exp(1j * xi_k * grid.x)
+        out = solver.strang_step(plus_range_state(mode, grid), 0.25)
         assert_allclose(out.psi_plus, np.exp(-1j * xi_k * 0.25) * mode, atol=1e-13)
+        assert np.abs(out.psi_minus).max() == 0.0 and np.abs(out.f).max() == 0.0
 
     def test_zero_dt_is_identity(self, smooth_state):
-        out = solver.half_wave_flow(smooth_state, 0.0)
-        assert out is smooth_state
+        out = solver.strang_step(smooth_state, 0.0)
+        assert out.t == smooth_state.t
+        assert state_distance(out, smooth_state) <= 1e-15 * state_norm(smooth_state)
 
     def test_mass_phase(self, grid):
-        # M acts as M beta, in the coupling; the half-wave is pure transport.
+        # M acts as M beta, in the coupling; the half-wave is pure transport,
+        # so constant plus-range data only rotate, by the angle -M h.
         ones, M, h = np.ones(grid.n_x, complex), 2.0, 0.5
-        state = DKGState(np.stack((ones, 0 * ones)), np.zeros((2, grid.n_x)), 0.0, M, 0.0, grid)
-        assert_allclose(solver.half_wave_flow(state, h).a, state.a, atol=1e-13)
-        out = solver.coupling_flow(state, h)
+        out = solver.strang_step(plus_range_state(ones, grid, M), h)
         assert_allclose(out.psi_plus, np.cos(M * h) * ones, atol=1e-15)
         assert_allclose(out.psi_minus, -1j * np.sin(M * h) * ones, atol=1e-15)
 
     def test_transport(self):
         g = GridSpec1D(512, 32.0)
         a0 = np.exp(-((g.x) / 1.5) ** 2) * np.exp(2j * g.x)
-        state = DKGState(np.stack((a0, 0 * a0)), np.zeros((2, g.n_x)), 0.0, 0.0, 0.0, g)
         shift_cells = 16
-        out = solver.half_wave_flow(state, shift_cells * g.dx)
+        out = solver.strang_step(plus_range_state(a0, g), shift_cells * g.dx)
         assert np.abs(out.psi_plus - np.roll(a0, shift_cells)).max() <= 1e-12
 
 
 class TestKGFlow:
+    """Strang steps at psi = 0."""
+
     def test_standing_mode_oscillates(self):
         g = GridSpec1D(64, 2 * np.pi)
         phi0 = np.cos(3 * g.x)
-        state = DKGState(np.zeros((2, g.n_x), complex), np.stack((phi0, 0 * phi0)), 0.0, 0.0, 0.0, g)
-        out = solver.kg_flow(state, 0.4)
+        out = solver.strang_step(scalar_state(phi0, 0 * phi0, g), 0.4)
         assert_allclose(out.phi, np.cos(3 * 0.4) * phi0, atol=1e-13)
+        assert np.abs(out.a).max() == 0.0
 
     def test_zero_mode_free_drift(self):
         g = GridSpec1D(64, 2 * np.pi)
         phi_t0 = np.full(g.n_x, 0.7)
-        state = DKGState(np.zeros((2, g.n_x), complex), np.stack((0 * phi_t0, phi_t0)), 0.0, 0.0, 0.0, g)
-        out = solver.kg_flow(state, 0.3)
+        out = solver.strang_step(scalar_state(0 * phi_t0, phi_t0, g), 0.3)
         assert_allclose(out.phi, 0.3 * phi_t0, atol=1e-14)
         assert_allclose(out.phi_t, phi_t0, atol=1e-14)
 
     def test_energy_conserved(self, grid):
         rng = np.random.default_rng(1)
         phi0 = np.real(np.fft.ifft(np.exp(-np.abs(np.fft.fftfreq(grid.n_x) * 40)) * rng.standard_normal(grid.n_x)))
-        phi1 = np.roll(phi0, 3)
-        state = DKGState(np.zeros((2, grid.n_x), complex), np.stack((phi0, phi1)), 0.0, 0.0, 1.0, grid)
-        e0 = solver.kg_energy(state)
+        state = scalar_state(phi0, np.roll(phi0, 3), grid, m=1.0)
+        e0 = diagnostics(state).kg_energy[0]
         for _ in range(200):
-            state = solver.kg_flow(state, 0.03)
-        assert abs(solver.kg_energy(state) - e0) <= 1e-10 * e0
+            state = solver.strang_step(state, 0.03)
+        assert abs(diagnostics(state).kg_energy[0] - e0) <= 1e-10 * e0
 
 
 class TestCouplingFlow:
+    """The coupling kernels ``solver._coupling`` and ``solver._rotation``."""
+
     def test_zero_field_kicks_phi_t(self, grid):
         rng = np.random.default_rng(2)
         psi0 = rng.standard_normal((grid.n_x, 2)) + 1j * rng.standard_normal((grid.n_x, 2))
         # At M = 0 a zero field leaves the spinor alone.
         state = solver.init_state(psi0, np.zeros(grid.n_x), np.zeros(grid.n_x), 0, 1, grid)
-        out = solver.coupling_flow(state, 0.2)
+        out = coupled(state, 0.2)
         assert_allclose(out.psi_plus, state.psi_plus)
         density = np.abs(psi0[:, 0]) ** 2 - np.abs(psi0[:, 1]) ** 2
         assert_allclose(out.phi_t, 0.2 * density, atol=1e-13)
@@ -209,30 +238,28 @@ class TestCouplingFlow:
     def test_plus_range_source_vanishes(self, grid):
         psi0 = np.ones((grid.n_x, 2), complex)
         state = solver.init_state(psi0, 0.3 * np.ones(grid.n_x), np.zeros(grid.n_x), 1, 1, grid)
-        out = solver.coupling_flow(state, 0.2)
+        out = coupled(state, 0.2)
         assert np.abs(out.phi_t).max() <= 1e-15
 
     def test_charge_invariant(self, smooth_state):
-        out = solver.coupling_flow(smooth_state, 0.37)
+        out = coupled(smooth_state, 0.37)
         assert solver.charge(out) == pytest.approx(solver.charge(smooth_state), rel=1e-14)
 
     def test_pointwise_modulus_preserved(self, smooth_state):
-        out = solver.coupling_flow(smooth_state, 0.37)
+        out = coupled(smooth_state, 0.37)
         before = np.abs(smooth_state.psi_plus) ** 2 + np.abs(smooth_state.psi_minus) ** 2
         after = np.abs(out.psi_plus) ** 2 + np.abs(out.psi_minus) ** 2
         assert_allclose(after, before, rtol=1e-13)
 
     def test_density_invariant_under_rotation(self, smooth_state):
-        out = solver.coupling_flow(smooth_state, 0.37)
-        assert_allclose(
-            solver.spinor_density(out), solver.spinor_density(smooth_state), atol=1e-13
-        )
+        out = coupled(smooth_state, 0.37)
+        assert_allclose(solver._density(out.a), solver._density(smooth_state.a), atol=1e-13)
 
     def test_half_steps_compose(self, smooth_state):
         # The fused run relies on coupling(h/2) o coupling(h/2) = coupling(h).
         h = 0.37
-        twice = solver.coupling_flow(solver.coupling_flow(smooth_state, h / 2), h / 2)
-        once = solver.coupling_flow(smooth_state, h)
+        twice = coupled(coupled(smooth_state, h / 2), h / 2)
+        once = coupled(smooth_state, h)
         assert state_distance(twice, once) <= 1e-14 * state_norm(once)
 
 
@@ -305,8 +332,8 @@ class TestStep:
         def energy(s):
             a_hat = np.fft.fft(s.a, axis=-1) * g.dx
             dirac = np.sum(g.xi_fft * (np.abs(a_hat[0]) ** 2 - np.abs(a_hat[1]) ** 2)) / g.x_extent
-            coupling = np.sum((M - s.phi) * solver.spinor_density(s)) * g.dx
-            return dirac + coupling + solver.kg_energy(s)
+            density = 2 * np.real(s.psi_plus * np.conj(s.psi_minus))
+            return dirac + np.sum((M - s.phi) * density) * g.dx + reference_kg_energy(s)
 
         def max_drift(dt):
             s, e0, drift = start, energy(start), 0.0
@@ -353,8 +380,10 @@ class TestStep:
         # order, so doubling resolution gains more than 10^3.
         def final_state(n):
             g = GridSpec1D(n, 16.0)
-            psi0, phi0, phi1 = solver.smooth_data(g, width=0.22)
-            s = solver.init_state(psi0, phi0, phi1, 1.0, 1.0, g)
+            envelope = np.exp(-((g.x / 0.22) ** 2))
+            psi0 = np.stack([envelope, (0.3 - 0.4j) * envelope], axis=-1)
+            phi1 = 0.2 * envelope * np.cos(2 * np.pi * g.x / g.x_extent)
+            s = solver.init_state(psi0, 0.5 * envelope, phi1, 1.0, 1.0, g)
             for _ in range(20):
                 s = solver.strang_step(s, 0.01)
             return s
@@ -470,7 +499,22 @@ class TestDiagnostics:
         grid = GridSpec1D(n, 16.0)
         f = np.random.default_rng(n).standard_normal((2, n))
         state = DKGState(np.zeros((2, n), complex), f, 0.0, 1.0, m, grid)
-        assert solver.kg_energy(state) == pytest.approx(reference_kg_energy(state), rel=1e-13, abs=0)
+        assert diagnostics(state).kg_energy[0] == pytest.approx(reference_kg_energy(state), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("data", ["smooth", "rough"])
+    def test_zero_step_row_matches_references(self, grid, data):
+        if data == "smooth":
+            psi0, phi0, phi1 = solver.smooth_data(grid)
+        else:
+            psi0, phi0, phi1 = solver.rough_data(0.25, 9, grid), np.zeros(grid.n_x), np.zeros(grid.n_x)
+        state = solver.init_state(psi0, phi0, phi1, 1.0, 1.0, grid)
+        s, r = 0.25, 0.5
+        row = diagnostics(state, s, r)
+        assert row.t.size == 1 and row.t[0] == 0.0
+        assert row.charge[0] == pytest.approx(np.sqrt(np.sum(np.abs(psi0) ** 2) * grid.dx), rel=1e-13)
+        assert row.hs_psi[0] == pytest.approx(reference_sobolev_norm(psi0.T, s, grid), rel=1e-13)
+        assert row.hr_phi[0] == pytest.approx(reference_sobolev_norm(state.phi, r, grid), rel=1e-13)
+        assert row.kg_energy[0] == pytest.approx(reference_kg_energy(state), rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 4, 64, 4096])
     def test_nyquist_derivative_dropped(self, n):
@@ -482,11 +526,13 @@ class TestDiagnostics:
             state = DKGState(np.zeros((2, n), complex), np.stack((phi, 0 * phi)), 0.0, 1.0, m, grid)
             physical = 0.5 * m**2 * np.sum(phi**2) * grid.dx
             undropped = 0.5 * np.sum((grid.xi_rfft[-1] * phi) ** 2) * grid.dx
-            for energy in (solver.kg_energy(state), reference_kg_energy(state)):
+            for energy in (diagnostics(state).kg_energy[0], reference_kg_energy(state)):
                 assert abs(energy - physical) <= 1e-13 * undropped
+        state = DKGState(np.zeros((2, n), complex), np.stack((phi, 0 * phi)), 0.0, 1.0, 1.0, grid)
         for s in (-0.5, 1.0):
             expected = reference_sobolev_norm(phi, s, grid)
             assert solver.sobolev_norm(phi, s, grid) == pytest.approx(expected, rel=1e-13, abs=0)
+            assert diagnostics(state, r=s).hr_phi[0] == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 class TestRun:
@@ -584,7 +630,7 @@ class TestRun:
         assert series.t.size == len(rows)
         assert np.array_equal(series.t, [r.t for r in rows])
         assert_allclose(series.charge, [solver.charge(r) for r in rows], rtol=1e-12)
-        assert_allclose(series.kg_energy, [solver.kg_energy(r) for r in rows], rtol=1e-12)
+        assert_allclose(series.kg_energy, [reference_kg_energy(r) for r in rows], rtol=1e-12)
         assert final.t == s.t
         assert state_distance(final, s) <= 1e-12 * state_norm(s)
 
@@ -626,7 +672,7 @@ class TestRun:
         for _ in range(n_steps):
             rows.append(solver.strang_step(rows[-1], dt))
         rows = [row for k, row in enumerate(rows) if k % every == 0 or k == n_steps]
-        assert_allclose(series.hs_psi, [solver.spinor_sobolev_norm(row, s) for row in rows], rtol=1e-12)
+        assert_allclose(series.hs_psi, [solver.sobolev_norm(row.a, s, grid) for row in rows], rtol=1e-12)
         assert_allclose(series.hr_phi, [solver.sobolev_norm(row.phi, r, grid) for row in rows], rtol=1e-12)
 
     @pytest.mark.parametrize("every", [1, 3, 16])
