@@ -14,15 +14,16 @@ All informational output is JSON on stdout; exit code 0 means every check
 requested by the subcommand passed, and exit code 2 with ``{"error": ...}``
 means ``verify``, ``counterexample``, ``fit``, ``region``, ``region-grid`` or
 ``solve`` rejected its input or could not write its output: for ``fit``, a
-CSV that cannot be read, lacks the ``family``, ``L`` or ``ratio`` column, has
+CSV that cannot be read, lacks the ``family``, ``L``, ``ratio`` or one of the
+six exponent columns ``a``, ``b``, ``c``, ``alpha``, ``beta``, ``gamma``, has
 no rows or an unknown family, or holds an ``L`` or ratio that is not a
-finite positive number; for ``region`` and ``region-grid``, a non-finite
-``--s``, ``--r``, ``--s-min``, ``--s-max`` or ``--r-max``, or ``--ns`` or
-``--nr`` below 1; for any subcommand, an ``--out`` it cannot open.
-``counterexample`` and ``solve`` open their outputs once their input is
-checked and before they compute, so an unwritable path is reported at
-once; after a ``solve`` blow-up (exit code 1 with ``{"error": ...,
-"step": ...}``) both files are left empty.
+finite positive number or an exponent that is not finite; for ``region``
+and ``region-grid``, a non-finite ``--s``, ``--r``, ``--s-min``, ``--s-max``
+or ``--r-max``, or ``--ns`` or ``--nr`` below 1; for any subcommand, an
+``--out`` it cannot open.  ``counterexample`` and ``solve`` open their
+outputs once their input is checked and before they compute, so an
+unwritable path is reported at once; after a ``solve`` blow-up (exit code
+1 with ``{"error": ..., "step": ...}``) both files are left empty.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from . import regions, solver, spinor, weights
 IDENTITY_TOL = 1e-14
 NULL_FORM_TOL = 1e-12
 SLOPE_TOL = 0.15
+_EXPONENT_COLUMNS = cx.ExponentTuple._fields
 
 
 def _emit(payload) -> None:
@@ -68,13 +70,18 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_exponents(text: str) -> cx.ExponentTuple:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 6:
-        raise argparse.ArgumentTypeError("expected 6 comma-separated exponents")
-    if not all(math.isfinite(p) for p in parts):
-        raise argparse.ArgumentTypeError("exponents must be finite")
+def _exponents(values) -> cx.ExponentTuple:
+    parts = [float(v) for v in values]
+    if len(parts) != 6 or not all(map(math.isfinite, parts)):
+        raise ValueError("expected 6 finite exponents")
     return cx.ExponentTuple(*parts)
+
+
+def _parse_exponents(text: str) -> cx.ExponentTuple:
+    try:
+        return _exponents(text.split(","))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _parse_tolerance(text: str) -> float:
@@ -90,53 +97,43 @@ def _cmd_counterexample(args) -> int:
     with open(args.out, "w", newline="") as fh:
         rows = cx.ratio_ladder(args.family, L_values, [args.exps])
         writer = csv.writer(fh)
-        writer.writerow(["family", "L", "numerator", "denom_u", "denom_v", "ratio"])
-        for row in rows:
-            writer.writerow(
-                [row.family, row.L, row.numerator, row.denom_u, row.denom_v, row.ratio]
-            )
-    ladder = [
-        {
-            "L": row.L,
-            "points_u": row.points_u,
-            "points_v": row.points_v,
-            "offsets": row.offsets,
-            "pairs": row.pairs,
-        }
-        for row in rows
-    ]
+        writer.writerow(["family", "L", *_EXPONENT_COLUMNS, "numerator", "denom_u", "denom_v", "ratio"])
+        writer.writerows(
+            [r.family, r.L, *r.exponents, r.numerator, r.denom_u, r.denom_v, r.ratio] for r in rows
+        )
+    ladder = [{k: getattr(r, k) for k in ("L", "points_u", "points_v", "offsets", "pairs")} for r in rows]
     _emit({"family": args.family, "rows": len(rows), "out": args.out, "ladder": ladder})
     return 0
 
 
-def _read_ratios(path) -> dict[str, list[tuple[float, float]]]:
-    """(L, ratio) pairs of a ``counterexample`` CSV, grouped by family."""
-    by_family: dict[str, list[tuple[float, float]]] = {}
+def _read_ratios(path) -> dict[tuple[str, cx.ExponentTuple], list[tuple[float, float]]]:
+    """(L, ratio) pairs of a ``counterexample`` CSV, grouped by family and exponents."""
+    ladders: dict[tuple[str, cx.ExponentTuple], list[tuple[float, float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")
-        missing = sorted({"family", "L", "ratio"} - set(reader.fieldnames or ()))
+        missing = sorted({"family", "L", *_EXPONENT_COLUMNS, "ratio"} - set(reader.fieldnames or ()))
         if missing:
             raise ValueError(f"ratio CSV lacks column(s) {', '.join(missing)}")
         for record in reader:
             if record["family"] not in cx.FAMILIES:
                 raise ValueError(f"unknown family {record['family']!r}")
-            by_family.setdefault(record["family"], []).append(
-                (float(record["L"]), float(record["ratio"]))
-            )
-    if not by_family:
+            key = (record["family"], _exponents(record[name] for name in _EXPONENT_COLUMNS))
+            ladders.setdefault(key, []).append((float(record["L"]), float(record["ratio"])))
+    if not ladders:
         raise ValueError("ratio CSV has no rows")
-    return by_family
+    return ladders
 
 
 def _cmd_fit(args) -> int:
     results = []
-    for family, pairs in _read_ratios(args.infile).items():
+    for (family, e), pairs in _read_ratios(args.infile).items():
         L, ratio = np.array(sorted(pairs)).T
         slope, r_squared = cx.loglog_fit(L, ratio)
-        delta = cx.predicted_delta(family, args.exps)
+        delta = cx.predicted_delta(family, e)
         results.append(
             {
                 "family": family,
+                "exponents": e._asdict(),
                 "slope": slope,
                 "r_squared": r_squared,
                 "predicted_slope": -delta,
@@ -260,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="log-log slope fit of a ratio CSV")
     p_fit.add_argument("--in", dest="infile", required=True)
-    p_fit.add_argument("--exps", type=_parse_exponents, default=cx.ExponentTuple())
     p_fit.add_argument("--tolerance", type=_parse_tolerance, default=SLOPE_TOL)
     p_fit.set_defaults(func=_cmd_fit)
 

@@ -181,6 +181,14 @@ class SolverConfig:
                 raise ValueError("diag_s and diag_r must be finite, with finite H^s weights on the grid")
 
 
+def _check_state(M: float, m: float, *fields: np.ndarray) -> None:
+    """What every state holds: finite nonnegative masses and finite fields."""
+    if not (0 <= M < math.inf and 0 <= m < math.inf):
+        raise ValueError("masses must be finite and nonnegative")
+    if not all(np.isfinite(v).all() for v in fields):
+        raise ValueError("field values must be finite")
+
+
 def init_state(
     psi0: np.ndarray,
     phi0: np.ndarray,
@@ -199,10 +207,7 @@ def init_state(
         raise ValueError(f"phi0 and phi1 must have shape ({grid.n_x},)")
     if np.iscomplexobj(phi0) or np.iscomplexobj(phi1):
         raise ValueError("phi0 and phi1 must be real arrays")
-    if not (0 <= M < math.inf and 0 <= m < math.inf):
-        raise ValueError("masses must be finite and nonnegative")
-    if not all(np.isfinite(v).all() for v in (psi0, phi0, phi1)):
-        raise ValueError("psi0, phi0 and phi1 must be finite")
+    _check_state(M, m, psi0, phi0, phi1)
     a = np.stack((psi0[:, 0] + psi0[:, 1], psi0[:, 0] - psi0[:, 1])) / SQRT2
     return DKGState(a, np.stack((phi0, phi1)).astype(float), 0.0, float(M), float(m), grid)
 
@@ -451,7 +456,6 @@ def run(
 # float64 x_extent), then the state arrays row-major: a as complex128 and f
 # as float64, that is psi_plus, psi_minus, phi and phi_t, n_x values each.
 _STATE_MAGIC = b"DKG1DST2"
-_OLD_STATE_MAGIC = b"DKG1DST1"
 _STATE_HEADER = struct.Struct("<8sdddqd")
 _A_DTYPE, _F_DTYPE = np.dtype("<c16"), np.dtype("<f8")
 _BYTES_PER_POINT = 2 * (_A_DTYPE.itemsize + _F_DTYPE.itemsize)
@@ -474,10 +478,6 @@ def save_state(path, state: DKGState) -> None:
 def load_state(path) -> DKGState:
     with open(path, "rb") as fh:
         raw = fh.read(_STATE_HEADER.size)
-        if raw[:8] == _OLD_STATE_MAGIC:
-            raise ValueError(
-                "padded snapshot format DKG1DST1 is no longer read; re-create the snapshot"
-            )
         if len(raw) != _STATE_HEADER.size:
             raise ValueError("truncated solver state header")
         magic, t, M, m, n_x, x_extent = _STATE_HEADER.unpack(raw)
@@ -496,4 +496,5 @@ def load_state(path) -> DKGState:
         payload = fh.read(nbytes)
     a = np.frombuffer(payload, dtype=_A_DTYPE, count=2 * n_x)
     f = np.frombuffer(payload, dtype=_F_DTYPE, offset=a.nbytes)
+    _check_state(M, m, a, f)
     return DKGState(a.astype(complex).reshape(2, n_x), f.astype(float).reshape(2, n_x), t, M, m, grid)

@@ -7,6 +7,14 @@ from dkg1d import cli, weights
 from dkg1d import counterexamples as cx
 
 
+def with_zero_exponents(text):
+    """``text`` with the six exponent columns, all zero, inserted after L."""
+    lines = [line.split(",") for line in text.splitlines()]
+    for k, fields in enumerate(lines):
+        fields[2:2] = cx.ExponentTuple._fields if k == 0 else ["0"] * 6
+    return "".join(",".join(fields) + "\n" for fields in lines)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -71,13 +79,16 @@ class TestCounterexampleAndFit:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["L"] for r in rows] == ["32.0", "64.0", "128.0", "256.0"]
-        assert set(rows[0]) == {"family", "L", "numerator", "denom_u", "denom_v", "ratio"}
+        exponents = ["a", "b", "c", "alpha", "beta", "gamma"]
+        assert list(rows[0]) == ["family", "L", *exponents, "numerator", "denom_u", "denom_v", "ratio"]
+        assert [rows[0][name] for name in exponents] == ["1.0", "0.0", "1.0", "0.0", "0.0", "0.0"]
 
-        code, payload = run_cli(
-            capsys, "fit", "--in", str(out), "--exps", "1,0,1,0,0,0"
-        )
+        # The tuple comes from the CSV; fit has no option to restate it.
+        code, payload = run_cli(capsys, "fit", "--in", str(out))
         assert code == 0
+        assert len(payload) == 1
         assert payload[0]["family"] == "cond3"
+        assert payload[0]["exponents"] == dict(a=1.0, b=0.0, c=1.0, alpha=0.0, beta=0.0, gamma=0.0)
         assert payload[0]["pass"] is True
         assert payload[0]["predicted_slope"] == pytest.approx(-2.0)
         assert payload[0]["slope"] == pytest.approx(-2.0, abs=0.15)
@@ -96,6 +107,27 @@ class TestCounterexampleAndFit:
         assert code == 0
         assert {entry["family"] for entry in payload} == {"cond3", "cond1_ab"}
         assert all(entry["pass"] for entry in payload)
+
+    def test_fit_groups_tuples_of_one_family(self, capsys, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, exps in zip(paths, ["1,0,1,0,0,0", "0.5,0,0,0,0,0"]):
+            cli.main(["counterexample", "--family", "cond3", "--exps", exps, "--out", str(path)])
+        capsys.readouterr()
+        merged = tmp_path / "merged.csv"
+        lines_a, lines_b = (path.read_text().splitlines() for path in paths)
+        merged.write_text("\n".join(lines_a + lines_b[1:]) + "\n")
+        code, payload = run_cli(capsys, "fit", "--in", str(merged))
+        assert code == 0
+        assert [entry["family"] for entry in payload] == ["cond3", "cond3"]
+        assert [entry["exponents"]["a"] for entry in payload] == [1.0, 0.5]
+        assert [entry["predicted_slope"] for entry in payload] == pytest.approx([-2.0, -0.5])
+        assert all(entry["pass"] for entry in payload)
+
+    def test_fit_has_no_exps_option(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["fit", "--in", str(tmp_path / "x.csv"), "--exps", "0,0,0,0,0,0"])
+        assert err.value.code == 2
+        assert "--exps" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "L, message",
@@ -182,6 +214,23 @@ class TestCounterexampleAndFit:
         ],
     )
     def test_fit_rejects_malformed_csv(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(with_zero_exponents(text))
+        code, payload = run_cli(capsys, "fit", "--in", str(bad))
+        assert code == 2
+        assert message in payload["error"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("family,L,ratio\ncond3,32.0,1.0\ncond3,64.0,1.0\n", "lacks column(s) a, alpha, b, beta, c"),
+            ("family,L,a,b,c,alpha,beta,ratio\ncond3,32.0,0,0,0,0,0,1.0\n", "lacks column(s) gamma"),
+            ("family,L,a,b,c,alpha,beta,gamma,ratio\ncond3,32.0,0,0,nan,0,0,0,1.0\n", "finite"),
+            ("family,L,a,b,c,alpha,beta,gamma,ratio\ncond3,32.0,0,0,0,0,0,-inf,1.0\n", "finite"),
+            ("family,L,a,b,c,alpha,beta,gamma,ratio\ncond3,32.0,0,0,0,,0,0,1.0\n", "float"),
+        ],
+    )
+    def test_fit_rejects_bad_exponent_columns(self, capsys, tmp_path, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         code, payload = run_cli(capsys, "fit", "--in", str(bad))

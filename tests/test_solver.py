@@ -758,7 +758,26 @@ class TestSnapshot:
     def test_rejects_old_padded_format(self, tmp_path):
         path = tmp_path / "old.bin"
         path.write_bytes(struct.pack("<8sddd", b"DKG1DST1", 0.0, 1.0, 1.0) + bytes(64))
-        with pytest.raises(ValueError, match="DKG1DST1"):
+        with pytest.raises(ValueError, match="not a solver state snapshot"):
+            solver.load_state(path)
+
+    @pytest.mark.parametrize("row", ["psi_plus", "psi_minus", "phi", "phi_t"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_payload(self, smooth_state, tmp_path, row, value):
+        # A snapshot holds only what init_state accepts: finite fields.
+        state = DKGState(smooth_state.a.copy(), smooth_state.f.copy(), 0.0, 1.0, 1.0, smooth_state.grid)
+        getattr(state, row)[3] = value
+        path = tmp_path / "state.bin"
+        solver.save_state(path, state)
+        with pytest.raises(ValueError, match="field values must be finite"):
+            solver.load_state(path)
+
+    @pytest.mark.parametrize("M, m", [(-2.0, 1.0), (1.0, -1.0)])
+    def test_rejects_negative_masses(self, smooth_state, tmp_path, M, m):
+        state = DKGState(smooth_state.a, smooth_state.f, 0.0, M, m, smooth_state.grid)
+        path = tmp_path / "state.bin"
+        solver.save_state(path, state)
+        with pytest.raises(ValueError, match="masses must be finite and nonnegative"):
             solver.load_state(path)
 
     @pytest.mark.parametrize(
