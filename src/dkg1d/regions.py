@@ -21,10 +21,6 @@ from dataclasses import dataclass
 
 from .counterexamples import ExponentTuple, predicted_delta
 
-CONSTRAINT_KEYS = (
-    "r1", "r2", "sigma1", "rho_sigma", "r6", "s2", "s3", "r7", "r3", "r4", "s1", "rho1",
-)
-
 WELLPOSED_INEQUALITIES = ("s > -1/4", "r > 0", "|s| <= r", "r <= 1+s")
 
 # The strip families that bound each necessary condition.  cond1 has two:
@@ -129,7 +125,7 @@ def choose_parameters(s: float, r: float) -> ParameterChoice | Infeasible:
     hi = min(1 - eps, r + 0.5 - eps)
     choice = ParameterChoice(sigma=(lo + hi) / 2, rho=0.5 + eps, eps=eps)
     report = check_constraints(s, r, choice)
-    failed = tuple(key for key in CONSTRAINT_KEYS if not report[key])
+    failed = tuple(key for key, holds in report.items() if not holds)
     return Infeasible(failed) if failed else choice
 
 

@@ -46,9 +46,12 @@ step with a row inverts both real rows, couples in physical space and
 transforms both rows back, so with a row every step ``run`` gives the bits
 of a ``strang_step`` loop.  A row takes one complex FFT of (a_+, a_-) for
 the H^s norm; the H^r norm and the energy's phi_x^2 term (by Parseval)
-read the phi_hat the step holds.  A non-finite field value makes its row
-non-finite, so the row check is the only finiteness scan.  ``strang_step``
-takes one step of the same march, so both apply the same kernels.
+read the phi_hat the step holds.  ``run`` builds the weights of these three
+terms once, before its first row: the H^s weight on the FFT bins, and the
+H^r and gradient weights on the real-FFT bins.  A non-finite field value
+makes its row non-finite, so the row check is the only finiteness scan.
+``strang_step`` takes one step of the same march, so both apply the same
+kernels.
 """
 
 from __future__ import annotations
@@ -324,43 +327,28 @@ def strang_step(state: DKGState, dt: float) -> DKGState:
 def _hermitian(weight: np.ndarray) -> np.ndarray:
     """Weight on the real-FFT bins of a real signal: the bins strictly between
     DC and Nyquist stand for themselves and their conjugate mirror, so they
-    count twice; read-only."""
+    count twice."""
     weight[1 : weight.size - 1] *= 2
-    return _read_only(weight)
+    return weight
 
 
-@functools.lru_cache(maxsize=32)
 def _gradient_weight(grid: GridSpec1D) -> np.ndarray:
     """Real-FFT weight w with sum(w |phi_hat|^2) = 1/2 int phi_x^2 dx
     (Parseval); the Nyquist derivative is dropped, as an inverse real FFT of
-    i xi phi_hat drops it.  Cached, read-only."""
+    i xi phi_hat drops it."""
     weight = grid.xi_rfft**2 * (grid.dx / (2 * grid.n_x))
     weight[-1] = 0.0
     return _hermitian(weight)
 
 
-def _kg_energy(state: DKGState, phi_hat: np.ndarray) -> float:
-    phi, phi_t = state.f
-    gradient = np.vdot(phi_hat * _gradient_weight(state.grid), phi_hat).real
-    return float(0.5 * state.grid.dx * (phi_t @ phi_t + state.m**2 * (phi @ phi)) + gradient)
-
-
-@functools.lru_cache(maxsize=32)
 def _sobolev_weight(grid: GridSpec1D, s: float) -> np.ndarray:
     """FFT weight w with sum(w |values_hat|^2) = ||values||_{H^s}^2:
     (1 + |xi|)^(2s) with the normalisation dx^2 / x_extent = dx / n_x folded
-    in.  An overflow leaves an inf, which ``SolverConfig`` rejects.  Cached,
-    read-only."""
+    in.  An overflow leaves an inf, which ``SolverConfig`` rejects."""
     with np.errstate(over="ignore"):
         weight = (1.0 + np.abs(grid.xi_fft)) ** (2 * s)
         weight *= grid.dx / grid.n_x
-    return _read_only(weight)
-
-
-@functools.lru_cache(maxsize=32)
-def _real_sobolev_weight(grid: GridSpec1D, s: float) -> np.ndarray:
-    """The H^s weight on the real-FFT bins; cached, read-only."""
-    return _hermitian(_sobolev_weight(grid, s)[: grid.n_x // 2 + 1].copy())
+    return weight
 
 
 def _weighted_norm(hat: np.ndarray, weight: np.ndarray) -> float:
@@ -417,13 +405,16 @@ class DiagnosticsSeries:
     kg_energy: np.ndarray
 
 
-def _record(state: DKGState, phi_hat: np.ndarray, config: SolverConfig) -> tuple[float, ...]:
+def _record(state: DKGState, phi_hat: np.ndarray, weights: tuple[np.ndarray, ...]) -> tuple[float, ...]:
+    hs, hr, gradient = weights
+    phi, phi_t = state.f
+    kinetic = 0.5 * state.grid.dx * (phi_t @ phi_t + state.m**2 * (phi @ phi))
     return (
         state.t,
         charge(state),
-        sobolev_norm(state.a, config.diag_s, state.grid),
-        _weighted_norm(phi_hat, _real_sobolev_weight(state.grid, config.diag_r)),
-        _kg_energy(state, phi_hat),
+        _weighted_norm(sfft.fft(state.a, axis=-1), hs),
+        _weighted_norm(phi_hat, hr),
+        float(kinetic + np.vdot(phi_hat * gradient, phi_hat).real),
     )
 
 
@@ -441,10 +432,16 @@ def run(
     if config.grid != state.grid:
         raise ValueError(f"config grid {config.grid} does not match the state grid {state.grid}")
     n_steps = max(0, int(round((config.t_end - state.t) / config.dt)))
-    records = [_record(state, sfft.rfft(state.phi), config)]
+    grid = state.grid
+    weights = (
+        _sobolev_weight(grid, config.diag_s),
+        _hermitian(_sobolev_weight(grid, config.diag_r)[: grid.n_x // 2 + 1]),
+        _gradient_weight(grid),
+    )
+    records = [_record(state, sfft.rfft(state.phi), weights)]
     rows = _march(state, config.dt, n_steps, config.diagnostics_every)
     for k, state, phi_hat in rows:
-        row = _record(state, phi_hat, config)
+        row = _record(state, phi_hat, weights)
         if not all(map(math.isfinite, row)):
             raise BlowUpError(k, state.t)
         records.append(row)

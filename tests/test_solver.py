@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,6 +438,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="weights"):
             SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, **{name: 100.0})
         SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, **{name: 60.0})
+
+    def test_validation_retains_no_arrays(self):
+        # A config checks its weights and keeps none of them, so once
+        # dropped, configs on distinct 2^16-point grids (512 KiB per weight
+        # and per grid's dual modes) leave nothing behind.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(40):
+                grid = GridSpec1D(2**16, 64.0 + k)
+                SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, diag_s=0.5, diag_r=1.0)
+            del grid
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
 
 
 class TestRoughData:
