@@ -182,7 +182,10 @@ class NormIndex:
     """Exponents (a, alpha) and weight flavor of a space-time norm.
 
     The exponents may also be (k, 1) columns, which ``weight`` broadcasts
-    against 1-d frequencies: one row of weights per exponent row.
+    against 1-d frequencies: one row of weights per exponent row.  A row
+    agrees with the scalar exponents of that row up to roundoff, not bit for
+    bit: numpy evaluates ``x ** -1.0`` and ``x ** 0.5`` for a scalar exponent
+    as ``1 / x`` and ``sqrt(x)``, and a column through its general power.
     """
 
     a: float
@@ -194,34 +197,15 @@ class NormIndex:
             raise ValueError(f"unknown flavor {self.flavor!r}")
 
 
-def _power(base, exponent):
-    """``base ** exponent`` for a scalar exponent or a (k, 1) column of them.
-
-    For a scalar exponent numpy evaluates ``base ** -1.0`` as ``1 / base``
-    and ``base ** 0.5`` as ``sqrt(base)``, which can differ in the last bit
-    from its general power.  Rows of a column take the same two routes, so
-    a batch of exponents gives, row by row, the bits of one at a time.
-    """
-    power = base**exponent
-    if np.ndim(exponent):
-        for row, (e,) in enumerate(exponent.tolist()):
-            if e == -1.0:
-                power[row] = 1.0 / base
-            elif e == 0.5:
-                power[row] = np.sqrt(base)
-    return power
-
-
 def weight(idx: NormIndex, tau, xi) -> np.ndarray:
     """Pointwise weight of the norm ``idx`` at frequencies (tau, xi), broadcast."""
-    w = _power(bracket(xi), idx.a)
     if idx.flavor == "X_plus":
         hyp = bracket(tau + xi)
     elif idx.flavor == "X_minus":
         hyp = bracket(tau - xi)
     else:
         hyp = bracket(np.abs(tau) - np.abs(xi))
-    return w * _power(hyp, idx.alpha)
+    return bracket(xi) ** idx.a * hyp**idx.alpha
 
 
 def weighted_norm(u_hat: GridFunction2D, idx: NormIndex) -> float:
@@ -242,7 +226,8 @@ def point_norm(values, tau, xi, idx: NormIndex, cell: float):
     ``values`` are the data at the distinct points (tau, xi) of a lattice
     with cell area ``cell``; the data vanish everywhere else.  The points
     span the axes of ``tau`` and ``xi`` broadcast together.  Exponents of
-    ``idx`` given as (k, 1) columns against 1-d points give k norms at once.
+    ``idx`` given as (k, 1) columns against 1-d points give k norms at once,
+    each equal to the norm of its row's exponents up to roundoff.
     """
     axes = tuple(range(-np.broadcast(tau, xi).ndim, 0))
     return np.sqrt(np.sum((weight(idx, tau, xi) * np.abs(values)) ** 2, axis=axes) * cell)

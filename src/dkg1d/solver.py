@@ -96,8 +96,9 @@ class GridSpec1D:
     x_extent: float
 
     def __post_init__(self):
-        if not 2 <= self.n_x < 2**63 or self.n_x & (self.n_x - 1):
-            raise ValueError("n_x must be a power of two in [2, 2^62]")
+        n_x = self.n_x
+        if not (isinstance(n_x, (int, np.integer)) and 2 <= n_x < 2**63) or n_x & (n_x - 1):
+            raise ValueError("n_x must be an integer power of two in [2, 2^62]")
         if not 0 < self.x_extent < math.inf:
             raise ValueError("x_extent must be finite and positive")
         if not (self.dx > 0 and 2 * math.pi / self.x_extent < math.inf):
@@ -177,8 +178,8 @@ class SolverConfig:
             raise ValueError("t_end must be finite")
         if self.dt > self.grid.dx + 1e-15:
             raise ValueError("dt must not exceed dx")
-        if self.diagnostics_every < 1:
-            raise ValueError("diagnostics_every must be >= 1")
+        if not isinstance(self.diagnostics_every, (int, np.integer)) or self.diagnostics_every < 1:
+            raise ValueError("diagnostics_every must be an integer >= 1")
         for s in (self.diag_s, self.diag_r):
             if not (math.isfinite(s) and np.isfinite(_sobolev_weight(self.grid, s)).all()):
                 raise ValueError("diag_s and diag_r must be finite, with finite H^s weights on the grid")
@@ -320,7 +321,11 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
 
 
 def strang_step(state: DKGState, dt: float) -> DKGState:
-    """coupling(dt/2), then the commuting pair half-wave(dt) | kg(dt), then coupling(dt/2)."""
+    """coupling(dt/2), then the commuting pair half-wave(dt) | kg(dt), then coupling(dt/2).
+
+    ``dt`` must be finite; zero, negative and ``dt > dx`` are allowed."""
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
     return next(_march(state, dt, 1, 1))[1]
 
 
@@ -460,12 +465,16 @@ _BYTES_PER_POINT = 2 * (_A_DTYPE.itemsize + _F_DTYPE.itemsize)
 
 def save_state(path, state: DKGState) -> None:
     """Write a snapshot of ``state`` to ``path``: a file name, or a binary
-    file open for writing."""
+    file open for writing.  A state that ``load_state`` would refuse raises
+    ValueError before ``path`` is opened, so every snapshot written loads."""
     shape = (2, state.grid.n_x)
     if state.a.shape != shape or state.f.shape != shape:
         raise ValueError(f"a and f have shapes {state.a.shape} and {state.f.shape}, expected {shape}")
     if np.iscomplexobj(state.f):
         raise ValueError("f = (phi, phi_t) must be real")
+    if not math.isfinite(state.t):
+        raise ValueError("non-finite time in solver state")
+    _check_state(state.M, state.m, state.a, state.f)
     with open(path, "wb") if isinstance(path, (str, os.PathLike)) else contextlib.nullcontext(path) as fh:
         fh.write(_STATE_HEADER.pack(_STATE_MAGIC, state.t, state.M, state.m, shape[1], state.grid.x_extent))
         fh.write(state.a.astype(_A_DTYPE).tobytes())

@@ -81,8 +81,10 @@ class TestGridSpec:
         assert np.array_equal(g.xi_rfft, np.abs(g.xi_fft[: g.n_x // 2 + 1]))
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            GridSpec1D(100, 4.0)
+        for n_x in (100, 8.0, np.float64(16.0), 8.5, "8"):
+            with pytest.raises(ValueError, match="integer power of two"):
+                GridSpec1D(n_x, 4.0)
+        assert GridSpec1D(np.int64(8), 4.0).n_x == 8
 
     @pytest.mark.parametrize("extent", [0.0, np.nan, np.inf])
     def test_rejects_bad_extent(self, extent):
@@ -298,6 +300,11 @@ class TestStep:
         assert np.abs(out.phi).max() == 0.0
         assert out.t == pytest.approx(dt)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_dt(self, smooth_state, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            solver.strang_step(smooth_state, dt)
+
     def test_time_reversal(self, smooth_state):
         dt = smooth_state.grid.dx / 2
         forward = solver.strang_step(smooth_state, dt)
@@ -423,6 +430,13 @@ class TestConfigValidation:
     def test_t_end_finite(self, grid, t_end):
         with pytest.raises(ValueError, match="t_end"):
             SolverConfig(grid=grid, dt=grid.dx / 2, t_end=t_end)
+
+    @pytest.mark.parametrize("every", [0, -3, 1.5, 2.5, 2.0, np.float64(4.0), "4"])
+    def test_rejects_bad_diagnostics_every(self, grid, every):
+        # A fractional period would put rows where k % every happens to be 0.
+        with pytest.raises(ValueError, match="diagnostics_every must be an integer"):
+            SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, diagnostics_every=every)
+        SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, diagnostics_every=np.int64(4))
 
     @pytest.mark.parametrize("name", ["diag_s", "diag_r"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -784,18 +798,25 @@ class TestSnapshot:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_payload(self, smooth_state, tmp_path, row, value):
         # A snapshot holds only what init_state accepts: finite fields.
-        state = DKGState(smooth_state.a.copy(), smooth_state.f.copy(), 0.0, 1.0, 1.0, smooth_state.grid)
-        getattr(state, row)[3] = value
         path = tmp_path / "state.bin"
-        solver.save_state(path, state)
+        solver.save_state(path, smooth_state)
+        raw = path.read_bytes()
+        # After the 48-byte header: psi_plus, psi_minus as complex128, then
+        # phi, phi_t as float64.  Overwrite (the real part of) value 3 of ``row``.
+        n = smooth_state.grid.n_x
+        row_start = {"psi_plus": 0, "psi_minus": 16 * n, "phi": 32 * n, "phi_t": 40 * n}[row]
+        at = 48 + row_start + 3 * (16 if row.startswith("psi") else 8)
+        path.write_bytes(raw[:at] + struct.pack("<d", value) + raw[at + 8 :])
         with pytest.raises(ValueError, match="field values must be finite"):
             solver.load_state(path)
 
     @pytest.mark.parametrize("M, m", [(-2.0, 1.0), (1.0, -1.0)])
     def test_rejects_negative_masses(self, smooth_state, tmp_path, M, m):
-        state = DKGState(smooth_state.a, smooth_state.f, 0.0, M, m, smooth_state.grid)
         path = tmp_path / "state.bin"
-        solver.save_state(path, state)
+        solver.save_state(path, smooth_state)
+        raw = path.read_bytes()
+        # Header: 8-byte magic, then float64 t, M, m.
+        path.write_bytes(raw[:16] + struct.pack("<dd", M, m) + raw[32:])
         with pytest.raises(ValueError, match="masses must be finite and nonnegative"):
             solver.load_state(path)
 
@@ -835,6 +856,19 @@ class TestSnapshot:
         complex_phi = DKGState(smooth_state.a, smooth_state.f + 1j, 0.0, 1.0, 1.0, smooth_state.grid)
         with pytest.raises(ValueError, match="real"):
             solver.save_state(path, complex_phi)
+        # What load_state would refuse is refused before the file is opened.
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite time"):
+                solver.save_state(path, dataclasses.replace(smooth_state, t=t))
+        for M, m in ((-2.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="masses must be finite and nonnegative"):
+                solver.save_state(path, dataclasses.replace(smooth_state, M=M, m=m))
+        for row in ("psi_plus", "psi_minus", "phi", "phi_t"):
+            for value in (np.nan, np.inf, -np.inf):
+                state = dataclasses.replace(smooth_state, a=smooth_state.a.copy(), f=smooth_state.f.copy())
+                getattr(state, row)[3] = value
+                with pytest.raises(ValueError, match="field values must be finite"):
+                    solver.save_state(path, state)
         assert not path.exists()
 
 
