@@ -60,6 +60,7 @@ import contextlib
 import functools
 import io
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -84,6 +85,11 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _is_real(value) -> bool:
+    """A real number other than a bool: what the validators compare and bound."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec1D:
     """Periodic spatial grid; power-of-two size for FFT efficiency.
@@ -99,8 +105,8 @@ class GridSpec1D:
         n_x = self.n_x
         if not (isinstance(n_x, (int, np.integer)) and 2 <= n_x < 2**63) or n_x & (n_x - 1):
             raise ValueError("n_x must be an integer power of two in [2, 2^62]")
-        if not 0 < self.x_extent < math.inf:
-            raise ValueError("x_extent must be finite and positive")
+        if not (_is_real(self.x_extent) and 0 < self.x_extent < math.inf):
+            raise ValueError("x_extent must be real, finite and positive")
         if not (self.dx > 0 and 2 * math.pi / self.x_extent < math.inf):
             raise ValueError("grid spacings must be finite and positive")
 
@@ -172,17 +178,18 @@ class SolverConfig:
     diag_r: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be finite and positive")
-        if not math.isfinite(self.t_end):
-            raise ValueError("t_end must be finite")
+        if not (_is_real(self.dt) and 0 < self.dt < math.inf):
+            raise ValueError("dt must be real, finite and positive")
+        if not (_is_real(self.t_end) and math.isfinite(self.t_end)):
+            raise ValueError("t_end must be real and finite")
         if self.dt > self.grid.dx + 1e-15:
             raise ValueError("dt must not exceed dx")
-        if not isinstance(self.diagnostics_every, (int, np.integer)) or self.diagnostics_every < 1:
+        every = self.diagnostics_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError("diagnostics_every must be an integer >= 1")
         for s in (self.diag_s, self.diag_r):
-            if not (math.isfinite(s) and np.isfinite(_sobolev_weight(self.grid, s)).all()):
-                raise ValueError("diag_s and diag_r must be finite, with finite H^s weights on the grid")
+            if not (_is_real(s) and math.isfinite(s) and np.isfinite(_sobolev_weight(self.grid, s)).all()):
+                raise ValueError("diag_s and diag_r must be real and finite, with finite H^s weights on the grid")
 
 
 def _check_state(M: float, m: float, *fields: np.ndarray) -> None:
@@ -230,14 +237,15 @@ def _density(a: np.ndarray) -> np.ndarray:
 # returns new arrays.
 
 
-@functools.lru_cache(maxsize=32)
+# Two entries: a +dt/-dt reversal reuses both without keeping more grids alive.
+@functools.lru_cache(maxsize=2)
 def _wave_phases(grid: GridSpec1D, dt: float) -> np.ndarray:
     """Per-mode half-wave phases of (a_+, a_-), shape (2, n_x); cached, read-only."""
     xi = grid.xi_fft
     return _read_only(np.exp(-1j * np.stack((xi, -xi)) * dt))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=2)
 def _kg_propagator(grid: GridSpec1D, m: float, dt: float) -> np.ndarray:
     """Per-mode matrix [[cos, sin/omega], [-omega sin, cos]] of the exact
     Klein-Gordon flow on (phi_hat, phi_t_hat), shape (2, 2, n_x // 2 + 1);

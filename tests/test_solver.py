@@ -86,7 +86,7 @@ class TestGridSpec:
                 GridSpec1D(n_x, 4.0)
         assert GridSpec1D(np.int64(8), 4.0).n_x == 8
 
-    @pytest.mark.parametrize("extent", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("extent", [0.0, np.nan, np.inf, "4", None, True])
     def test_rejects_bad_extent(self, extent):
         with pytest.raises(ValueError, match="finite and positive"):
             GridSpec1D(8, extent)
@@ -279,6 +279,25 @@ class TestPropagatorCache:
             with pytest.raises(ValueError, match="read-only"):
                 first[0, 0] = 0.0
 
+    def test_stepping_on_many_grids_keeps_two_entries(self):
+        # Each cache keeps the two entries a +dt/-dt reversal needs, so the
+        # grids and tables of earlier steps are freed: about 0.6 MiB stays
+        # at 2^12 points, where 32 entries per cache kept about 9.5 MiB.
+        n = 2**12
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(40):
+                grid = GridSpec1D(n, 16.0 + k)
+                state = solver.init_state(np.zeros((n, 2), complex), np.zeros(n), np.zeros(n), 1.0, 1.0, grid)
+                solver.strang_step(state, grid.dx / 2)
+            del grid, state
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**21
+
     def test_cache_keyed_by_arguments(self, grid):
         dt = grid.dx / 2
         assert solver._wave_phases(grid, dt) is not solver._wave_phases(grid, dt / 2)
@@ -431,12 +450,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="t_end"):
             SolverConfig(grid=grid, dt=grid.dx / 2, t_end=t_end)
 
-    @pytest.mark.parametrize("every", [0, -3, 1.5, 2.5, 2.0, np.float64(4.0), "4"])
+    @pytest.mark.parametrize("every", [0, -3, 1.5, 2.5, 2.0, np.float64(4.0), "4", True])
     def test_rejects_bad_diagnostics_every(self, grid, every):
         # A fractional period would put rows where k % every happens to be 0.
         with pytest.raises(ValueError, match="diagnostics_every must be an integer"):
             SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, diagnostics_every=every)
         SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, diagnostics_every=np.int64(4))
+
+    @pytest.mark.parametrize("name", ["dt", "t_end", "diag_s", "diag_r"])
+    @pytest.mark.parametrize("value", ["0.1", None, True])
+    def test_rejects_non_real(self, grid, name, value):
+        kwargs = {"dt": grid.dx / 2, "t_end": 1.0, name: value}
+        with pytest.raises(ValueError, match="must be real"):
+            SolverConfig(grid=grid, **kwargs)
 
     @pytest.mark.parametrize("name", ["diag_s", "diag_r"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -922,31 +948,33 @@ class TestSnapshotFuzz:
 # Arbitrary integers and floats, NaN and +-inf included, with powers of two
 # and positive floats mixed in so that valid grids are drawn often.
 SIZES = st.one_of(st.integers(), st.integers(0, 70).map(lambda k: 2**k))
+# Values a validator must refuse with ValueError before comparing them.
+NOT_REAL = st.one_of(st.text(max_size=4), st.none(), st.booleans())
 
 
 class TestConfigFuzz:
     """The validators construct an object that meets its invariants, or raise ValueError."""
 
     @FUZZ
-    @given(n_x=SIZES, x_extent=st.one_of(st.floats(), st.floats(min_value=0.0, exclude_min=True)))
+    @given(n_x=SIZES, x_extent=st.one_of(st.floats(), st.floats(min_value=0.0, exclude_min=True), NOT_REAL))
     def test_grid(self, n_x, x_extent):
         try:
             g = GridSpec1D(n_x, x_extent)
         except ValueError:
             return
         assert 2 <= g.n_x < 2**63 and g.n_x & (g.n_x - 1) == 0
-        assert 0 < g.x_extent < np.inf
+        assert 0 < g.x_extent < np.inf and not isinstance(g.x_extent, bool)
         assert 0 < g.dx < np.inf and 0 < 2 * np.pi / g.x_extent < np.inf
 
     @FUZZ
     @given(
         grid=st.builds(GridSpec1D, st.integers(1, 20).map(lambda k: 2**k), st.floats(1e-3, 1e3)),
-        dt=st.floats(),
+        dt=st.one_of(st.floats(), NOT_REAL),
         dt_in_cells=st.one_of(st.none(), st.floats(0, 2)),
-        t_end=st.floats(),
-        every=st.integers(),
-        diag_s=st.floats(),
-        diag_r=st.floats(),
+        t_end=st.one_of(st.floats(), NOT_REAL),
+        every=st.one_of(st.integers(), st.booleans()),
+        diag_s=st.one_of(st.floats(), NOT_REAL),
+        diag_r=st.one_of(st.floats(), NOT_REAL),
     )
     def test_solver_config(self, grid, dt, dt_in_cells, t_end, every, diag_s, diag_r):
         if dt_in_cells is not None:
@@ -962,3 +990,4 @@ class TestConfigFuzz:
             weights = grid.dx**2 * (1 + nyquist) ** (2 * np.array([c.diag_s, c.diag_r]))
         assert np.isfinite(weights).all()
         assert c.diagnostics_every >= 1
+        assert not any(isinstance(v, bool) for v in (c.dt, c.t_end, c.diagnostics_every, c.diag_s, c.diag_r))

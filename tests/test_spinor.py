@@ -128,7 +128,7 @@ class TestIdentities:
             tol = 1e-12 if key == "null_form_vanishing" else 1e-14
             assert value <= tol, (key, value)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 1.5, True, np.True_])
     def test_verify_identities_rejects_bad_sample_count(self, n):
         with pytest.raises(ValueError, match="n_samples"):
             spinor.verify_identities(n)

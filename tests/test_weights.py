@@ -103,6 +103,23 @@ class TestSampleMargins:
         assert stats["min_relative_margin"] < 0.05
 
 
+def reference_stats(pts):
+    """The six chunk statistics of an (n, 4) array from the three public functions."""
+    tau, xi, lam, eta = pts.T
+    margin = weights.dominance_margin(tau, xi, lam, eta)
+    residual = weights.sign_split_residual(tau, xi, lam, eta)
+    scale = np.abs(pts).max(axis=1) + 1.0
+    sum_margin = weights.sum_bound_margin(tau, xi, lam, eta)
+    return {
+        "min_margin": float(margin.min()),
+        "max_margin": float(margin.max()),
+        "min_relative_margin": float((margin / scale).min()),
+        "max_relative_residual": float((residual / scale).max()),
+        "min_sum_bound_margin": float(sum_margin.min()),
+        "min_relative_sum_bound_margin": float((sum_margin / scale).min()),
+    }
+
+
 def whole_array_sweep(n_samples, seed, box):
     """The sweep as one (n, 4) array: the bulk draw, five corner blocks, then
     the three public functions on the concatenation."""
@@ -123,20 +140,33 @@ def whole_array_sweep(n_samples, seed, box):
             block[:, 1] = 0.0
         samples.append(block)
     pts = np.concatenate(samples, axis=0)
-    tau, xi, lam, eta = pts.T
-    margin = weights.dominance_margin(tau, xi, lam, eta)
-    residual = weights.sign_split_residual(tau, xi, lam, eta)
-    scale = np.abs(pts).max(axis=1) + 1.0
-    sum_margin = weights.sum_bound_margin(tau, xi, lam, eta)
-    return {
-        "samples": int(pts.shape[0]),
-        "min_margin": float(margin.min()),
-        "max_margin": float(margin.max()),
-        "min_relative_margin": float((margin / scale).min()),
-        "max_relative_residual": float((residual / scale).max()),
-        "min_sum_bound_margin": float(sum_margin.min()),
-        "min_relative_sum_bound_margin": float((sum_margin / scale).min()),
-    }
+    return {"samples": int(pts.shape[0]), **reference_stats(pts)}
+
+
+class TestChunkStats:
+    @staticmethod
+    def hand_built(magnitude):
+        """Rows the uniform sweep never draws: tau = +0.0 and -0.0, tau = +-xi,
+        xi = 0 and eta in {0, xi}, each alone and combined, on seeded bases.
+        On about one tau = 0 row in ten the two sign-split branches round
+        differently, so a kernel that keeps one branch there fails."""
+        rows = []
+        for tau, xi, lam, eta in np.random.default_rng(7).uniform(-magnitude, magnitude, size=(32, 4)):
+            for x in (xi, 0.0):
+                for e in (eta, 0.0, x):
+                    for t in (tau, 0.0, -0.0, x, -x):
+                        rows.append((t, x, lam, e))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e9])
+    def test_equals_public_functions(self, magnitude):
+        pts = self.hand_built(magnitude)
+        cols = pts.T.copy()
+        assert weights._chunk_stats(cols) == reference_stats(pts)
+        # One column at a time, so that no other column hides a statistic.
+        for k in range(pts.shape[0]):
+            assert weights._chunk_stats(cols[:, k : k + 1]) == reference_stats(pts[k : k + 1]), pts[k]
+        assert np.array_equal(cols, pts.T)
 
 
 class TestStreamedSweep:
@@ -157,12 +187,12 @@ class TestStreamedSweep:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("n", [0, -1, 1.5])
+    @pytest.mark.parametrize("n", [0, -1, 1.5, True, np.True_, "10"])
     def test_rejects_bad_sample_count(self, n):
         with pytest.raises(ValueError, match="n_samples"):
             weights.sample_margins(n)
 
-    @pytest.mark.parametrize("box", [0.0, -1.0, np.nan, np.inf, 5e307, 1e308])
+    @pytest.mark.parametrize("box", [0.0, -1.0, np.nan, np.inf, 5e307, 1e308, "1", None, True, 1j])
     def test_rejects_bad_box(self, box):
         with pytest.raises(ValueError, match="box"):
             weights.sample_margins(100, box=box)
