@@ -67,6 +67,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._checks import finite_real
 from .norms import Grid2D, NormIndex, indicator_product, point_norm, spatial_inverse
 
 Interval = tuple[float, float]
@@ -243,9 +244,9 @@ class RatioResult:
 
 
 def _check_scales(L_values) -> list:
-    """``L_values`` as a list, if every L satisfies 4 < L <= 2^48."""
+    """``L_values`` as a list, if every L is a real number with 4 < L <= 2^48."""
     L_values = list(L_values)
-    if not all(4 < L <= _MAX_L for L in L_values):
+    if not all(finite_real(L) and 4 < L <= _MAX_L for L in L_values):
         raise ValueError("family scale L must be finite and exceed 4, and be at most 2^48")
     return L_values
 
@@ -273,9 +274,9 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     family = FAMILIES[family_id]
     L_values = _check_scales(L_values)
     tuples = [ExponentTuple(*t) for t in tuples]
+    if not all(map(finite_real, itertools.chain.from_iterable(tuples))):
+        raise ValueError("exponents must all be finite real numbers")
     exponents = np.array(tuples, dtype=float).reshape(-1, 6)
-    if not np.all(np.isfinite(exponents)):
-        raise ValueError("exponents must all be finite")
     # Six (k, 1) columns, one row per tuple, broadcast against the points.
     a, b, c, alpha, beta, gamma = exponents.T[:, :, None]
     num_idx = NormIndex(-c, -gamma, "H")
@@ -304,7 +305,7 @@ def loglog_fit(L_values: np.ndarray, ratios: np.ndarray) -> tuple[float, float]:
     r^2 = sxy^2 / (sxx syy).  Raises ``ValueError`` unless every L and ratio
     is finite and positive and there are at least two distinct L.
     """
-    # log is finite exactly on the finite positive numbers.
+    # log is finite exactly on finite positive input.
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.log(L_values)
         y = np.log(ratios)
@@ -345,6 +346,8 @@ def wave_product_constant(f_hat: np.ndarray, g_hat: np.ndarray, grid: Grid2D) ->
     g_hat = np.asarray(g_hat, dtype=complex)
     if f_hat.shape != (grid.n_x,) or g_hat.shape != (grid.n_x,):
         raise ValueError("spatial spectra must be 1d arrays on the grid's xi axis")
+    if not (np.isfinite(f_hat).all() and np.isfinite(g_hat).all()):
+        raise ValueError("spatial spectra must be finite")
     if grid.t_extent > grid.x_extent / 2 + 1e-12:
         raise ValueError(
             "time extent must be at most half the spatial extent so that the box "

@@ -39,6 +39,8 @@ from typing import Literal
 import numpy as np
 import scipy.fft as sfft
 
+from ._checks import count, finite_real
+
 _WORKERS = 2
 
 Side = Literal["physical", "fourier"]
@@ -54,10 +56,10 @@ def bracket(x):
 class Grid2D:
     """Uniform centered space-time grid and its dual frequency grid.
 
-    Sizes must be even (the centered index convention needs n/2 integral)
-    and below 2^63, the largest count numpy indexes; FFT-friendly 5-smooth
-    sizes are strongly recommended.  Extents, and the spacings on both
-    sides, must be finite and positive.
+    Sizes must be even integers (the centered index convention needs n/2
+    integral) below 2^63, the largest count numpy indexes; FFT-friendly
+    5-smooth sizes are strongly recommended.  Extents are real numbers, and
+    they and the spacings on both sides must be finite and positive.
     """
 
     n_t: int
@@ -66,9 +68,9 @@ class Grid2D:
     x_extent: float
 
     def __post_init__(self):
-        if not all(2 <= n < 2**63 and n % 2 == 0 for n in (self.n_t, self.n_x)):
+        if not all(count(n) and 2 <= n < 2**63 and n % 2 == 0 for n in (self.n_t, self.n_x)):
             raise ValueError("grid sizes must be even integers in [2, 2^63)")
-        if not (0 < self.t_extent < math.inf and 0 < self.x_extent < math.inf):
+        if not all(finite_real(e) and e > 0 for e in (self.t_extent, self.x_extent)):
             raise ValueError("grid extents must be finite and positive")
         if not (self.dt > 0 and self.dx > 0 and self.dtau < math.inf and self.dxi < math.inf):
             raise ValueError("grid spacings must be finite and positive")
@@ -137,23 +139,17 @@ class GridFunction2D:
             raise ValueError(f"unknown side {self.side!r}")
 
 
-def _centered_fft2(values: np.ndarray) -> np.ndarray:
-    return sfft.fftshift(
-        sfft.fft2(sfft.ifftshift(values), workers=_WORKERS)
-    )
-
-
-def _centered_ifft2(values: np.ndarray) -> np.ndarray:
-    return sfft.fftshift(
-        sfft.ifft2(sfft.ifftshift(values), workers=_WORKERS)
-    )
+def _centered(fftn, values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``fftn`` over ``axes`` of samples stored centered, stored centered again."""
+    shifted = fftn(sfft.ifftshift(values, axes=axes), axes=axes, workers=_WORKERS)
+    return sfft.fftshift(shifted, axes=axes)
 
 
 def transform(u: GridFunction2D) -> GridFunction2D:
     """Forward space-time transform (physical -> fourier), Riemann-sum scaled."""
     if u.side != "physical":
         raise ValueError("transform expects a physical-side function")
-    vals = _centered_fft2(np.asarray(u.values, dtype=complex)) * u.grid.cell_physical
+    vals = _centered(sfft.fftn, np.asarray(u.values, dtype=complex), (0, 1)) * u.grid.cell_physical
     return GridFunction2D(u.grid, vals, "fourier")
 
 
@@ -161,7 +157,7 @@ def inverse_transform(u_hat: GridFunction2D) -> GridFunction2D:
     """Inverse space-time transform (fourier -> physical)."""
     if u_hat.side != "fourier":
         raise ValueError("inverse_transform expects a fourier-side function")
-    vals = _centered_ifft2(np.asarray(u_hat.values, dtype=complex)) / u_hat.grid.cell_physical
+    vals = _centered(sfft.ifftn, np.asarray(u_hat.values, dtype=complex), (0, 1)) / u_hat.grid.cell_physical
     return GridFunction2D(u_hat.grid, vals, "physical")
 
 
@@ -172,9 +168,7 @@ def spatial_inverse(values: np.ndarray, extent: float) -> np.ndarray:
     if n % 2:
         raise ValueError("spatial_inverse needs an even number of samples")
     dx = extent / n
-    return sfft.fftshift(
-        sfft.ifft(sfft.ifftshift(values, axes=-1), axis=-1, workers=_WORKERS), axes=-1
-    ) / dx
+    return _centered(sfft.ifftn, values, (-1,)) / dx
 
 
 @dataclass(frozen=True)

@@ -60,13 +60,14 @@ import contextlib
 import functools
 import io
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft as sfft
+
+from ._checks import count, finite_real
 
 SQRT2 = np.sqrt(2.0)
 
@@ -85,11 +86,6 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _is_real(value) -> bool:
-    """A real number other than a bool: what the validators compare and bound."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class GridSpec1D:
     """Periodic spatial grid; power-of-two size for FFT efficiency.
@@ -103,9 +99,9 @@ class GridSpec1D:
 
     def __post_init__(self):
         n_x = self.n_x
-        if not (isinstance(n_x, (int, np.integer)) and 2 <= n_x < 2**63) or n_x & (n_x - 1):
+        if not (count(n_x) and 2 <= n_x < 2**63) or n_x & (n_x - 1):
             raise ValueError("n_x must be an integer power of two in [2, 2^62]")
-        if not (_is_real(self.x_extent) and 0 < self.x_extent < math.inf):
+        if not (finite_real(self.x_extent) and self.x_extent > 0):
             raise ValueError("x_extent must be real, finite and positive")
         if not (self.dx > 0 and 2 * math.pi / self.x_extent < math.inf):
             raise ValueError("grid spacings must be finite and positive")
@@ -178,23 +174,22 @@ class SolverConfig:
     diag_r: float = 0.0
 
     def __post_init__(self):
-        if not (_is_real(self.dt) and 0 < self.dt < math.inf):
+        if not (finite_real(self.dt) and self.dt > 0):
             raise ValueError("dt must be real, finite and positive")
-        if not (_is_real(self.t_end) and math.isfinite(self.t_end)):
+        if not finite_real(self.t_end):
             raise ValueError("t_end must be real and finite")
         if self.dt > self.grid.dx + 1e-15:
             raise ValueError("dt must not exceed dx")
-        every = self.diagnostics_every
-        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
+        if not (count(self.diagnostics_every) and self.diagnostics_every >= 1):
             raise ValueError("diagnostics_every must be an integer >= 1")
         for s in (self.diag_s, self.diag_r):
-            if not (_is_real(s) and math.isfinite(s) and np.isfinite(_sobolev_weight(self.grid, s)).all()):
+            if not (finite_real(s) and np.isfinite(_sobolev_weight(self.grid, s)).all()):
                 raise ValueError("diag_s and diag_r must be real and finite, with finite H^s weights on the grid")
 
 
 def _check_state(M: float, m: float, *fields: np.ndarray) -> None:
     """What every state holds: finite nonnegative masses and finite fields."""
-    if not (0 <= M < math.inf and 0 <= m < math.inf):
+    if not (finite_real(M) and finite_real(m) and M >= 0 and m >= 0):
         raise ValueError("masses must be finite and nonnegative")
     if not all(np.isfinite(v).all() for v in fields):
         raise ValueError("field values must be finite")
@@ -331,9 +326,9 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
 def strang_step(state: DKGState, dt: float) -> DKGState:
     """coupling(dt/2), then the commuting pair half-wave(dt) | kg(dt), then coupling(dt/2).
 
-    ``dt`` must be finite; zero, negative and ``dt > dx`` are allowed."""
-    if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
+    ``dt`` must be a finite real number; zero, negative and ``dt > dx`` are allowed."""
+    if not finite_real(dt):
+        raise ValueError("dt must be finite and real")
     return next(_march(state, dt, 1, 1))[1]
 
 
@@ -389,6 +384,8 @@ def rough_data(s: float, seed: int, grid: GridSpec1D) -> np.ndarray:
     independent unit-modulus random phases; bit-reproducible for a fixed
     seed.
     """
+    if not finite_real(s):
+        raise ValueError("s must be real and finite")
     rng = np.random.default_rng(seed)
     magnitude = (1.0 + np.abs(grid.xi_fft)) ** (-s - 0.5 - 0.01)
     phases = np.exp(2j * np.pi * rng.random((2, grid.n_x)))
@@ -480,7 +477,7 @@ def save_state(path, state: DKGState) -> None:
         raise ValueError(f"a and f have shapes {state.a.shape} and {state.f.shape}, expected {shape}")
     if np.iscomplexobj(state.f):
         raise ValueError("f = (phi, phi_t) must be real")
-    if not math.isfinite(state.t):
+    if not finite_real(state.t):
         raise ValueError("non-finite time in solver state")
     _check_state(state.M, state.m, state.a, state.f)
     with open(path, "wb") if isinstance(path, (str, os.PathLike)) else contextlib.nullcontext(path) as fh:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import count
+
 ALPHA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 BETA = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
@@ -101,7 +103,7 @@ def verify_identities(n_samples: int = 1000, seed: int = 0) -> dict[str, float]:
     quadratic density, null-form vanishing on equal ranges, and the constant
     matrix algebra.  All residuals are exact algebra and sit at roundoff.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+    if not (count(n_samples) and n_samples >= 1):
         raise ValueError("n_samples must be an integer >= 1")
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal((n_samples, 2)) + 1j * rng.standard_normal((n_samples, 2))

@@ -28,10 +28,11 @@ weights once per chunk; the three margin functions are its tested reference.
 
 from __future__ import annotations
 
-import numbers
 from typing import NamedTuple
 
 import numpy as np
+
+from ._checks import count, finite_real
 
 # Share of a ``sample_margins`` budget spent on each corner manifold.
 CORNER_FRACTION = 0.1
@@ -160,11 +161,11 @@ def sample_margins(n_samples: int, seed: int = 0, box: float = 1e3) -> dict[str,
     relative to that scale (the absolute one reads roundoff as about -1e-13
     at the default box).
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+    if not (count(n_samples) and n_samples >= 1):
         raise ValueError("n_samples must be an integer >= 1")
     # The largest intermediate is 1.5 max(|Gamma|, |Theta+|, |Sigma-|), and
     # |Sigma-| <= 4 box, so the sweep stays finite only while 6 box does.
-    if isinstance(box, bool) or not isinstance(box, numbers.Real) or not 0 < 6 * float(box) < np.inf:
+    if not (finite_real(box) and 0 < 6 * float(box) < np.inf):
         raise ValueError("box must be a positive real number, with 6 * box finite")
     rng = np.random.default_rng(seed)
     n_corner = int(n_samples * CORNER_FRACTION)

@@ -151,7 +151,7 @@ class TestBuildFamily:
         with pytest.raises(ValueError, match="exceed 4"):
             cx.ratio_ladder("cond1_ab", [64.0, 2.0], [ZEROS])
 
-    @pytest.mark.parametrize("L", [np.inf, np.nan, 4.0])
+    @pytest.mark.parametrize("L", [np.inf, np.nan, 4.0, "64"])
     def test_rejects_non_finite_or_small_scale(self, L):
         with pytest.raises(ValueError, match="finite and exceed 4"):
             cx.ratio_ladder("cond2", [64.0, L], [ZEROS])
@@ -173,7 +173,7 @@ class TestBuildFamily:
         with pytest.raises(ValueError, match=r"at most 2\^48"):
             cx.ratio_ladder(family, [64.0, L], [ZEROS])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1", True])
     @pytest.mark.parametrize("slot", range(6))
     def test_rejects_non_finite_exponents(self, bad, slot):
         e = [0.0] * 6
@@ -397,6 +397,13 @@ class TestWaveProductConstant:
         f_hat = gaussian_spectrum(g)
         with pytest.raises(ValueError, match="zero profile"):
             cx.wave_product_constant(0.0 * f_hat, f_hat, g)
+        for bad in (np.nan, np.inf):
+            broken = f_hat.copy()
+            broken[3] = bad
+            with pytest.raises(ValueError, match="spectra must be finite"):
+                cx.wave_product_constant(broken, f_hat, g)
+            with pytest.raises(ValueError, match="spectra must be finite"):
+                cx.wave_product_constant(f_hat, broken, g)
 
     def test_non_decaying_profile_rejected(self):
         g = cx.default_wave_grid(256)

@@ -52,12 +52,15 @@ class TestGrid2D:
     def test_rejects_odd_sizes(self):
         with pytest.raises(ValueError):
             Grid2D(7, 16, 1.0, 1.0)
+        for n in (8.0, np.float64(8)):
+            with pytest.raises(ValueError, match="even integers"):
+                Grid2D(8, n, 1.0, 1.0)
 
     def test_rejects_bad_extent(self):
         with pytest.raises(ValueError):
             Grid2D(8, 8, 0.0, 1.0)
 
-    @pytest.mark.parametrize("extent", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("extent", [np.nan, np.inf, -np.inf, "1", True, pytest.param(10**400, id="10**400")])
     def test_rejects_non_finite_extent(self, extent):
         with pytest.raises(ValueError, match="finite"):
             Grid2D(8, 8, extent, 1.0)

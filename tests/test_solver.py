@@ -12,6 +12,9 @@ from numpy.testing import assert_allclose
 from dkg1d import solver
 from dkg1d.solver import DKGState, GridSpec1D, SolverConfig
 
+# An int beyond float range: a real number, but not a finite float.
+BEYOND_FLOAT = pytest.param(10**400, id="10**400")
+
 
 @pytest.fixture
 def grid():
@@ -86,7 +89,7 @@ class TestGridSpec:
                 GridSpec1D(n_x, 4.0)
         assert GridSpec1D(np.int64(8), 4.0).n_x == 8
 
-    @pytest.mark.parametrize("extent", [0.0, np.nan, np.inf, "4", None, True])
+    @pytest.mark.parametrize("extent", [0.0, np.nan, np.inf, "4", None, True, BEYOND_FLOAT])
     def test_rejects_bad_extent(self, extent):
         with pytest.raises(ValueError, match="finite and positive"):
             GridSpec1D(8, extent)
@@ -160,7 +163,11 @@ class TestInitState:
         with pytest.raises(ValueError, match="finite"):
             solver.init_state(*data, 1.0, 1.0, grid)
 
-    @pytest.mark.parametrize("M, m", [(np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "M, m",
+        [(np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0), ("1", 1.0), (None, 1.0), (True, 1.0)]
+        + [pytest.param(1.0, 10**400, id="1.0-10**400")],
+    )
     def test_rejects_bad_masses(self, grid, M, m):
         with pytest.raises(ValueError, match="masses"):
             solver.init_state(
@@ -319,7 +326,7 @@ class TestStep:
         assert np.abs(out.phi).max() == 0.0
         assert out.t == pytest.approx(dt)
 
-    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, "0.1", None, True, BEYOND_FLOAT])
     def test_rejects_non_finite_dt(self, smooth_state, dt):
         with pytest.raises(ValueError, match="dt must be finite"):
             solver.strang_step(smooth_state, dt)
@@ -458,7 +465,7 @@ class TestConfigValidation:
         SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, diagnostics_every=np.int64(4))
 
     @pytest.mark.parametrize("name", ["dt", "t_end", "diag_s", "diag_r"])
-    @pytest.mark.parametrize("value", ["0.1", None, True])
+    @pytest.mark.parametrize("value", ["0.1", None, True, BEYOND_FLOAT])
     def test_rejects_non_real(self, grid, name, value):
         kwargs = {"dt": grid.dx / 2, "t_end": 1.0, name: value}
         with pytest.raises(ValueError, match="must be real"):
@@ -502,6 +509,8 @@ class TestRoughData:
         psi0 = solver.rough_data(0.0, 7, grid)
         norm = solver.sobolev_norm(psi0.T, 0.0, grid)
         assert norm == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(ValueError, match="s must be real and finite"):
+            solver.rough_data(np.nan, 7, grid)
 
     def test_reproducible(self, grid):
         a = solver.rough_data(-0.2, 11, grid)
@@ -883,10 +892,10 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="real"):
             solver.save_state(path, complex_phi)
         # What load_state would refuse is refused before the file is opened.
-        for t in (np.nan, np.inf, -np.inf):
+        for t in (np.nan, np.inf, -np.inf, True):
             with pytest.raises(ValueError, match="non-finite time"):
                 solver.save_state(path, dataclasses.replace(smooth_state, t=t))
-        for M, m in ((-2.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.inf)):
+        for M, m in ((-2.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.inf), (True, 1.0), (1.0, "1")):
             with pytest.raises(ValueError, match="masses must be finite and nonnegative"):
                 solver.save_state(path, dataclasses.replace(smooth_state, M=M, m=m))
         for row in ("psi_plus", "psi_minus", "phi", "phi_t"):

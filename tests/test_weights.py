@@ -192,7 +192,9 @@ class TestStreamedSweep:
         with pytest.raises(ValueError, match="n_samples"):
             weights.sample_margins(n)
 
-    @pytest.mark.parametrize("box", [0.0, -1.0, np.nan, np.inf, 5e307, 1e308, "1", None, True, 1j])
+    @pytest.mark.parametrize(
+        "box", [0.0, -1.0, np.nan, np.inf, 5e307, 1e308, "1", None, True, 1j, pytest.param(10**400, id="10**400")]
+    )
     def test_rejects_bad_box(self, box):
         with pytest.raises(ValueError, match="box"):
             weights.sample_margins(100, box=box)
