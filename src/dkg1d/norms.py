@@ -28,6 +28,11 @@ Weight families, with ``<y> = 1 + |y|``:
     X_plus   <xi>^a <tau + xi>^alpha
     X_minus  <xi>^a <tau - xi>^alpha
     H        <xi>^a <|tau| - |xi|>^alpha
+
+Transforms are called as ``scipy.fft.<name>`` after a plain ``import scipy``:
+SciPy then loads ``scipy.fft`` (about 0.3 s) on the first transform, so the
+counterexample ladders, which count lattice pairs without an FFT, never pay
+for it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-import scipy.fft as sfft
+import scipy
 
 from ._checks import count, finite_real
 
@@ -141,15 +146,15 @@ class GridFunction2D:
 
 def _centered(fftn, values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """``fftn`` over ``axes`` of samples stored centered, stored centered again."""
-    shifted = fftn(sfft.ifftshift(values, axes=axes), axes=axes, workers=_WORKERS)
-    return sfft.fftshift(shifted, axes=axes)
+    shifted = fftn(scipy.fft.ifftshift(values, axes=axes), axes=axes, workers=_WORKERS)
+    return scipy.fft.fftshift(shifted, axes=axes)
 
 
 def transform(u: GridFunction2D) -> GridFunction2D:
     """Forward space-time transform (physical -> fourier), Riemann-sum scaled."""
     if u.side != "physical":
         raise ValueError("transform expects a physical-side function")
-    vals = _centered(sfft.fftn, np.asarray(u.values, dtype=complex), (0, 1)) * u.grid.cell_physical
+    vals = _centered(scipy.fft.fftn, np.asarray(u.values, dtype=complex), (0, 1)) * u.grid.cell_physical
     return GridFunction2D(u.grid, vals, "fourier")
 
 
@@ -157,7 +162,7 @@ def inverse_transform(u_hat: GridFunction2D) -> GridFunction2D:
     """Inverse space-time transform (fourier -> physical)."""
     if u_hat.side != "fourier":
         raise ValueError("inverse_transform expects a fourier-side function")
-    vals = _centered(sfft.ifftn, np.asarray(u_hat.values, dtype=complex), (0, 1)) / u_hat.grid.cell_physical
+    vals = _centered(scipy.fft.ifftn, np.asarray(u_hat.values, dtype=complex), (0, 1)) / u_hat.grid.cell_physical
     return GridFunction2D(u_hat.grid, vals, "physical")
 
 
@@ -168,7 +173,7 @@ def spatial_inverse(values: np.ndarray, extent: float) -> np.ndarray:
     if n % 2:
         raise ValueError("spatial_inverse needs an even number of samples")
     dx = extent / n
-    return _centered(sfft.ifftn, values, (-1,)) / dx
+    return _centered(scipy.fft.ifftn, values, (-1,)) / dx
 
 
 @dataclass(frozen=True)
@@ -277,13 +282,13 @@ def bilinear_convolution(
         raise ValueError(f"unknown method {method!r}")
 
     # out[k] = linear_conv(F, reverse(G))[k + n/2 - 1] per axis
-    mt = sfft.next_fast_len(2 * nt - 1)
-    mx = sfft.next_fast_len(2 * nx - 1)
-    Fb = sfft.fft2(np.asarray(F.values, dtype=complex), s=(mt, mx), workers=_WORKERS)
-    Gb = sfft.fft2(
+    mt = scipy.fft.next_fast_len(2 * nt - 1)
+    mx = scipy.fft.next_fast_len(2 * nx - 1)
+    Fb = scipy.fft.fft2(np.asarray(F.values, dtype=complex), s=(mt, mx), workers=_WORKERS)
+    Gb = scipy.fft.fft2(
         np.asarray(G.values, dtype=complex)[::-1, ::-1], s=(mt, mx), workers=_WORKERS
     )
-    full = sfft.ifft2(Fb * Gb, workers=_WORKERS)
+    full = scipy.fft.ifft2(Fb * Gb, workers=_WORKERS)
     t0, x0 = nt // 2 - 1, nx // 2 - 1
     out = full[t0 : t0 + nt, x0 : x0 + nx]
     return GridFunction2D(grid, np.ascontiguousarray(out) * cell, "fourier")

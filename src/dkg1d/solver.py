@@ -51,7 +51,9 @@ terms once, before its first row: the H^s weight on the FFT bins, and the
 H^r and gradient weights on the real-FFT bins.  A non-finite field value
 makes its row non-finite, so the row check is the only finiteness scan.
 ``strang_step`` takes one step of the same march, so both apply the same
-kernels.
+kernels.  Transforms are called as ``scipy.fft.<name>`` after a plain
+``import scipy``, so SciPy loads ``scipy.fft`` (about 0.3 s) on the first
+transform and a process that never takes one does not pay for it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
+import scipy
 
 from ._checks import count, finite_real
 
@@ -117,12 +119,12 @@ class GridSpec1D:
     @functools.cached_property
     def xi_fft(self) -> np.ndarray:
         """Dual modes in FFT storage order (computed once, read-only)."""
-        return _read_only(sfft.fftfreq(self.n_x, d=self.dx) * 2 * np.pi)
+        return _read_only(scipy.fft.fftfreq(self.n_x, d=self.dx) * 2 * np.pi)
 
     @functools.cached_property
     def xi_rfft(self) -> np.ndarray:
         """Nonnegative dual modes of a real FFT (computed once, read-only)."""
-        return _read_only(sfft.rfftfreq(self.n_x, d=self.dx) * 2 * np.pi)
+        return _read_only(scipy.fft.rfftfreq(self.n_x, d=self.dx) * 2 * np.pi)
 
 
 @dataclass
@@ -252,7 +254,7 @@ def _kg_propagator(grid: GridSpec1D, m: float, dt: float) -> np.ndarray:
 
 
 def _half_wave(a: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    return sfft.ifft(phases * sfft.fft(a, axis=-1), axis=-1, overwrite_x=True)
+    return scipy.fft.ifft(phases * scipy.fft.fft(a, axis=-1), axis=-1, overwrite_x=True)
 
 
 def _kg(f_hat: np.ndarray, propagator: np.ndarray) -> np.ndarray:
@@ -303,24 +305,24 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
     phases = _wave_phases(state.grid, dt)
     propagator = _kg_propagator(state.grid, state.m, dt)
     a, kick = _coupling(state.a, half, _rotation(state.f[0], M, half))
-    f_hat = sfft.rfft(_kicked(state.f, kick), axis=-1)
+    f_hat = scipy.fft.rfft(_kicked(state.f, kick), axis=-1)
     t = state.t
     for k in range(1, n_steps + 1):
         a = _half_wave(a, phases)
         f_hat = _kg(f_hat, propagator)
         t += dt
         if k % every and k < n_steps:
-            a, kick = _coupling(a, dt, _rotation(sfft.irfft(f_hat[0], n=n), M, dt))
-            f_hat[1] += sfft.rfft(kick)
+            a, kick = _coupling(a, dt, _rotation(scipy.fft.irfft(f_hat[0], n=n), M, dt))
+            f_hat[1] += scipy.fft.rfft(kick)
             continue
-        f = sfft.irfft(f_hat, n=n, axis=-1)
+        f = scipy.fft.irfft(f_hat, n=n, axis=-1)
         rotation = _rotation(f[0], M, half)
         a, kick = _coupling(a, half, rotation)
         f[1] += kick
         yield k, replace(state, a=a, f=f, t=t), f_hat[0]
         if k < n_steps:
             a, kick = _coupling(a, half, rotation)
-            f_hat = sfft.rfft(_kicked(f, kick), axis=-1)
+            f_hat = scipy.fft.rfft(_kicked(f, kick), axis=-1)
 
 
 def strang_step(state: DKGState, dt: float) -> DKGState:
@@ -374,7 +376,7 @@ def sobolev_norm(values: np.ndarray, s: float, grid: GridSpec1D) -> float:
     values = np.asarray(values)
     if values.shape[-1] != grid.n_x:
         raise ValueError("last axis must match the grid")
-    return _weighted_norm(sfft.fft(values, axis=-1), _sobolev_weight(grid, s))
+    return _weighted_norm(scipy.fft.fft(values, axis=-1), _sobolev_weight(grid, s))
 
 
 def rough_data(s: float, seed: int, grid: GridSpec1D) -> np.ndarray:
@@ -382,15 +384,20 @@ def rough_data(s: float, seed: int, grid: GridSpec1D) -> np.ndarray:
 
     Each component gets Fourier coefficients <xi>^(-s - 1/2 - 0.01) with
     independent unit-modulus random phases; bit-reproducible for a fixed
-    seed.
+    seed.  A |s| so large that the spectrum or the normalisation overflows
+    on ``grid`` raises ``ValueError``.
     """
     if not finite_real(s):
         raise ValueError("s must be real and finite")
     rng = np.random.default_rng(seed)
-    magnitude = (1.0 + np.abs(grid.xi_fft)) ** (-s - 0.5 - 0.01)
     phases = np.exp(2j * np.pi * rng.random((2, grid.n_x)))
-    components = sfft.ifft(magnitude * phases, axis=-1) / grid.dx
-    return components.T / sobolev_norm(components, s, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = (1.0 + np.abs(grid.xi_fft)) ** (-s - 0.5 - 0.01)
+        components = scipy.fft.ifft(magnitude * phases, axis=-1) / grid.dx
+        norm = sobolev_norm(components, s, grid)
+    if not math.isfinite(norm):
+        raise ValueError("s gives a spectrum or H^s norm that is not finite on this grid")
+    return components.T / norm
 
 
 def smooth_data(grid: GridSpec1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -422,7 +429,7 @@ def _record(state: DKGState, phi_hat: np.ndarray, weights: tuple[np.ndarray, ...
     return (
         state.t,
         charge(state),
-        _weighted_norm(sfft.fft(state.a, axis=-1), hs),
+        _weighted_norm(scipy.fft.fft(state.a, axis=-1), hs),
         _weighted_norm(phi_hat, hr),
         float(kinetic + np.vdot(phi_hat * gradient, phi_hat).real),
     )
@@ -448,7 +455,7 @@ def run(
         _hermitian(_sobolev_weight(grid, config.diag_r)[: grid.n_x // 2 + 1]),
         _gradient_weight(grid),
     )
-    records = [_record(state, sfft.rfft(state.phi), weights)]
+    records = [_record(state, scipy.fft.rfft(state.phi), weights)]
     rows = _march(state, config.dt, n_steps, config.diagnostics_every)
     for k, state, phi_hat in rows:
         row = _record(state, phi_hat, weights)

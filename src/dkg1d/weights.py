@@ -161,8 +161,8 @@ def sample_margins(n_samples: int, seed: int = 0, box: float = 1e3) -> dict[str,
     relative to that scale (the absolute one reads roundoff as about -1e-13
     at the default box).
     """
-    if not (count(n_samples) and n_samples >= 1):
-        raise ValueError("n_samples must be an integer >= 1")
+    if not (count(n_samples) and 1 <= n_samples < 2**63):
+        raise ValueError("n_samples must be an integer with 1 <= n_samples < 2**63")
     # The largest intermediate is 1.5 max(|Gamma|, |Theta+|, |Sigma-|), and
     # |Sigma-| <= 4 box, so the sweep stays finite only while 6 box does.
     if not (finite_real(box) and 0 < 6 * float(box) < np.inf):

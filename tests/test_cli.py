@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,30 @@ def test_norms_subcommand_gone():
     with pytest.raises(SystemExit) as err:
         cli.main(["norms", "--input", "x", "--a", "0", "--alpha", "0", "--flavor", "H"])
     assert err.value.code == 2
+
+
+_STARTUP_PROBE = """
+import importlib, pkgutil, sys
+import numpy as np
+import dkg1d
+for info in pkgutil.iter_modules(dkg1d.__path__):
+    importlib.import_module("dkg1d." + info.name)
+assert "dkg1d.cli" in sys.modules
+assert "scipy.fft" not in sys.modules and "scipy.special" not in sys.modules
+from dkg1d import solver
+grid = solver.GridSpec1D(16, 2.0)
+state = solver.init_state(np.ones((16, 2)), np.zeros(16), np.zeros(16), 1.0, 1.0, grid)
+solver.strang_step(state, 0.1)
+assert "scipy.fft" in sys.modules
+"""
+
+
+def test_startup_defers_scipy_fft():
+    # Importing scipy.fft takes about 0.3 s, so only a process that takes a
+    # transform loads it; verify, region, counterexample and fit start without it.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestCounterexampleAndFit:

@@ -511,6 +511,9 @@ class TestRoughData:
         assert norm == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(ValueError, match="s must be real and finite"):
             solver.rough_data(np.nan, 7, grid)
+        for s in (400.0, -400.0):
+            with pytest.raises(ValueError, match="not finite on this grid"):
+                solver.rough_data(s, 7, GridSpec1D(64, 16.0))
 
     def test_reproducible(self, grid):
         a = solver.rough_data(-0.2, 11, grid)
@@ -760,7 +763,7 @@ class TestRun:
             return wrapper
 
         for name in ("fft", "ifft", "rfft", "irfft"):
-            monkeypatch.setattr(solver.sfft, name, counted(name, getattr(solver.sfft, name)))
+            monkeypatch.setattr(solver.scipy.fft, name, counted(name, getattr(solver.scipy.fft, name)))
         dt, n_steps = smooth_state.grid.dx / 2, 37
         config = SolverConfig(grid=smooth_state.grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every)
         yielded = solver.run(config, smooth_state).t.size - 1
