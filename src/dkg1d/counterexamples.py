@@ -17,20 +17,8 @@ exponent delta(a, b, c, alpha, beta, gamma) that is linear in the inputs.
 A negative delta therefore certifies unboundedness of the corresponding
 product estimate; nonnegativity of delta over all families, on the tuple
 and on its mirror (b, a, c, beta, alpha, gamma), yields the necessary
-conditions checked in ``regions.bilinear_necessary_conditions``.
-
-Families (intervals at scale L, v's strip line, decay exponent):
-
-    cond1_ab     A=[L-1/2,L+1/2], B=[L-1,L+1],   C=[-1/2,1/2],  v: plus,
-                 delta = a + b + beta
-    cond2        A=[L/4,L/2],     B=[L/2,3L/2],  C=[-L,-L/2],   v: plus,
-                 delta = a + b + c + beta - 1/2
-    cond3        A=C=[L-1/2,L+1/2], B=[-1,1],                   v: plus,
-                 delta = a + c
-    cond1_gamma  A=[L-1,L+1],     B=[L-2,L+2],   C=[-1,1],      v: minus,
-                 delta = a + b + gamma
-    cond4        A=[L-1,L+1],     B=[2L-2,2L+2], C=[-L-1,-L+1], v: minus,
-                 delta = a + b + c + gamma
+conditions checked in ``regions.bilinear_necessary_conditions``.  Each
+family is one row of exact rational data in ``FAMILIES``.
 
 The strips are sampled on the fixed frequency lattice tau = i/2, xi = j/4,
 the same at every L, so the strip discretization cancels out of fitted
@@ -60,10 +48,13 @@ the exact transversal free-wave product identity (``wave_product_constant``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,46 +86,53 @@ class ExponentTuple(NamedTuple):
     gamma: float = 0.0
 
 
+_HALF = Fraction(1, 2)
+
+
 @dataclass(frozen=True)
 class CounterexampleFamily:
-    """One counterexample construction: intervals, strip kinds, decay exponent."""
+    """One construction as exact data: v's strip line, the endpoints of A, B and C
+    (lo, hi each) as pairs (p, q) meaning p L + q, and delta as the sum of the
+    named exponents plus ``delta_constant``."""
 
     v_line: str
-    intervals: Callable[[float], tuple[Interval, Interval, Interval]]
-    delta: Callable[[ExponentTuple], float]
+    endpoints: tuple[tuple[int | Fraction, int | Fraction], ...]
+    delta_sum: tuple[str, ...]
+    delta_constant: Fraction | None = None
+
+    def intervals(self, L) -> tuple[Interval, Interval, Interval]:
+        x = [p * L + q for p, q in self.endpoints]
+        return (x[0], x[1]), (x[2], x[3]), (x[4], x[5])
 
 
 FAMILIES: dict[str, CounterexampleFamily] = {
     "cond1_ab": CounterexampleFamily(
-        v_line="plus",
-        intervals=lambda L: ((L - 0.5, L + 0.5), (L - 1.0, L + 1.0), (-0.5, 0.5)),
-        delta=lambda e: e.a + e.b + e.beta,
+        "plus", ((1, -_HALF), (1, _HALF), (1, -1), (1, 1), (0, -_HALF), (0, _HALF)), ("a", "b", "beta")
     ),
     "cond2": CounterexampleFamily(
-        v_line="plus",
-        intervals=lambda L: ((L / 4, L / 2), (L / 2, 3 * L / 2), (-L, -L / 2)),
-        delta=lambda e: e.a + e.b + e.c + e.beta - 0.5,
+        "plus",
+        ((Fraction(1, 4), 0), (_HALF, 0), (_HALF, 0), (Fraction(3, 2), 0), (-1, 0), (-_HALF, 0)),
+        ("a", "b", "c", "beta"),
+        -_HALF,
     ),
     "cond3": CounterexampleFamily(
-        v_line="plus",
-        intervals=lambda L: ((L - 0.5, L + 0.5), (-1.0, 1.0), (L - 0.5, L + 0.5)),
-        delta=lambda e: e.a + e.c,
+        "plus", ((1, -_HALF), (1, _HALF), (0, -1), (0, 1), (1, -_HALF), (1, _HALF)), ("a", "c")
     ),
     "cond1_gamma": CounterexampleFamily(
-        v_line="minus",
-        intervals=lambda L: ((L - 1.0, L + 1.0), (L - 2.0, L + 2.0), (-1.0, 1.0)),
-        delta=lambda e: e.a + e.b + e.gamma,
+        "minus", ((1, -1), (1, 1), (1, -2), (1, 2), (0, -1), (0, 1)), ("a", "b", "gamma")
     ),
     "cond4": CounterexampleFamily(
-        v_line="minus",
-        intervals=lambda L: ((L - 1.0, L + 1.0), (2 * L - 2.0, 2 * L + 2.0), (-L - 1.0, -L + 1.0)),
-        delta=lambda e: e.a + e.b + e.c + e.gamma,
+        "minus", ((1, -1), (1, 1), (2, -2), (2, 2), (-1, -1), (-1, 1)), ("a", "b", "c", "gamma")
     ),
 }
 
 
-def predicted_delta(family_id: str, e: ExponentTuple) -> float:
-    return FAMILIES[family_id].delta(e)
+def predicted_delta(family_id: str, e) -> float:
+    """delta of the family at ``e``, any six numbers: exact for Fractions, and for
+    floats the bits of the written-out sum, -0.0 included, as no zero is added."""
+    family, e = FAMILIES[family_id], ExponentTuple(*e)
+    delta = functools.reduce(operator.add, [getattr(e, name) for name in family.delta_sum])
+    return delta if family.delta_constant is None else delta + family.delta_constant
 
 
 def _columns(interval: Interval) -> tuple[int, int]:

@@ -142,6 +142,7 @@ def bilinear_necessary_conditions(e: ExponentTuple) -> dict[str, dict]:
     then to the family listed first), so that
     ``ratio_ladder(family, L, [exponents])`` grows at rate -margin.
     """
+    e = ExponentTuple(*e)
     mirror = e._replace(a=e.b, b=e.a, alpha=e.beta, beta=e.alpha)
     report = {}
     for condition, family_ids in CONDITION_FAMILIES.items():

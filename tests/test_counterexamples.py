@@ -1,5 +1,7 @@
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,6 +100,26 @@ class TestIntervals:
         # [lo(A) - hi(C), hi(A) - lo(C)], which must lie inside B.
         A, B, C = cx.FAMILIES[family].intervals(L)
         assert B[0] <= A[0] - C[1] and A[1] - C[0] <= B[1]
+
+    @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
+    def test_abc_closure_every_scale(self, family):
+        # The endpoints p L + q make both closure margins affine in L, so a
+        # nonnegative slope and a nonnegative value at L = 4, exact in
+        # Fraction, hold them for every L > 4.
+        def margins(L):
+            A, B, C = cx.FAMILIES[family].intervals(Fraction(L))
+            return A[0] - C[1] - B[0], B[1] - A[1] + C[0]
+
+        for at_4, at_5 in zip(margins(4), margins(5)):
+            assert isinstance(at_4, Fraction) and isinstance(at_5, Fraction)
+            assert at_4 >= 0 and at_5 - at_4 >= 0
+
+    @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
+    def test_exact_at_a_rational_scale(self, family):
+        # L = 129/2 and its endpoints are exact in float64: both paths agree.
+        exact = cx.FAMILIES[family].intervals(Fraction(129, 2))
+        assert all(isinstance(end, Fraction) for interval in exact for end in interval)
+        assert exact == cx.FAMILIES[family].intervals(64.5)
 
     @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
     def test_abc_closure_sampled(self, family):
@@ -348,6 +370,21 @@ class TestFitExponent:
         assert cx.predicted_delta("cond3", e) == pytest.approx(0.4)
         assert cx.predicted_delta("cond1_gamma", e) == pytest.approx(0.9)
         assert cx.predicted_delta("cond4", e) == pytest.approx(1.2)
+        exact = {f: cx.predicted_delta(f, [Fraction(k, 10) for k in range(1, 7)]) for f in cx.FAMILIES}
+        assert exact == {
+            "cond1_ab": Fraction(4, 5),
+            "cond2": Fraction(3, 5),
+            "cond3": Fraction(2, 5),
+            "cond1_gamma": Fraction(9, 10),
+            "cond4": Fraction(6, 5),
+        }
+        assert all(isinstance(delta, Fraction) for delta in exact.values())
+        assert cx.predicted_delta("cond3", (1, 0, 1, 0, 0, 0)) == 2
+        # No zero is added to a sum, so -0.0 keeps its sign.
+        for family in cx.FAMILIES:
+            delta = cx.predicted_delta(family, (-0.0,) * 6)
+            assert delta == (-0.5 if family == "cond2" else 0.0)
+            assert math.copysign(1.0, delta) == -1.0
 
 
 def gaussian_spectrum(grid, width=1.0, shift=0.0):

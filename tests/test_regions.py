@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,18 @@ class TestNecessaryConditions:
         report = regions.bilinear_necessary_conditions(ExponentTuple(1, 2, -1, 0, 0, 0))
         assert report["cond3"]["holds"]
         assert report["cond3"]["margin"] == 0.0
+        # Any six numbers are accepted, and rationals give exact margins.
+        plain = regions.bilinear_necessary_conditions((1, 0, 1, 0, 0, 0))
+        assert plain == regions.bilinear_necessary_conditions(ExponentTuple(1, 0, 1, 0, 0, 0))
+        assert plain["cond3"]["margin"] == 1 and plain["cond3"]["exponents"] == (0, 1, 1, 0, 0, 0)
+        exact = regions.bilinear_necessary_conditions([Fraction(k, 10) for k in range(1, 7)])
+        assert {name: entry["margin"] for name, entry in exact.items()} == {
+            "cond1": Fraction(7, 10),
+            "cond2": Fraction(1, 2),
+            "cond3": Fraction(2, 5),
+            "cond4": Fraction(6, 5),
+        }
+        assert all(isinstance(entry["margin"], Fraction) for entry in exact.values())
 
     def test_cond3_fails(self):
         report = regions.bilinear_necessary_conditions(ExponentTuple(0, 0, -1, 1, 1, 1))
@@ -223,6 +237,76 @@ class TestNecessaryConditions:
         assert gamma_min["cond1"]["family"] == "cond1_gamma"
         beta_min = regions.bilinear_necessary_conditions(ExponentTuple(0, 0, 0, 1, 0.2, 1))
         assert beta_min["cond1"]["family"] == "cond1_ab"
+
+
+def kg_tuple(s, r, sigma, rho):
+    """The Klein-Gordon estimate's tuple at eps = 0."""
+    return ExponentTuple(s, s, 1 - r, sigma, sigma, 1 - rho)
+
+
+def dirac_tuple(s, r, sigma, rho):
+    """The Dirac estimate's tuple at eps = 0, by duality."""
+    return ExponentTuple(-s, s, r, 1 - sigma, sigma, rho)
+
+
+def dirac_mirror(s, r, sigma, rho):
+    return mirror(dirac_tuple(s, r, sigma, rho))
+
+
+HALF = Fraction(1, 2)
+# (constraint keys, family, estimate tuple, the constraints' form in
+# (s, r, sigma, rho) at eps = 0): r1 and r3 hold where the form is positive,
+# the others where it is nonnegative.  r2 is the pair r - s, r + s.
+FAMILY_CONSTRAINTS = [
+    (("s1",), "cond1_ab", kg_tuple, lambda s, r, sigma, rho: 2 * s + sigma),
+    (("s2",), "cond1_gamma", kg_tuple, lambda s, r, sigma, rho: 2 * s + 1 - rho),
+    (("r3",), "cond2", kg_tuple, lambda s, r, sigma, rho: 2 * s + sigma - r + HALF),
+    (("r4", "r6"), "cond3", kg_tuple, lambda s, r, sigma, rho: 1 + s - r),
+    (("r7",), "cond4", kg_tuple, lambda s, r, sigma, rho: 2 * s + 2 - r - rho),
+    (("r2",), "cond3", dirac_tuple, lambda s, r, sigma, rho: r - s),
+    (("r2",), "cond3", dirac_mirror, lambda s, r, sigma, rho: r + s),
+    (("r1",), "cond2", dirac_mirror, lambda s, r, sigma, rho: r - sigma + HALF),
+    (("sigma1",), "cond1_ab", dirac_mirror, lambda s, r, sigma, rho: 1 - sigma),
+]
+
+
+class TestFamiliesGiveTheConstraints:
+    """Each family's delta at an estimate's tuple is the form of an iteration constraint."""
+
+    @pytest.mark.parametrize("keys, family, estimate, form", FAMILY_CONSTRAINTS)
+    def test_delta_is_the_form_over_the_rationals(self, keys, family, estimate, form):
+        # Both sides are affine in (s, r, sigma, rho), so agreeing at the
+        # origin and the four unit points makes them one form; seeded
+        # rational points check the same.
+        points = [[Fraction(int(i == k)) for i in range(4)] for k in range(-1, 4)]
+        rng = np.random.default_rng(40)
+        points += [[Fraction(int(n), 8) for n in row] for row in rng.integers(-24, 25, (20, 4))]
+        for point in points:
+            delta = cx.predicted_delta(family, estimate(*point))
+            assert isinstance(delta, Fraction) and delta == form(*point), (keys, point)
+
+    def test_constraints_follow_the_sign_of_delta(self):
+        # At eps = 0 and away from each constraint's edge, check_constraints
+        # holds exactly where the family's delta is positive.  s3, rho1 and
+        # rho_sigma have no family: s3 follows from s2 and rho1, and the
+        # others bound the iteration space itself.
+        keys = {key for row in FAMILY_CONSTRAINTS for key in row[0]}
+        every_key = regions.check_constraints(0.0, 0.5, ParameterChoice(0.75, 0.75, 0.0)).keys()
+        assert keys == every_key - {"s3", "rho1", "rho_sigma"}
+        seen = {key: set() for key in keys}
+        rng = np.random.default_rng(41)
+        for point in rng.uniform((-1, -0.5, 0, 0), (1, 2, 1.5, 1.5), (2000, 4)):
+            s, r, sigma, rho = map(float, point)
+            report = regions.check_constraints(s, r, ParameterChoice(sigma, rho, 0.0))
+            deltas = {key: [] for key in keys}
+            for row_keys, family, estimate, _ in FAMILY_CONSTRAINTS:
+                for key in row_keys:
+                    deltas[key].append(cx.predicted_delta(family, estimate(s, r, sigma, rho)))
+            for key, values in deltas.items():
+                if min(map(abs, values)) > 1e-9:
+                    assert report[key] == all(v > 0 for v in values), (key, point)
+                    seen[key].add(report[key])
+        assert all(outcomes == {True, False} for outcomes in seen.values()), seen
 
 
 def stated_margins(e):
