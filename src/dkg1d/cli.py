@@ -92,7 +92,7 @@ def _parse_tolerance(text: str) -> float:
 
 
 def _cmd_counterexample(args) -> int:
-    L_values = cx._check_scales(float(v) for v in args.L.split(","))
+    L_values = cx.check_scales(args.family, (float(v) for v in args.L.split(",")))
     # Open the output before the ladder, so that an unwritable path fails at once.
     with open(args.out, "w", newline="") as fh:
         rows = cx.ratio_ladder(args.family, L_values, [args.exps])

@@ -73,6 +73,11 @@ DEFAULT_L_LADDER = (64.0, 128.0, 256.0, 512.0)
 # up to 2^51; at 2^52 cond1_ab keeps 8 of its 13 u-points, near 2^60 cond1_gamma
 # and cond4 count no pairs, near 1e20 the columns overflow int64.
 _MAX_L = 2.0**48
+# Most cells of the offset grid that ``pair_counts`` fills.  Only cond2's
+# grows with L, as about 22.5 L cells at a peak of 81 bytes each, so this
+# admits cond2 up to L of about 1.86e5, which peaks at 323 MiB; the other
+# four families stay below 4000 cells at every L.
+_MAX_GRID_CELLS = 2**22
 
 
 class ExponentTuple(NamedTuple):
@@ -177,6 +182,16 @@ def _position_pairs() -> np.ndarray:
 _POSITION_PAIRS = _position_pairs()
 
 
+def _offset_grid(A: Interval, B: Interval, v_line: str) -> tuple[int, int, int]:
+    """Least and greatest di, and the number of dj, of the offset grid that
+    ``pair_counts`` fills for the strips over A and B.  A plus-line v's grid
+    is (di, D), since dj = D - 2 di; a minus-line v's is (D, di, dj)."""
+    (u_lo, u_hi), (v_lo, v_hi) = _columns(A), _columns(B)
+    if v_line == "plus":
+        return -((4 + u_hi - v_lo) // 2), (4 - u_lo + v_hi) // 2, 1
+    return -((4 + u_hi + v_hi) // 2), (4 - u_lo - v_lo) // 2, u_hi - v_lo - (u_lo - v_hi) + 1
+
+
 def pair_counts(A: Interval, B: Interval, v_line: str) -> tuple[np.ndarray, np.ndarray]:
     """Offsets p_u - p_v between the strips over A and B, and their pair counts.
 
@@ -188,11 +203,12 @@ def pair_counts(A: Interval, B: Interval, v_line: str) -> tuple[np.ndarray, np.n
     ranges and the position-pair table without forming any point pair.
     """
     (u_lo, u_hi), (v_lo, v_hi) = _columns(A), _columns(B)
+    di_lo, di_hi, _ = _offset_grid(A, B, v_line)
+    di = np.arange(di_lo, di_hi + 1)
     D = np.arange(-4, 5)
     if v_line == "plus":
         # 2 di = D - dj: the offset fixes D, and the columns enter only
         # through how many even and odd j_u have j_u in A and j_u - dj in B.
-        di = np.arange(-((4 + u_hi - v_lo) // 2), (4 - u_lo + v_hi) // 2 + 1)
         dj = D - 2 * di[:, None]
         lo = np.maximum(u_lo, v_lo + dj)
         hi = np.minimum(u_hi, v_hi + dj)
@@ -202,7 +218,6 @@ def pair_counts(A: Interval, B: Interval, v_line: str) -> tuple[np.ndarray, np.n
     else:
         # 2 di = D - j_u - j_v: the offset and D fix both columns, so this
         # visits each column pair once per D.  Both strips have O(1) columns.
-        di = np.arange(-((4 + u_hi + v_hi) // 2), (4 - u_lo - v_lo) // 2 + 1)
         dj = np.arange(u_lo - v_hi, u_hi - v_lo + 1)
         D = D[:, None, None]
         twice_ju = D - 2 * di[:, None] + dj
@@ -241,11 +256,20 @@ class RatioResult:
         return self.numerator / (self.denom_u * self.denom_v)
 
 
-def _check_scales(L_values) -> list:
-    """``L_values`` as a list, if every L is a real number with 4 < L <= 2^48."""
+def check_scales(family_id: str, L_values) -> list:
+    """``L_values`` as a list, if ``family_id`` names a family and every L is
+    a real number with 4 < L <= 2^48 whose offset grid in ``pair_counts``
+    has at most 2^22 cells; a ValueError otherwise, before any array is made."""
+    if family_id not in FAMILIES:
+        raise ValueError(f"unknown family {family_id!r}")
     L_values = list(L_values)
     if not all(finite_real(L) and 4 < L <= _MAX_L for L in L_values):
         raise ValueError("family scale L must be finite and exceed 4, and be at most 2^48")
+    family = FAMILIES[family_id]
+    for L in L_values:
+        di_lo, di_hi, n_dj = _offset_grid(*family.intervals(L)[:2], family.v_line)
+        if 9 * (di_hi - di_lo + 1) * n_dj > _MAX_GRID_CELLS:
+            raise ValueError(f"{family_id} at L = {L:g} would count pairs on more than 2^22 offset cells")
     return L_values
 
 
@@ -267,10 +291,8 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     A - B = [-5L/4, 0], where for c > 1 a few pairs near xi = 0, at weight
     O(1), dominate; the construction pairs the product with a strip over C only.
     """
-    if family_id not in FAMILIES:
-        raise ValueError(f"unknown family {family_id!r}")
+    L_values = check_scales(family_id, L_values)
     family = FAMILIES[family_id]
-    L_values = _check_scales(L_values)
     tuples = [ExponentTuple(*t) for t in tuples]
     if not all(map(finite_real, itertools.chain.from_iterable(tuples))):
         raise ValueError("exponents must all be finite real numbers")

@@ -2,10 +2,15 @@
 
 ``s`` is the Sobolev regularity of the spinor data, ``r`` that of the scalar
 field.  Three regions are encoded: the region certified by this package
-(``in_wellposed_region``), and the earlier Pecher and Machihara regions it
-strictly contains.  Iterating the system in the weighted space-time spaces
-X_+-^{s,sigma} x H^{r,rho} works precisely when the twelve inequalities of
-``check_constraints`` admit a parameter choice (sigma, rho, eps);
+(``in_wellposed_region``), and the earlier Pecher and Machihara regions.
+The certified region strictly contains Pecher's, which is written as its
+cut by r < 1+2s, and contains all of Machihara's but the endpoint
+(s, r) = (0, 0): Machihara's closed inequalities admit it, while the
+certified region needs r > 0 (constraint r1, r > sigma - 1/2 + eps with
+sigma > 1/2, keeps the iteration from reaching it).  Iterating the system
+in the weighted space-time spaces X_+-^{s,sigma} x H^{r,rho} works
+precisely when the twelve inequalities of ``check_constraints`` admit a
+parameter choice (sigma, rho, eps);
 ``choose_parameters`` produces one for every point of the region, following
 the recipe rho = 1/2 + eps with eps half the exact bound
 min(1/4, s + 1/4, r) below which that recipe is feasible.
@@ -68,8 +73,8 @@ def in_wellposed_region(s: float, r: float) -> bool:
 
 
 def in_pecher_region(s: float, r: float) -> bool:
-    """s > -1/4, r > 0, |s| <= r, r < 1+2s, r <= 1+s."""
-    return s > -0.25 and r > 0 and abs(s) <= r and r < 1 + 2 * s and r <= 1 + s
+    """s > -1/4, r > 0, |s| <= r, r < 1+2s, r <= 1+s: the certified region cut by r < 1+2s."""
+    return in_wellposed_region(s, r) and r < 1 + 2 * s
 
 
 def in_machihara_region(s: float, r: float) -> bool:

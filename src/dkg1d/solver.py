@@ -10,7 +10,9 @@ The spinor is kept through scalar amplitudes on the one-dimensional ranges
 of P+-:  psi = a_+ e_+ + a_- e_-  with  e_+- = (1, +-1)/sqrt(2), and
 ``DKGState.a`` = (a_+, a_-) is one complex (2, n_x) array; ``DKGState.f`` =
 (phi, phi_t) is one real (2, n_x) array.  The amplitudes halve the memory
-and make the half-wave flows scalar.
+and make the half-wave flows scalar.  ``init_state``, ``save_state`` and
+``load_state`` share one check of a valid state (``_check_state``), so
+``save_state`` refuses exactly the states that ``load_state`` would refuse.
 
 A step composes three flows, each solved exactly:
 
@@ -189,12 +191,21 @@ class SolverConfig:
                 raise ValueError("diag_s and diag_r must be real and finite, with finite H^s weights on the grid")
 
 
-def _check_state(M: float, m: float, *fields: np.ndarray) -> None:
-    """What every state holds: finite nonnegative masses and finite fields."""
-    if not (finite_real(M) and finite_real(m) and M >= 0 and m >= 0):
+def _check_state(state: DKGState) -> DKGState:
+    """``state``, if ``a`` and a real ``f`` have shape (2, n_x) and its time,
+    masses (nonnegative) and fields are finite; otherwise ValueError."""
+    shape = (2, state.grid.n_x)
+    if state.a.shape != shape or state.f.shape != shape:
+        raise ValueError(f"a and f have shapes {state.a.shape} and {state.f.shape}, expected {shape}")
+    if np.iscomplexobj(state.f):
+        raise ValueError("f = (phi, phi_t) must be real")
+    if not finite_real(state.t):
+        raise ValueError("non-finite time in solver state")
+    if not (finite_real(state.M) and finite_real(state.m) and state.M >= 0 and state.m >= 0):
         raise ValueError("masses must be finite and nonnegative")
-    if not all(np.isfinite(v).all() for v in fields):
+    if not (np.isfinite(state.a).all() and np.isfinite(state.f).all()):
         raise ValueError("field values must be finite")
+    return state
 
 
 def init_state(
@@ -205,19 +216,16 @@ def init_state(
     m: float,
     grid: GridSpec1D,
 ) -> DKGState:
-    """Assemble a state at t = 0 from spinor-valued and real scalar data."""
+    """Assemble a state at t = 0 from spinor-valued and real scalar data;
+    data or masses that the state check refuses raise ValueError."""
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (grid.n_x, 2):
         raise ValueError(f"psi0 must have shape ({grid.n_x}, 2)")
-    phi0 = np.asarray(phi0)
-    phi1 = np.asarray(phi1)
-    if phi0.shape != (grid.n_x,) or phi1.shape != (grid.n_x,):
-        raise ValueError(f"phi0 and phi1 must have shape ({grid.n_x},)")
-    if np.iscomplexobj(phi0) or np.iscomplexobj(phi1):
-        raise ValueError("phi0 and phi1 must be real arrays")
-    _check_state(M, m, psi0, phi0, phi1)
-    a = np.stack((psi0[:, 0] + psi0[:, 1], psi0[:, 0] - psi0[:, 1])) / SQRT2
-    return DKGState(a, np.stack((phi0, phi1)).astype(float), 0.0, float(M), float(m), grid)
+    # A non-finite or overflowing psi0 gives a non-finite a (inf - inf is nan), which the check refuses.
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = np.stack((psi0[:, 0] + psi0[:, 1], psi0[:, 0] - psi0[:, 1])) / SQRT2
+    state = _check_state(DKGState(a, np.stack((phi0, phi1)), 0.0, M, m, grid))
+    return replace(state, f=state.f.astype(float), M=float(M), m=float(m))
 
 
 def charge(state: DKGState) -> float:
@@ -382,22 +390,27 @@ def sobolev_norm(values: np.ndarray, s: float, grid: GridSpec1D) -> float:
 def rough_data(s: float, seed: int, grid: GridSpec1D) -> np.ndarray:
     """Spinor data of unit H^s norm whose H^{s'} norms diverge for s' > s.
 
-    Each component gets Fourier coefficients <xi>^(-s - 1/2 - 0.01) with
-    independent unit-modulus random phases; bit-reproducible for a fixed
-    seed.  A |s| so large that the spectrum or the normalisation overflows
-    on ``grid`` raises ``ValueError``.
+    Each component gets Fourier coefficients (1 + |xi|)^(-s - 1/2 - 0.01)
+    with independent unit-modulus random phases; bit-reproducible for a
+    fixed seed.  The domain is every s that keeps these magnitudes within a
+    factor 1e6 of each other on ``grid``, (1 + pi/dx)^(-|s + 0.51|) >= 1e-6;
+    there ``sobolev_norm`` reads 1 to within 1e-9 (relative).  Any other s
+    raises ``ValueError``: the weight would amplify FFT roundoff in the
+    smallest modes (1.65 at s = 10 on ``GridSpec1D(256, 16.0)``).
     """
     if not finite_real(s):
         raise ValueError("s must be real and finite")
+    exponent = -s - 0.5 - 0.01
+    if abs(exponent) * math.log1p(np.abs(grid.xi_fft).max()) > math.log(1e6):
+        raise ValueError(
+            f"s = {s:g} spreads the spectrum over more than a factor 1e6, "
+            "so its H^s norm is roundoff-dominated or not finite on this grid"
+        )
     rng = np.random.default_rng(seed)
     phases = np.exp(2j * np.pi * rng.random((2, grid.n_x)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        magnitude = (1.0 + np.abs(grid.xi_fft)) ** (-s - 0.5 - 0.01)
-        components = scipy.fft.ifft(magnitude * phases, axis=-1) / grid.dx
-        norm = sobolev_norm(components, s, grid)
-    if not math.isfinite(norm):
-        raise ValueError("s gives a spectrum or H^s norm that is not finite on this grid")
-    return components.T / norm
+    magnitude = (1.0 + np.abs(grid.xi_fft)) ** exponent
+    components = scipy.fft.ifft(magnitude * phases, axis=-1) / grid.dx
+    return components.T / sobolev_norm(components, s, grid)
 
 
 def smooth_data(grid: GridSpec1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -477,18 +490,11 @@ _BYTES_PER_POINT = 2 * (_A_DTYPE.itemsize + _F_DTYPE.itemsize)
 
 def save_state(path, state: DKGState) -> None:
     """Write a snapshot of ``state`` to ``path``: a file name, or a binary
-    file open for writing.  A state that ``load_state`` would refuse raises
-    ValueError before ``path`` is opened, so every snapshot written loads."""
-    shape = (2, state.grid.n_x)
-    if state.a.shape != shape or state.f.shape != shape:
-        raise ValueError(f"a and f have shapes {state.a.shape} and {state.f.shape}, expected {shape}")
-    if np.iscomplexobj(state.f):
-        raise ValueError("f = (phi, phi_t) must be real")
-    if not finite_real(state.t):
-        raise ValueError("non-finite time in solver state")
-    _check_state(state.M, state.m, state.a, state.f)
+    file open for writing.  The state passes the check that ``load_state``
+    makes before ``path`` is opened, so every snapshot written loads."""
+    _check_state(state)
     with open(path, "wb") if isinstance(path, (str, os.PathLike)) else contextlib.nullcontext(path) as fh:
-        fh.write(_STATE_HEADER.pack(_STATE_MAGIC, state.t, state.M, state.m, shape[1], state.grid.x_extent))
+        fh.write(_STATE_HEADER.pack(_STATE_MAGIC, state.t, state.M, state.m, state.grid.n_x, state.grid.x_extent))
         fh.write(state.a.astype(_A_DTYPE).tobytes())
         fh.write(state.f.astype(_F_DTYPE).tobytes())
 
@@ -501,8 +507,6 @@ def load_state(path) -> DKGState:
         magic, t, M, m, n_x, x_extent = _STATE_HEADER.unpack(raw)
         if magic != _STATE_MAGIC:
             raise ValueError("not a solver state snapshot")
-        if not all(map(math.isfinite, (t, M, m))):
-            raise ValueError("non-finite time or mass in solver state header")
         grid = GridSpec1D(n_x=n_x, x_extent=x_extent)
         # Check the declared size against the file before reading, so that a
         # corrupt header cannot ask for an arbitrarily large read.
@@ -514,5 +518,4 @@ def load_state(path) -> DKGState:
         payload = fh.read(nbytes)
     a = np.frombuffer(payload, dtype=_A_DTYPE, count=2 * n_x)
     f = np.frombuffer(payload, dtype=_F_DTYPE, offset=a.nbytes)
-    _check_state(M, m, a, f)
-    return DKGState(a.astype(complex).reshape(2, n_x), f.astype(float).reshape(2, n_x), t, M, m, grid)
+    return _check_state(DKGState(a.astype(complex).reshape(2, n_x), f.astype(float).reshape(2, n_x), t, M, m, grid))

@@ -175,6 +175,14 @@ class TestCounterexampleAndFit:
         assert message in payload["error"]
         assert not out.exists()
 
+    def test_cond2_scale_budget_reported(self, capsys, tmp_path):
+        # At L = 1e9 cond2's offset grid would need tens of gigabytes.
+        out = tmp_path / "x.csv"
+        code, payload = run_cli(capsys, "counterexample", "--family", "cond2", "--L", "1e9", "--out", str(out))
+        assert code == 2
+        assert "more than 2^22 offset cells" in payload["error"]
+        assert not out.exists()
+
     def test_unwritable_out_reported(self, capsys, tmp_path):
         out = tmp_path / "missing" / "x.csv"
         code, payload = run_cli(
@@ -409,6 +417,7 @@ class TestSolve:
             (["--M", "-1"], "masses must be finite and nonnegative"),
             (["--n", "100"], "power of two"),
             (["--n", "256", "--xbox", "16", "--T", "0.2", "--s", "100", "--r", "0", "--every", "1"], "weights"),
+            (["--data", "rough", "--s", "20", "--n", "256", "--xbox", "16"], "factor 1e6"),
         ],
     )
     def test_bad_input_reported(self, capsys, tmp_path, argv, message):

@@ -195,6 +195,28 @@ class TestBuildFamily:
         with pytest.raises(ValueError, match=r"at most 2\^48"):
             cx.ratio_ladder(family, [64.0, L], [ZEROS])
 
+    def test_cond2_scale_budget(self):
+        # cond2's offset grid has about 22.5 L cells, and L = 2^22 once asked
+        # numpy for several (10485765, 9) arrays; past 2^22 cells a scale is
+        # refused before any array is made.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"more than 2\^22 offset cells"):
+                cx.ratio_ladder("cond2", [64.0, 2.0**30], [ZEROS])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert cx.check_scales("cond2", cx.DEFAULT_L_LADDER) == list(cx.DEFAULT_L_LADDER)
+        assert cx.check_scales("cond2", [1.86e5]) == [1.86e5]
+        with pytest.raises(ValueError, match="offset cells"):
+            cx.check_scales("cond2", [1.87e5])
+        # Inside the budget the rows are those counted before it existed.
+        (row,) = cx.ratio_ladder("cond2", [2.0**17], [ZEROS])
+        assert (row.points_u, row.points_v, row.offsets, row.pairs) == (327683, 1310723, 2949125, 429501644809)
+        want = [float.fromhex(x) for x in ("0x1.43cc5d8cd5398p+18", "0x1.94c5fd1c07cbfp+7", "0x1.94c5a20941a52p+8")]
+        assert [row.numerator, row.denom_u, row.denom_v] == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1", True])
     @pytest.mark.parametrize("slot", range(6))
     def test_rejects_non_finite_exponents(self, bad, slot):

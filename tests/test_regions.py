@@ -70,6 +70,17 @@ class TestRegionMembership:
             for r in r_values:
                 if regions.in_pecher_region(s, r) or regions.in_machihara_region(s, r):
                     assert regions.in_wellposed_region(s, r)
+        # A closed grid that holds s = 0 and r = 0 (steps 0.001 and 0.0025):
+        # the endpoint (0, 0) is Machihara's and outside the certified
+        # region, and it is the only such point.
+        exceptions = [
+            (s, r)
+            for s in (np.arange(801) - 300) / 1000
+            for r in np.arange(601) / 400
+            if (regions.in_pecher_region(s, r) or regions.in_machihara_region(s, r))
+            and not regions.in_wellposed_region(s, r)
+        ]
+        assert exceptions == [(0.0, 0.0)]
 
     def test_containment_strict(self):
         s_values, r_values = region_grid()

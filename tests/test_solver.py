@@ -515,6 +515,26 @@ class TestRoughData:
             with pytest.raises(ValueError, match="not finite on this grid"):
                 solver.rough_data(s, 7, GridSpec1D(64, 16.0))
 
+    def test_spectrum_span_floor(self):
+        # Spectra spread over more than a factor 1e6 are refused: the rows
+        # whose H^s norm read 1.65, 1.25 and 1.48, and s = -9, which read
+        # 6.3e-4 off at a spread of 3e-15.
+        for s, n, x_extent in ((10.0, 256, 16.0), (20.0, 64, 16.0), (20.0, 4096, 64.0), (-9.0, 256, 16.0)):
+            with pytest.raises(ValueError, match="factor 1e6"):
+                solver.rough_data(s, 7, GridSpec1D(n, x_extent))
+        g = GridSpec1D(4096, 64.0)
+        assert solver.sobolev_norm(solver.rough_data(0.25, 7, g).T, 0.25, g) == pytest.approx(1.0, abs=1e-12)
+        # The domain is |s + 0.51| <= half_width; at its edges the norm reads 1 to 1e-9.
+        g = GridSpec1D(256, 4.0)
+        half_width = np.log(1e6) / np.log1p(np.abs(g.xi_fft).max())
+        for side in (-1, 1):
+            s = -0.51 + side * half_width * (1 - 1e-9)
+            for seed in range(3):
+                norm = solver.sobolev_norm(solver.rough_data(s, seed, g).T, s, g)
+                assert norm == pytest.approx(1.0, abs=1e-9)
+            with pytest.raises(ValueError, match="factor 1e6"):
+                solver.rough_data(-0.51 + side * half_width * (1 + 1e-9), 0, g)
+
     def test_reproducible(self, grid):
         a = solver.rough_data(-0.2, 11, grid)
         b = solver.rough_data(-0.2, 11, grid)
@@ -908,6 +928,32 @@ class TestSnapshot:
                 with pytest.raises(ValueError, match="field values must be finite"):
                     solver.save_state(path, state)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", np.nan), ("t", np.inf), ("t", -np.inf), ("M", -2.0), ("M", np.nan), ("m", np.inf)]
+        + [(row, value) for row in ("psi_plus", "psi_minus", "phi", "phi_t") for value in (np.nan, np.inf, -np.inf)],
+    )
+    def test_save_and_load_refuse_alike(self, smooth_state, tmp_path, field, value):
+        # A defect that a snapshot can carry: save_state refuses the state,
+        # and load_state refuses its bytes, written here directly, with the
+        # same message.
+        state = dataclasses.replace(smooth_state, a=smooth_state.a.copy(), f=smooth_state.f.copy())
+        if field in ("t", "M", "m"):
+            state = dataclasses.replace(state, **{field: value})
+        else:
+            getattr(state, field)[3] = value
+        saved = tmp_path / "saved.bin"
+        with pytest.raises(ValueError) as refused_save:
+            solver.save_state(saved, state)
+        assert not saved.exists()
+        g = state.grid
+        path = tmp_path / "state.bin"
+        header = solver._STATE_HEADER.pack(b"DKG1DST2", state.t, state.M, state.m, g.n_x, g.x_extent)
+        path.write_bytes(header + state.a.astype("<c16").tobytes() + state.f.astype("<f8").tobytes())
+        with pytest.raises(ValueError) as refused_load:
+            solver.load_state(path)
+        assert str(refused_load.value) == str(refused_save.value)
 
 
 # Deterministic and bounded, so that the suite stays reproducible and fast.
