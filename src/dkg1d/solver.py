@@ -33,29 +33,28 @@ conserved to roundoff over arbitrarily many steps; every substep is exactly
 invertible, so a Strang step followed by its negative-dt mirror returns the
 state to roundoff.
 
-Each flow is written once, as a private kernel.  ``run`` builds the
-per-mode propagator factors once and keeps (phi, phi_t) in Fourier space
-between diagnostics rows, where the Klein-Gordon flow is a multiplication:
-a step costs one batched complex FFT pair for the amplitudes, one inverse
-real FFT row (phi, for the coupling angle) and one forward row (the kick to
-phi_t).  ``run`` also fuses adjacent coupling substeps: the coupling leaves
-phi and the density unchanged, so coupling flows of lengths h1 and h2
-compose to one of length h1 + h2 exactly.  A run therefore applies
-coupling(dt/2) to open, coupling(dt) between steps and coupling(dt/2) to
-close before each diagnostics row and to reopen after it, with one shared
-rotation; N steps with K rows cost N + K coupling flows instead of 2N.  A
-step with a row inverts both real rows, couples in physical space and
-transforms both rows back, so with a row every step ``run`` gives the bits
-of a ``strang_step`` loop.  A row takes one complex FFT of (a_+, a_-) for
-the H^s norm; the H^r norm and the energy's phi_x^2 term (by Parseval)
-read the phi_hat the step holds.  ``run`` builds the weights of these three
-terms once, before its first row: the H^s weight on the FFT bins, and the
-H^r and gradient weights on the real-FFT bins.  A non-finite field value
-makes its row non-finite, so the row check is the only finiteness scan.
-``strang_step`` takes one step of the same march, so both apply the same
-kernels.  Transforms are called as ``scipy.fft.<name>`` after a plain
-``import scipy``, so SciPy loads ``scipy.fft`` (about 0.3 s) on the first
-transform and a process that never takes one does not pay for it.
+A Strang step is linear(dt/2) | coupling(dt) | linear(dt/2), where linear
+is the commuting pair half-wave | Klein-Gordon: both are diagonal in Fourier
+space, multiplications by per-mode tables cached per (grid, dt).  Each flow
+is written once, as a private kernel.  The march behind ``run`` holds the
+spectra (a_hat, f_hat), the complex FFT of (a_+, a_-) and the real FFT of
+(phi, phi_t), between steps, where the closing linear(dt/2) of one step and
+the opening one of the next fuse into one linear(dt).  A step costs one
+inverse FFT of the amplitudes and one inverse real FFT of phi, for the
+pointwise coupling, then one real FFT of the kick to phi_t and one FFT of
+the rotated amplitudes.  A diagnostics row is a pure observer: it applies
+linear(dt/2) to copies of the spectra and reads every column by Parseval,
+with no transform: the charge and the H^s norm from a_hat, the H^r norm
+from phi_hat and ``kg_energy`` from f_hat, with weights built once per run.
+So the march's bits do not depend on ``diagnostics_every``.  The t = 0 row
+and the opening of the march share one FFT and one real FFT of the input
+state, and the final state is materialised once, by an inverse FFT and an
+inverse real FFT.  ``strang_step`` is one step of the same march,
+materialised: one more FFT pair of the amplitudes than a step of ``run``.
+A non-finite field value makes its row non-finite, so the row check is the
+only finiteness scan.  Transforms are called as ``scipy.fft.<name>`` after a
+plain ``import scipy``, so SciPy loads ``scipy.fft`` (about 0.3 s) on the
+first transform and a process that never takes one does not pay for it.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ class SolverConfig:
             raise ValueError("dt must be real, finite and positive")
         if not finite_real(self.t_end):
             raise ValueError("t_end must be real and finite")
-        if self.dt > self.grid.dx + 1e-15:
+        if self.dt > self.grid.dx + 4 * math.ulp(self.grid.dx):
             raise ValueError("dt must not exceed dx")
         if not (count(self.diagnostics_every) and self.diagnostics_every >= 1):
             raise ValueError("diagnostics_every must be an integer >= 1")
@@ -238,31 +237,32 @@ def _density(a: np.ndarray) -> np.ndarray:
     return 2.0 * np.real(a[0] * np.conj(a[1]))
 
 
-# Kernels on the state arrays a = (a_+, a_-) and f = (phi, phi_t).  Each
-# returns new arrays.
+# Kernels on the state arrays a = (a_+, a_-) and f = (phi, phi_t), and on
+# their spectra.  Each returns new arrays.
 
 
 # Two entries: a +dt/-dt reversal reuses both without keeping more grids alive.
 @functools.lru_cache(maxsize=2)
 def _wave_phases(grid: GridSpec1D, dt: float) -> np.ndarray:
-    """Per-mode half-wave phases of (a_+, a_-), shape (2, n_x); cached, read-only."""
-    xi = grid.xi_fft
-    return _read_only(np.exp(-1j * np.stack((xi, -xi)) * dt))
+    """Per-mode half-wave phases of (a_+, a_-) for dt/2 and for dt, shape
+    (2, 2, n_x); cached, read-only."""
+    xi = np.stack((grid.xi_fft, -grid.xi_fft))
+    return _read_only(np.array([np.exp(-1j * xi * h) for h in (dt / 2, dt)]))
 
 
 @functools.lru_cache(maxsize=2)
 def _kg_propagator(grid: GridSpec1D, m: float, dt: float) -> np.ndarray:
-    """Per-mode matrix [[cos, sin/omega], [-omega sin, cos]] of the exact
-    Klein-Gordon flow on (phi_hat, phi_t_hat), shape (2, 2, n_x // 2 + 1);
-    cached, read-only."""
+    """Per-mode matrices [[cos, sin/omega], [-omega sin, cos]] of the exact
+    Klein-Gordon flow on (phi_hat, phi_t_hat) for dt/2 and for dt, shape
+    (2, 2, 2, n_x // 2 + 1); cached, read-only."""
     omega = np.sqrt(grid.xi_rfft**2 + m**2)
-    c = np.cos(omega * dt)
-    s_over_omega = dt * np.sinc(omega * dt / np.pi)  # sin(omega dt)/omega, exact at 0
-    return _read_only(np.array([[c, s_over_omega], [-omega * np.sin(omega * dt), c]]))
 
+    def flow(h):
+        c = np.cos(omega * h)
+        s_over_omega = h * np.sinc(omega * h / np.pi)  # sin(omega h)/omega, exact at 0
+        return [[c, s_over_omega], [-omega * np.sin(omega * h), c]]
 
-def _half_wave(a: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    return scipy.fft.ifft(phases * scipy.fft.fft(a, axis=-1), axis=-1, overwrite_x=True)
+    return _read_only(np.array([flow(dt / 2), flow(dt)]))
 
 
 def _kg(f_hat: np.ndarray, propagator: np.ndarray) -> np.ndarray:
@@ -271,92 +271,86 @@ def _kg(f_hat: np.ndarray, propagator: np.ndarray) -> np.ndarray:
     return new
 
 
-def _rotation(phi: np.ndarray, M: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos(theta) and i sin(theta) of the coupling angle theta = (phi - M) h."""
+def _coupling(a: np.ndarray, phi: np.ndarray, M: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes rotated by the coupling angle theta = (phi - M) h, and
+    the kick h <beta psi, psi> to phi_t."""
     theta = phi - M
     theta *= h
-    return np.cos(theta), 1j * np.sin(theta)
-
-
-def _coupling(a: np.ndarray, h: float, rotation) -> tuple[np.ndarray, np.ndarray]:
-    """The rotated amplitudes and the kick h <beta psi, psi> to phi_t."""
     kick = _density(a)  # invariant under the rotation below
     kick *= h
     # beta swaps the ranges: a_+- <- cos(theta) a_+- + i sin(theta) a_-+.
-    cos, isin = rotation
-    rotated = cos * a
-    rotated += isin * a[::-1]
+    rotated = np.cos(theta) * a
+    rotated += 1j * np.sin(theta) * a[::-1]
     return rotated, kick
 
 
-def _kicked(f: np.ndarray, kick: np.ndarray) -> np.ndarray:
-    f = f.copy()
-    f[1] += kick
-    return f
+def _spectra(state: DKGState) -> tuple[np.ndarray, np.ndarray]:
+    return scipy.fft.fft(state.a, axis=-1), scipy.fft.rfft(state.f, axis=-1)
 
 
-def _march(state: DKGState, dt: float, n_steps: int, every: int):
-    """Take ``n_steps`` Strang steps of ``dt``; yield (k, state, phi_hat)
-    after every ``every``-th step and after the last one, with phi_hat the
-    real FFT of the state's phi, which (phi, phi_t) keep between rows.
+def _march(state: DKGState, spectra, dt: float, n_steps: int, every: int):
+    """Take ``n_steps`` Strang steps of ``dt`` from ``state``, whose spectra
+    are ``spectra``; yield (k, t, a_hat, f_hat), new spectra of the state
+    after step k, for every ``every``-th step and for the last one.
 
-    Between steps the closing coupling(dt/2) of one step and the opening
-    coupling(dt/2) of the next fuse into one coupling(dt); before a yield the
-    step is closed and afterwards the next one is opened with the same
-    rotation, since the closing coupling leaves phi unchanged.  So every
-    yielded state equals the one that step-by-step composition gives, up to
-    roundoff.
+    Between steps the march holds the spectra after a coupling, and the
+    closing linear(dt/2) of one step and the opening one of the next fuse
+    into one linear(dt).  A yield applies linear(dt/2) to copies, so the
+    held spectra, and with them every yielded bit, do not depend on
+    ``every``.
     """
     if n_steps < 1:
         return
-    M, half, n = state.M, dt / 2, state.grid.n_x
+    M, n = state.M, state.grid.n_x
     phases = _wave_phases(state.grid, dt)
     propagator = _kg_propagator(state.grid, state.m, dt)
-    a, kick = _coupling(state.a, half, _rotation(state.f[0], M, half))
-    f_hat = scipy.fft.rfft(_kicked(state.f, kick), axis=-1)
+    a_hat, f_hat = phases[0] * spectra[0], _kg(spectra[1], propagator[0])
     t = state.t
     for k in range(1, n_steps + 1):
-        a = _half_wave(a, phases)
-        f_hat = _kg(f_hat, propagator)
+        a = scipy.fft.ifft(a_hat, axis=-1, overwrite_x=True)
+        a, kick = _coupling(a, scipy.fft.irfft(f_hat[0], n=n), M, dt)
+        f_hat[1] += scipy.fft.rfft(kick)
+        a_hat = scipy.fft.fft(a, axis=-1, overwrite_x=True)
         t += dt
-        if k % every and k < n_steps:
-            a, kick = _coupling(a, dt, _rotation(scipy.fft.irfft(f_hat[0], n=n), M, dt))
-            f_hat[1] += scipy.fft.rfft(kick)
-            continue
-        f = scipy.fft.irfft(f_hat, n=n, axis=-1)
-        rotation = _rotation(f[0], M, half)
-        a, kick = _coupling(a, half, rotation)
-        f[1] += kick
-        yield k, replace(state, a=a, f=f, t=t), f_hat[0]
+        if k % every == 0 or k == n_steps:
+            yield k, t, phases[0] * a_hat, _kg(f_hat, propagator[0])
         if k < n_steps:
-            a, kick = _coupling(a, half, rotation)
-            f_hat = scipy.fft.rfft(_kicked(f, kick), axis=-1)
+            a_hat *= phases[1]
+            f_hat = _kg(f_hat, propagator[1])
+
+
+def _materialise(state: DKGState, t: float, a_hat: np.ndarray, f_hat: np.ndarray) -> DKGState:
+    a = scipy.fft.ifft(a_hat, axis=-1, overwrite_x=True)
+    return replace(state, a=a, f=scipy.fft.irfft(f_hat, n=state.grid.n_x, axis=-1), t=t)
 
 
 def strang_step(state: DKGState, dt: float) -> DKGState:
-    """coupling(dt/2), then the commuting pair half-wave(dt) | kg(dt), then coupling(dt/2).
+    """linear(dt/2), then coupling(dt), then linear(dt/2), where linear(h) is
+    the commuting pair half-wave(h) | kg(h): one step of ``run``'s march.
 
     ``dt`` must be a finite real number; zero, negative and ``dt > dx`` are allowed."""
     if not finite_real(dt):
         raise ValueError("dt must be finite and real")
-    return next(_march(state, dt, 1, 1))[1]
+    _, t, a_hat, f_hat = next(_march(state, _spectra(state), dt, 1, 1))
+    return _materialise(state, t, a_hat, f_hat)
 
 
 def _hermitian(weight: np.ndarray) -> np.ndarray:
     """Weight on the real-FFT bins of a real signal: the bins strictly between
     DC and Nyquist stand for themselves and their conjugate mirror, so they
     count twice."""
-    weight[1 : weight.size - 1] *= 2
+    weight[..., 1:-1] *= 2
     return weight
 
 
-def _gradient_weight(grid: GridSpec1D) -> np.ndarray:
-    """Real-FFT weight w with sum(w |phi_hat|^2) = 1/2 int phi_x^2 dx
-    (Parseval); the Nyquist derivative is dropped, as an inverse real FFT of
+def _energy_weight(grid: GridSpec1D, m: float) -> np.ndarray:
+    """Real-FFT weights w, shape (2, n_x // 2 + 1), with sum(w |f_hat|^2) =
+    kg_energy of f = (phi, phi_t) (Parseval): (xi^2 + m^2, 1) dx / (2 n_x),
+    with the Nyquist derivative dropped, as an inverse real FFT of
     i xi phi_hat drops it."""
-    weight = grid.xi_rfft**2 * (grid.dx / (2 * grid.n_x))
-    weight[-1] = 0.0
-    return _hermitian(weight)
+    potential = grid.xi_rfft**2
+    potential[-1] = 0.0
+    return _hermitian(np.stack((potential + m**2, np.ones_like(potential))) * (grid.dx / (2 * grid.n_x)))
 
 
 def _sobolev_weight(grid: GridSpec1D, s: float) -> np.ndarray:
@@ -435,16 +429,14 @@ class DiagnosticsSeries:
     kg_energy: np.ndarray
 
 
-def _record(state: DKGState, phi_hat: np.ndarray, weights: tuple[np.ndarray, ...]) -> tuple[float, ...]:
-    hs, hr, gradient = weights
-    phi, phi_t = state.f
-    kinetic = 0.5 * state.grid.dx * (phi_t @ phi_t + state.m**2 * (phi @ phi))
+def _record(t: float, a_hat: np.ndarray, f_hat: np.ndarray, weights: tuple) -> tuple[float, ...]:
+    l2, hs, hr, energy = weights
     return (
-        state.t,
-        charge(state),
-        _weighted_norm(scipy.fft.fft(state.a, axis=-1), hs),
-        _weighted_norm(phi_hat, hr),
-        float(kinetic + np.vdot(phi_hat * gradient, phi_hat).real),
+        t,
+        float(np.sqrt(np.vdot(a_hat, a_hat).real * l2)),
+        _weighted_norm(a_hat, hs),
+        _weighted_norm(f_hat[0], hr),
+        float(np.vdot(f_hat * energy, f_hat).real),
     )
 
 
@@ -464,19 +456,22 @@ def run(
     n_steps = max(0, int(round((config.t_end - state.t) / config.dt)))
     grid = state.grid
     weights = (
+        grid.dx / grid.n_x,
         _sobolev_weight(grid, config.diag_s),
         _hermitian(_sobolev_weight(grid, config.diag_r)[: grid.n_x // 2 + 1]),
-        _gradient_weight(grid),
+        _energy_weight(grid, state.m),
     )
-    records = [_record(state, scipy.fft.rfft(state.phi), weights)]
-    rows = _march(state, config.dt, n_steps, config.diagnostics_every)
-    for k, state, phi_hat in rows:
-        row = _record(state, phi_hat, weights)
+    spectra = _spectra(state)
+    records = [_record(state.t, *spectra, weights)]
+    for k, t, a_hat, f_hat in _march(state, spectra, config.dt, n_steps, config.diagnostics_every):
+        row = _record(t, a_hat, f_hat, weights)
         if not all(map(math.isfinite, row)):
-            raise BlowUpError(k, state.t)
+            raise BlowUpError(k, t)
         records.append(row)
     series = DiagnosticsSeries(*np.array(records, dtype=float).T)
-    return (series, state) if return_final else series
+    if not return_final:
+        return series
+    return series, _materialise(state, t, a_hat, f_hat) if n_steps else state
 
 
 # Snapshot format, little-endian: header (magic, float64 t, M, m, int64 n_x,

@@ -58,8 +58,17 @@ def scalar_state(phi, phi_t, grid, m=0.0):
 
 def coupled(state, h):
     """The coupling flow of length h through the kernels ``run`` applies."""
-    a, kick = solver._coupling(state.a, h, solver._rotation(state.phi, state.M, h))
+    a, kick = solver._coupling(state.a, state.phi, state.M, h)
     return dataclasses.replace(state, a=a, f=np.stack((state.phi, state.phi_t + kick)))
+
+
+def data_state(grid, data, M):
+    """Smooth data, or rough H^{1/4} spinor data with phi = phi_t = 0, at m = 1."""
+    if data == "smooth":
+        psi0, phi0, phi1 = solver.smooth_data(grid)
+    else:
+        psi0, phi0, phi1 = solver.rough_data(0.25, 9, grid), np.zeros(grid.n_x), np.zeros(grid.n_x)
+    return solver.init_state(psi0, phi0, phi1, M, 1.0, grid)
 
 
 def diagnostics(state, s=0.0, r=0.0):
@@ -234,7 +243,7 @@ class TestKGFlow:
 
 
 class TestCouplingFlow:
-    """The coupling kernels ``solver._coupling`` and ``solver._rotation``."""
+    """The coupling kernel ``solver._coupling``."""
 
     def test_zero_field_kicks_phi_t(self, grid):
         rng = np.random.default_rng(2)
@@ -267,7 +276,7 @@ class TestCouplingFlow:
         assert_allclose(solver._density(out.a), solver._density(smooth_state.a), atol=1e-13)
 
     def test_half_steps_compose(self, smooth_state):
-        # The fused run relies on coupling(h/2) o coupling(h/2) = coupling(h).
+        # The coupling is an exact flow: coupling(h/2) o coupling(h/2) = coupling(h).
         h = 0.37
         twice = coupled(coupled(smooth_state, h / 2), h / 2)
         once = coupled(smooth_state, h)
@@ -304,6 +313,14 @@ class TestPropagatorCache:
         finally:
             tracemalloc.stop()
         assert retained < 2**21
+
+    def test_half_step_tables_compose_to_the_full_step(self, grid):
+        # The march fuses linear(dt/2) o linear(dt/2) into linear(dt).
+        dt = 0.3 * grid.dx
+        phases, propagator = solver._wave_phases(grid, dt), solver._kg_propagator(grid, 1.0, dt)
+        assert_allclose(phases[0] ** 2, phases[1], rtol=0, atol=1e-15)
+        twice = np.einsum("ijb,jkb->ikb", propagator[0], propagator[0])
+        assert_allclose(twice, propagator[1], rtol=1e-14, atol=1e-15)
 
     def test_cache_keyed_by_arguments(self, grid):
         dt = grid.dx / 2
@@ -438,10 +455,79 @@ class TestStep:
         assert e256 / max(e512, 1e-16) > 1e3
 
 
+@pytest.fixture
+def boosted_state(grid):
+    """Smooth data with the spinor boosted by e^{3ix}, so that it carries momentum; M = m = 1."""
+    psi0, phi0, phi1 = solver.smooth_data(grid)
+    return solver.init_state(psi0 * np.exp(3j * grid.x)[:, None], phi0, phi1, 1.0, 1.0, grid)
+
+
+def momentum(state):
+    """P = sum_xi xi (|a_+_hat|^2 + |a_-_hat|^2) dx/n - int phi_t phi_x dx, with
+    a_hat the unnormalised FFT: conserved by the DKG system and by every
+    substep, since the coupling's rotation and its kick to phi_t change the
+    Dirac and the field momentum by opposite amounts."""
+    g = state.grid
+    a_hat = np.fft.fft(state.a, axis=-1)
+    dirac = np.sum(g.xi_fft * np.sum(np.abs(a_hat) ** 2, axis=0)) * g.dx / g.n_x
+    phi_x = np.fft.irfft(1j * g.xi_rfft * np.fft.rfft(state.phi), n=g.n_x)
+    return dirac - np.sum(state.phi_t * phi_x) * g.dx
+
+
+def system_rhs(state, mass_sign=-1.0):
+    """Time derivative of (a, f) that the DKG system gives, in amplitudes:
+    d_t a_+- = -+ d_x a_+- + i (phi - M) a_-+, d_t phi = phi_t and
+    d_t phi_t = phi_xx - m^2 phi + 2 Re(a_+ conj a_-).  ``mass_sign`` = +1
+    puts phi + M in place of phi - M."""
+    g = state.grid
+    a_x = np.fft.ifft(1j * g.xi_fft * np.fft.fft(state.a, axis=-1), axis=-1)
+    da = np.stack((-a_x[0], a_x[1])) + 1j * (state.phi + mass_sign * state.M) * state.a[::-1]
+    phi_xx = np.fft.irfft(-(g.xi_rfft**2) * np.fft.rfft(state.phi), n=g.n_x)
+    source = 2 * np.real(state.a[0] * np.conj(state.a[1]))
+    return da, np.stack((state.phi_t, phi_xx - state.m**2 * state.phi + source))
+
+
+class TestSystem:
+    """The step against the DKG system it is meant to solve."""
+
+    def test_momentum_conserved(self, boosted_state):
+        dt = boosted_state.grid.dx / 2
+        p0, s, drift = momentum(boosted_state), boosted_state, 0.0
+        for _ in range(2000):
+            s = solver.strang_step(s, dt)
+            drift = max(drift, abs(momentum(s) - p0))
+        assert drift <= 1e-12 * abs(p0)
+
+    def test_central_difference_matches_system(self, boosted_state):
+        # (S(dt) - S(-dt)) / (2 dt) is the system's right-hand side up to
+        # O(dt^2), so the residual quarters per halving of dt; with the
+        # mass entering as phi + M it stays of order one.
+        def residual(dt, mass_sign=-1.0):
+            forward, back = solver.strang_step(boosted_state, dt), solver.strang_step(boosted_state, -dt)
+            da, df = system_rhs(boosted_state, mass_sign)
+            return max(
+                np.abs((forward.a - back.a) / (2 * dt) - da).max(),
+                np.abs((forward.f - back.f) / (2 * dt) - df).max(),
+            )
+
+        residuals = [residual(dt) for dt in (0.01, 0.005, 0.0025)]
+        ratios = [residuals[0] / residuals[1], residuals[1] / residuals[2]]
+        assert residuals[0] < 1e-3 and all(3.8 <= r <= 4.2 for r in ratios), (residuals, ratios)
+        assert residual(0.01, mass_sign=1.0) > 0.5
+
+
 class TestConfigValidation:
     def test_dt_cap(self, grid):
         with pytest.raises(ValueError, match="dx"):
             SolverConfig(grid=grid, dt=2 * grid.dx, t_end=1.0)
+
+    def test_dt_cap_relative_to_dx(self):
+        # The slack is a few ulps of dx, so it refuses dt = 100 dx even
+        # where that is far below 1e-15.
+        fine = GridSpec1D(1024, 1e-14)
+        with pytest.raises(ValueError, match="dx"):
+            SolverConfig(grid=fine, dt=100 * fine.dx, t_end=1e-12)
+        SolverConfig(grid=fine, dt=fine.dx, t_end=1e-12)
 
     def test_dt_positive(self, grid):
         with pytest.raises(ValueError, match="positive"):
@@ -727,22 +813,29 @@ class TestRun:
 
     @pytest.mark.parametrize("data", ["smooth", "rough"])
     @pytest.mark.parametrize("M", [0.0, 1.0])
-    def test_row_every_step_bit_equal_to_step_loop(self, grid, data, M):
-        # Around each row the closing and reopening half-steps share one
-        # rotation; that must give the same bits as a loop of strang_step.
-        if data == "smooth":
-            psi0, phi0, phi1 = solver.smooth_data(grid)
-        else:
-            psi0, phi0, phi1 = solver.rough_data(0.25, 9, grid), np.zeros(grid.n_x), np.zeros(grid.n_x)
-        state = solver.init_state(psi0, phi0, phi1, M, 1.0, grid)
-        dt, n_steps = 0.3 * grid.dx, 12  # non-dyadic, so a reordered angle rounds differently
-        config = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, diagnostics_every=1, diag_s=0.25, diag_r=0.5)
+    def test_final_bits_independent_of_every(self, grid, data, M):
+        # Rows observe copies of the spectra the march holds, so how often
+        # they are taken cannot change a bit of the march.
+        state = data_state(grid, data, M)
+        dt, n_steps = 0.3 * grid.dx, 37  # non-dyadic, so a reordered product rounds differently
+        finals = []
+        for every in (1, 3, 16, 37):
+            config = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every, diag_s=0.25, diag_r=0.5)
+            finals.append(solver.run(config, state, return_final=True)[1])
+        for final in finals[1:]:
+            assert np.array_equal(final.a, finals[0].a) and np.array_equal(final.f, finals[0].f)
+            assert final.t == finals[0].t
+
+    @pytest.mark.parametrize("data", ["smooth", "rough"])
+    @pytest.mark.parametrize("M", [0.0, 1.0])
+    def test_step_bit_equal_to_one_step_run(self, grid, data, M):
+        state = data_state(grid, data, M)
+        dt = 0.3 * grid.dx
+        config = SolverConfig(grid=grid, dt=dt, t_end=dt, diag_s=0.25, diag_r=0.5)
         _, final = solver.run(config, state, return_final=True)
-        s = state
-        for _ in range(n_steps):
-            s = solver.strang_step(s, dt)
-        assert np.array_equal(final.a, s.a)
-        assert np.array_equal(final.f, s.f)
+        step = solver.strang_step(state, dt)
+        assert np.array_equal(step.a, final.a) and np.array_equal(step.f, final.f)
+        assert step.t == final.t
 
     @pytest.mark.parametrize("every", [1, 3, 16])
     @pytest.mark.parametrize("data", ["smooth", "rough"])
@@ -751,11 +844,7 @@ class TestRun:
         # The rows take hr_phi from the phi_hat that run keeps between rows,
         # not from a transform of phi; both columns must still be the public
         # norms of the states a strang_step loop reaches.
-        if data == "smooth":
-            psi0, phi0, phi1 = solver.smooth_data(grid)
-        else:
-            psi0, phi0, phi1 = solver.rough_data(0.25, 9, grid), np.zeros(grid.n_x), np.zeros(grid.n_x)
-        state = solver.init_state(psi0, phi0, phi1, M, 1.0, grid)
+        state = data_state(grid, data, M)
         dt, n_steps, s, r = 0.3 * grid.dx, 37, 0.25, 0.5
         config = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every, diag_s=s, diag_r=r)
         series = solver.run(config, state)
@@ -768,11 +857,10 @@ class TestRun:
 
     @pytest.mark.parametrize("every", [1, 3, 16])
     def test_transform_budget(self, smooth_state, monkeypatch, every):
-        # (phi, phi_t) stay in Fourier space between rows: a step transforms
-        # one real row each way and a step with a row both rows each way,
-        # while the H^r norm and the energy take no transform of phi.  The
-        # amplitudes take one complex pair per step and one forward
-        # transform per row.
+        # A step inverts the amplitudes and phi and transforms back the
+        # rotated amplitudes and the kick to phi_t.  Rows take no transform:
+        # the t = 0 row shares the opening transforms of the input state, and
+        # the final state is materialised once.
         rows = {}
 
         def counted(name, transform):
@@ -786,11 +874,9 @@ class TestRun:
             monkeypatch.setattr(solver.scipy.fft, name, counted(name, getattr(solver.scipy.fft, name)))
         dt, n_steps = smooth_state.grid.dx / 2, 37
         config = SolverConfig(grid=smooth_state.grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every)
-        yielded = solver.run(config, smooth_state).t.size - 1
-        assert rows["rfft"] <= n_steps + yielded + 1
-        assert rows["irfft"] <= n_steps + yielded
-        assert rows["fft"] == 2 * n_steps + 2 * (yielded + 1)
-        assert rows["ifft"] == 2 * n_steps
+        solver.run(config, smooth_state, return_final=True)
+        assert rows["fft"] == rows["ifft"] == 2 * n_steps + 2
+        assert rows["rfft"] == rows["irfft"] == n_steps + 2
 
 
 class TestSnapshot:
@@ -1041,7 +1127,7 @@ class TestConfigFuzz:
             c = SolverConfig(grid=grid, dt=dt, t_end=t_end, diagnostics_every=every, diag_s=diag_s, diag_r=diag_r)
         except ValueError:
             return
-        assert 0 < c.dt <= grid.dx + 1e-15
+        assert 0 < c.dt <= grid.dx + 4 * np.spacing(grid.dx)
         assert np.isfinite([c.t_end, c.diag_s, c.diag_r]).all()
         nyquist = np.pi * grid.n_x / grid.x_extent
         with np.errstate(over="ignore"):
