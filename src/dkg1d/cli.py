@@ -10,20 +10,18 @@ Subcommands:
     region-grid                    membership sweep over the (s, r) plane -> CSV
     solve                          evolve the coupled system, diagnostics -> CSV
 
-All informational output is JSON on stdout; exit code 0 means every check
-requested by the subcommand passed, and exit code 2 with ``{"error": ...}``
-means ``verify``, ``counterexample``, ``fit``, ``region``, ``region-grid`` or
-``solve`` rejected its input or could not write its output: for ``fit``, a
-CSV that cannot be read, lacks the ``family``, ``L``, ``ratio`` or one of the
-six exponent columns ``a``, ``b``, ``c``, ``alpha``, ``beta``, ``gamma``, has
-no rows or an unknown family, or holds an ``L`` or ratio that is not a
-finite positive number or an exponent that is not finite; for ``region``
-and ``region-grid``, a non-finite ``--s``, ``--r``, ``--s-min``, ``--s-max``
-or ``--r-max``, or ``--ns`` or ``--nr`` below 1; for any subcommand, an
-``--out`` it cannot open.  ``counterexample`` and ``solve`` open their
-outputs once their input is checked and before they compute, so an
-unwritable path is reported at once; after a ``solve`` blow-up (exit code
-1 with ``{"error": ..., "step": ...}``) both files are left empty.
+All informational output is JSON on stdout.  Exit code 0 means every
+check requested by the subcommand passed.  Every refused command prints
+one ``{"error": ...}``, writes nothing to stderr and exits with code 2:
+argparse's errors (a missing, unknown or malformed option, a bad choice),
+input a subcommand rejects, an ``--out`` it cannot open and memory the
+host will not allocate alike.  A negative number in exponent notation
+needs the ``=`` form (``--s=-1e-3``), since argparse reads ``-1e-3`` as an
+option.  ``counterexample`` and ``solve`` open their outputs once their
+input is checked and before they compute, so an unwritable path is
+reported at once; a ``solve`` whose T / dt is not finite (exit code 2) or
+that blows up (exit code 1 with ``{"error": ..., "step": ...}``) leaves
+both files empty.
 """
 
 from __future__ import annotations
@@ -77,25 +75,12 @@ def _exponents(values) -> cx.ExponentTuple:
     return cx.ExponentTuple(*parts)
 
 
-def _parse_exponents(text: str) -> cx.ExponentTuple:
-    try:
-        return _exponents(text.split(","))
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-
-
-def _parse_tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("tolerance must be finite and nonnegative")
-    return value
-
-
 def _cmd_counterexample(args) -> int:
     L_values = cx.check_scales(args.family, (float(v) for v in args.L.split(",")))
+    exps = _exponents(args.exps.split(","))
     # Open the output before the ladder, so that an unwritable path fails at once.
     with open(args.out, "w", newline="") as fh:
-        rows = cx.ratio_ladder(args.family, L_values, [args.exps])
+        rows = cx.ratio_ladder(args.family, L_values, [exps])
         writer = csv.writer(fh)
         writer.writerow(["family", "L", *_EXPONENT_COLUMNS, "numerator", "denom_u", "denom_v", "ratio"])
         writer.writerows(
@@ -125,6 +110,8 @@ def _read_ratios(path) -> dict[tuple[str, cx.ExponentTuple], list[tuple[float, f
 
 
 def _cmd_fit(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError("--tolerance must be finite and nonnegative")
     results = []
     for (family, e), pairs in _read_ratios(args.infile).items():
         L, ratio = np.array(sorted(pairs)).T
@@ -238,8 +225,15 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ValueError, reported by ``main``; sub-parsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dkg1d", description=__doc__)
+    parser = _Parser(prog="dkg1d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="built-in self tests")
@@ -251,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx = sub.add_parser("counterexample", help="ratio ladder for one strip family")
     p_cx.add_argument("--family", choices=sorted(cx.FAMILIES), required=True)
     p_cx.add_argument("--L", default=",".join(f"{L:g}" for L in cx.DEFAULT_L_LADDER))
-    p_cx.add_argument("--exps", type=_parse_exponents, default=cx.ExponentTuple())
+    p_cx.add_argument("--exps", default=",".join(f"{e:g}" for e in cx.ExponentTuple()))
     p_cx.add_argument("--out", required=True)
     p_cx.set_defaults(func=_cmd_counterexample)
 
     p_fit = sub.add_parser("fit", help="log-log slope fit of a ratio CSV")
     p_fit.add_argument("--in", dest="infile", required=True)
-    p_fit.add_argument("--tolerance", type=_parse_tolerance, default=SLOPE_TOL)
+    p_fit.add_argument("--tolerance", type=float, default=SLOPE_TOL)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_region = sub.add_parser("region", help="region membership at one (s, r)")
@@ -295,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, csv.Error) as err:
-        _emit({"error": str(err)})
+    except (OSError, ValueError, csv.Error, MemoryError) as err:
+        _emit({"error": str(err) or type(err).__name__})
         return 2
 
 

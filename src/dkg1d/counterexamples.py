@@ -368,7 +368,7 @@ def wave_product_constant(f_hat: np.ndarray, g_hat: np.ndarray, grid: Grid2D) ->
         raise ValueError("spatial spectra must be 1d arrays on the grid's xi axis")
     if not (np.isfinite(f_hat).all() and np.isfinite(g_hat).all()):
         raise ValueError("spatial spectra must be finite")
-    if grid.t_extent > grid.x_extent / 2 + 1e-12:
+    if grid.t_extent > grid.x_extent / 2 + 4 * math.ulp(grid.x_extent / 2):
         raise ValueError(
             "time extent must be at most half the spatial extent so that the box "
             "contains exactly one transversal crossing"

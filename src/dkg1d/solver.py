@@ -73,6 +73,7 @@ import scipy
 from ._checks import count, finite_real
 
 SQRT2 = np.sqrt(2.0)
+_MAX_MASS = math.sqrt(np.finfo(float).max)  # the largest m whose m**2 is finite
 
 
 class BlowUpError(RuntimeError):
@@ -192,7 +193,7 @@ class SolverConfig:
 
 def _check_state(state: DKGState) -> DKGState:
     """``state``, if ``a`` and a real ``f`` have shape (2, n_x) and its time,
-    masses (nonnegative) and fields are finite; otherwise ValueError."""
+    masses (nonnegative), m**2 and fields are finite; otherwise ValueError."""
     shape = (2, state.grid.n_x)
     if state.a.shape != shape or state.f.shape != shape:
         raise ValueError(f"a and f have shapes {state.a.shape} and {state.f.shape}, expected {shape}")
@@ -200,8 +201,8 @@ def _check_state(state: DKGState) -> DKGState:
         raise ValueError("f = (phi, phi_t) must be real")
     if not finite_real(state.t):
         raise ValueError("non-finite time in solver state")
-    if not (finite_real(state.M) and finite_real(state.m) and state.M >= 0 and state.m >= 0):
-        raise ValueError("masses must be finite and nonnegative")
+    if not (finite_real(state.M) and finite_real(state.m) and state.M >= 0 and 0 <= state.m <= _MAX_MASS):
+        raise ValueError("masses must be finite and nonnegative, with m**2 finite")
     if not (np.isfinite(state.a).all() and np.isfinite(state.f).all()):
         raise ValueError("field values must be finite")
     return state
@@ -443,7 +444,8 @@ def _record(t: float, a_hat: np.ndarray, f_hat: np.ndarray, weights: tuple) -> t
 def run(
     config: SolverConfig, state: DKGState, return_final: bool = False
 ) -> DiagnosticsSeries | tuple[DiagnosticsSeries, DKGState]:
-    """Advance to t_end (rounded to whole steps), recording diagnostics.
+    """Advance to t_end, rounded to a whole and finite number of steps (else
+    ValueError), recording diagnostics.
 
     Aborts with ``BlowUpError`` carrying the step index as soon as a
     recorded row stops being finite.  That covers every field value: a
@@ -453,7 +455,10 @@ def run(
     """
     if config.grid != state.grid:
         raise ValueError(f"config grid {config.grid} does not match the state grid {state.grid}")
-    n_steps = max(0, int(round((config.t_end - state.t) / config.dt)))
+    steps = (config.t_end - state.t) / config.dt
+    if not math.isfinite(steps):
+        raise ValueError(f"(t_end - t) / dt is {steps}, not a finite step count")
+    n_steps = max(0, int(round(steps)))
     grid = state.grid
     weights = (
         grid.dx / grid.n_x,

@@ -21,7 +21,8 @@ def with_zero_exponents(text):
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""
     return code, json.loads(out)
 
 
@@ -57,11 +58,51 @@ class TestVerify:
         assert payload["pass"] is False
 
 
-def test_norms_subcommand_gone():
-    # Weighted norms are library calls only; argparse exits with 2 on the subcommand.
+def test_norms_subcommand_gone(capsys):
+    # Weighted norms are library calls only; the subcommand is an argument error.
+    code, payload = run_cli(capsys, "norms", "--input", "x", "--a", "0", "--alpha", "0", "--flavor", "H")
+    assert code == 2
+    assert "invalid choice: 'norms'" in payload["error"]
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no-subcommand"),
+        pytest.param(["norms"], id="unknown-subcommand"),
+        pytest.param(["counterexample", "--family", "cond2"], id="missing-option"),
+        pytest.param(["region", "--s", "0", "--r", "0.5", "--bogus"], id="unknown-option"),
+        pytest.param(["verify", "spinor", "--samples", "abc"], id="non-numeric-samples"),
+        pytest.param(["solve", "--data", "wavy", "--out", "{tmp}/x.csv"], id="bad-choice"),
+        pytest.param(["region", "--s", "-1e-3", "--r", "0.5"], id="exponent-notation-without-equals"),
+        pytest.param(["counterexample", "--family", "cond3", "--exps", "nan,0,0,0,0,0", "--out", "{tmp}/x.csv"], id="nan-exps"),
+        pytest.param(["counterexample", "--family", "cond3", "--exps", "1,2", "--out", "{tmp}/x.csv"], id="two-exps"),
+        pytest.param(["fit", "--in", "{tmp}/absent.csv", "--tolerance", "-1"], id="negative-tolerance"),
+        pytest.param(["solve", "--n", "256", "--xbox", "16", "--m", "1e200", "--T", "0", "--out", "{tmp}/x.csv"], id="m-squared-overflows"),
+        pytest.param(["solve", "--n", "256", "--xbox", "16", "--dt", "1e-320", "--out", "{tmp}/x.csv"], id="infinite-step-count"),
+        pytest.param(["verify", "lemma3", "--samples", "1000"], id="memory-error"),
+    ],
+)
+def test_every_refusal_is_one_json_error(capsys, tmp_path, monkeypatch, argv):
+    # Only verify lemma3 reaches the sample sweep, which here runs out of memory.
+    monkeypatch.setattr(weights, "sample_margins", _no_memory)
+    code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == ""
+    payload = json.loads(out)  # one JSON document, nothing else
+    assert isinstance(payload, dict) and payload["error"]
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as err:
-        cli.main(["norms", "--input", "x", "--a", "0", "--alpha", "0", "--flavor", "H"])
-    assert err.value.code == 2
+        cli.main(["--help"])
+    assert err.value.code == 0
+    assert "usage: dkg1d" in capsys.readouterr().out
 
 
 _STARTUP_PROBE = """
@@ -152,10 +193,9 @@ class TestCounterexampleAndFit:
         assert all(entry["pass"] for entry in payload)
 
     def test_fit_has_no_exps_option(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["fit", "--in", str(tmp_path / "x.csv"), "--exps", "0,0,0,0,0,0"])
-        assert err.value.code == 2
-        assert "--exps" in capsys.readouterr().err
+        code, payload = run_cli(capsys, "fit", "--in", str(tmp_path / "x.csv"), "--exps", "0,0,0,0,0,0")
+        assert code == 2
+        assert "unrecognized arguments: --exps" in payload["error"]
 
     @pytest.mark.parametrize(
         "L, message",
@@ -226,12 +266,9 @@ class TestCounterexampleAndFit:
     @pytest.mark.parametrize("exps", ["nan,0,0,0,0,0", "0,0,0,0,0,inf", "0,-inf,0,0,0,0"])
     def test_non_finite_exps_rejected(self, capsys, tmp_path, exps):
         out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit) as err:
-            cli.main(
-                ["counterexample", "--family", "cond2", "--exps", exps, "--out", str(out)]
-            )
-        assert err.value.code == 2
-        assert "finite" in capsys.readouterr().err
+        code, payload = run_cli(capsys, "counterexample", "--family", "cond2", "--exps", exps, "--out", str(out))
+        assert code == 2
+        assert "finite" in payload["error"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -282,24 +319,16 @@ class TestCounterexampleAndFit:
     def test_meaningless_tolerance_rejected(self, capsys, tmp_path, tolerance):
         ratios = tmp_path / "ratios.csv"
         ratios.write_text("family,L,ratio\ncond3,32.0,1.0\ncond3,64.0,1.0\n")
-        with pytest.raises(SystemExit) as err:
-            cli.main(["fit", "--in", str(ratios), "--tolerance", tolerance])
-        assert err.value.code == 2
-        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+        code, payload = run_cli(capsys, "fit", "--in", str(ratios), "--tolerance", tolerance)
+        assert code == 2
+        assert "--tolerance must be finite and nonnegative" in payload["error"]
 
     def test_bad_exps_rejected(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
-            cli.main(
-                [
-                    "counterexample",
-                    "--family",
-                    "cond3",
-                    "--exps",
-                    "1,2",
-                    "--out",
-                    str(tmp_path / "x.csv"),
-                ]
-            )
+        out = tmp_path / "x.csv"
+        code, payload = run_cli(capsys, "counterexample", "--family", "cond3", "--exps", "1,2", "--out", str(out))
+        assert code == 2
+        assert "expected 6 finite exponents" in payload["error"]
+        assert not out.exists()
 
 
 class TestRegion:
@@ -418,6 +447,7 @@ class TestSolve:
             (["--n", "100"], "power of two"),
             (["--n", "256", "--xbox", "16", "--T", "0.2", "--s", "100", "--r", "0", "--every", "1"], "weights"),
             (["--data", "rough", "--s", "20", "--n", "256", "--xbox", "16"], "factor 1e6"),
+            (["--n", "256", "--xbox", "16", "--m", "1e200", "--T", "0"], "m**2 finite"),
         ],
     )
     def test_bad_input_reported(self, capsys, tmp_path, argv, message):
@@ -460,11 +490,20 @@ class TestSolve:
         with open(out, newline="") as fh:
             assert [float(r["t"]) for r in csv.DictReader(fh)] == [0.0]
 
-    def test_splitting_option_gone(self, tmp_path):
-        # Strang is the only splitting; argparse exits with 2 on the old flag.
-        with pytest.raises(SystemExit) as err:
-            cli.main(["solve", "--splitting", "strang", "--out", str(tmp_path / "diag.csv")])
-        assert err.value.code == 2
+    def test_splitting_option_gone(self, capsys, tmp_path):
+        # Strang is the only splitting; the old flag is an argument error.
+        code, payload = run_cli(capsys, "solve", "--splitting", "strang", "--out", str(tmp_path / "diag.csv"))
+        assert code == 2
+        assert "unrecognized arguments: --splitting" in payload["error"]
+
+    @pytest.mark.parametrize("argv", [["--dt", "1e-320"], ["--T", "1e308", "--dt", "1e-300"]])
+    def test_infinite_step_count_reported(self, capsys, tmp_path, argv):
+        # The run refuses before its first step, with --out opened and left empty.
+        out = tmp_path / "diag.csv"
+        code, payload = run_cli(capsys, "solve", "--n", "256", "--xbox", "16", *argv, "--out", str(out))
+        assert code == 2
+        assert "not a finite step count" in payload["error"]
+        assert out.read_text() == ""
 
     def test_rough_run(self, capsys, tmp_path):
         out = tmp_path / "diag.csv"

@@ -472,8 +472,9 @@ class TestWaveProductConstant:
             cx.wave_product_constant(single_mode, single_mode, g)
 
     def test_wide_time_box_rejected(self):
-        g = norms.Grid2D(256, 256, 32.0, 32.0)
-        f_hat = gaussian_spectrum(g)
-        with pytest.raises(ValueError, match="transversal crossing"):
-            cx.wave_product_constant(f_hat, f_hat, g)
+        # The guard's slack scales with the box: a tiny box that holds two crossings is refused too.
+        for g in (norms.Grid2D(256, 256, 32.0, 32.0), norms.Grid2D(64, 64, 1e-13, 1e-13)):
+            f_hat = gaussian_spectrum(g)
+            with pytest.raises(ValueError, match="transversal crossing"):
+                cx.wave_product_constant(f_hat, f_hat, g)
 

@@ -175,7 +175,7 @@ class TestInitState:
     @pytest.mark.parametrize(
         "M, m",
         [(np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0), ("1", 1.0), (None, 1.0), (True, 1.0)]
-        + [pytest.param(1.0, 10**400, id="1.0-10**400")],
+        + [pytest.param(1.0, 10**400, id="1.0-10**400"), (1.0, 1e200)],
     )
     def test_rejects_bad_masses(self, grid, M, m):
         with pytest.raises(ValueError, match="masses"):
@@ -779,6 +779,16 @@ class TestRun:
         with pytest.raises(ValueError, match="grid"):
             solver.run(config, state)
 
+    @pytest.mark.parametrize("dt, t_end", [(1e-320, 1.0), (1e-300, 1e308), (1e-300, -1e308)])
+    def test_rejects_non_finite_step_count(self, smooth_state, monkeypatch, dt, t_end):
+        def no_march(*args, **kwargs):
+            raise AssertionError("run stepped before checking the step count")
+
+        monkeypatch.setattr(solver, "_march", no_march)
+        config = SolverConfig(grid=smooth_state.grid, dt=dt, t_end=t_end)
+        with pytest.raises(ValueError, match="not a finite step count"):
+            solver.run(config, smooth_state)
+
     def test_zero_steps(self, smooth_state):
         config = SolverConfig(grid=smooth_state.grid, dt=smooth_state.grid.dx / 2, t_end=smooth_state.t)
         series, final = solver.run(config, smooth_state, return_final=True)
@@ -1004,7 +1014,7 @@ class TestSnapshot:
         for t in (np.nan, np.inf, -np.inf, True):
             with pytest.raises(ValueError, match="non-finite time"):
                 solver.save_state(path, dataclasses.replace(smooth_state, t=t))
-        for M, m in ((-2.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.inf), (True, 1.0), (1.0, "1")):
+        for M, m in ((-2.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.inf), (True, 1.0), (1.0, "1"), (1.0, 1e200)):
             with pytest.raises(ValueError, match="masses must be finite and nonnegative"):
                 solver.save_state(path, dataclasses.replace(smooth_state, M=M, m=m))
         for row in ("psi_plus", "psi_minus", "phi", "phi_t"):
@@ -1017,7 +1027,7 @@ class TestSnapshot:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("t", np.nan), ("t", np.inf), ("t", -np.inf), ("M", -2.0), ("M", np.nan), ("m", np.inf)]
+        [("t", np.nan), ("t", np.inf), ("t", -np.inf), ("M", -2.0), ("M", np.nan), ("m", np.inf), ("m", 1e200)]
         + [(row, value) for row in ("psi_plus", "psi_minus", "phi", "phi_t") for value in (np.nan, np.inf, -np.inf)],
     )
     def test_save_and_load_refuse_alike(self, smooth_state, tmp_path, field, value):
