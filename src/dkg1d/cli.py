@@ -19,9 +19,9 @@ host will not allocate alike.  A negative number in exponent notation
 needs the ``=`` form (``--s=-1e-3``), since argparse reads ``-1e-3`` as an
 option.  ``counterexample`` and ``solve`` open their outputs once their
 input is checked and before they compute, so an unwritable path is
-reported at once; a ``solve`` whose T / dt is not finite (exit code 2) or
-that blows up (exit code 1 with ``{"error": ..., "step": ...}``) leaves
-both files empty.
+reported at once; a ``solve`` whose T / dt is not finite or not below 2**53
+(exit code 2) or that records a non-finite row, t = 0 included (exit code
+1 with ``{"error": ..., "step": ...}``), leaves both files empty.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Transform convention, fixed here and used by every other module:
     Fu(tau, xi) = sum_{t,x} exp(-i (t tau + x xi)) u(t, x) dt dx
     u(t, x)     = (2 pi)^{-2} sum_{tau,xi} exp(+i (t tau + x xi)) Fu dtau dxi
 
-There is no 2 pi in the forward transform; every Plancherel constant lives
-in this module and nowhere else:
+There is no 2 pi in the forward transform; every Plancherel constant of the
+space-time transform lives in this module (``solver`` states its own in x):
 
 * Parseval:  sum |Fu|^2 dtau dxi = (2 pi)^2 sum |u|^2 dt dx, exactly in the
   discrete setting (up to roundoff);

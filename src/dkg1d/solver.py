@@ -34,25 +34,26 @@ invertible, so a Strang step followed by its negative-dt mirror returns the
 state to roundoff.
 
 A Strang step is linear(dt/2) | coupling(dt) | linear(dt/2), where linear
-is the commuting pair half-wave | Klein-Gordon: both are diagonal in Fourier
-space, multiplications by per-mode tables cached per (grid, dt).  Each flow
-is written once, as a private kernel.  The march behind ``run`` holds the
-spectra (a_hat, f_hat), the complex FFT of (a_+, a_-) and the real FFT of
-(phi, phi_t), between steps, where the closing linear(dt/2) of one step and
-the opening one of the next fuse into one linear(dt).  A step costs one
+is the commuting pair half-wave | Klein-Gordon, both diagonal in Fourier
+space: one cache, ``_linear_table`` (two entries, keyed by (grid, m, dt)),
+holds their per-mode tables for dt/2 and for dt, and one kernel,
+``_linear``, applies them.  The march behind ``run`` opens with one FFT and
+one real FFT of the input state, yielded first as the t = 0 row, and holds
+the spectra (a_hat, f_hat), the complex FFT of (a_+, a_-) and the real FFT
+of (phi, phi_t), between steps, where the closing linear(dt/2) of one step
+and the opening one of the next fuse into one linear(dt).  A step costs one
 inverse FFT of the amplitudes and one inverse real FFT of phi, for the
 pointwise coupling, then one real FFT of the kick to phi_t and one FFT of
 the rotated amplitudes.  A diagnostics row is a pure observer: it applies
 linear(dt/2) to copies of the spectra and reads every column by Parseval,
 with no transform: the charge and the H^s norm from a_hat, the H^r norm
 from phi_hat and ``kg_energy`` from f_hat, with weights built once per run.
-So the march's bits do not depend on ``diagnostics_every``.  The t = 0 row
-and the opening of the march share one FFT and one real FFT of the input
-state, and the final state is materialised once, by an inverse FFT and an
-inverse real FFT.  ``strang_step`` is one step of the same march,
-materialised: one more FFT pair of the amplitudes than a step of ``run``.
-A non-finite field value makes its row non-finite, so the row check is the
-only finiteness scan.  Transforms are called as ``scipy.fft.<name>`` after a
+So the march's bits do not depend on ``diagnostics_every``.  ``run`` checks
+every row, t = 0 included, in its one loop, and materialises the final
+state once, by an inverse FFT and an inverse real FFT; ``strang_step`` is
+the last yield of a one-step march, materialised.  A non-finite field value
+makes its row non-finite, so the row check is the only finiteness scan.
+Transforms are called as ``scipy.fft.<name>`` after a
 plain ``import scipy``, so SciPy loads ``scipy.fft`` (about 0.3 s) on the
 first transform and a process that never takes one does not pay for it.
 """
@@ -77,17 +78,12 @@ _MAX_MASS = math.sqrt(np.finfo(float).max)  # the largest m whose m**2 is finite
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite value met during time stepping (blow-up or instability)."""
+    """A non-finite diagnostics row of ``run``: blow-up, instability or overflow."""
 
     def __init__(self, step: int, t: float):
-        super().__init__(f"non-finite state at step {step} (t = {t:.6g})")
+        super().__init__(f"non-finite diagnostics row at step {step} (t = {t:.6g})")
         self.step = step
         self.t = t
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
 
 
 @dataclass(frozen=True)
@@ -118,15 +114,15 @@ class GridSpec1D:
     def x(self) -> np.ndarray:
         return (np.arange(self.n_x) - self.n_x // 2) * self.dx
 
-    @functools.cached_property
+    @property
     def xi_fft(self) -> np.ndarray:
-        """Dual modes in FFT storage order (computed once, read-only)."""
-        return _read_only(scipy.fft.fftfreq(self.n_x, d=self.dx) * 2 * np.pi)
+        """Dual modes in FFT storage order."""
+        return scipy.fft.fftfreq(self.n_x, d=self.dx) * 2 * np.pi
 
-    @functools.cached_property
+    @property
     def xi_rfft(self) -> np.ndarray:
-        """Nonnegative dual modes of a real FFT (computed once, read-only)."""
-        return _read_only(scipy.fft.rfftfreq(self.n_x, d=self.dx) * 2 * np.pi)
+        """Nonnegative dual modes of a real FFT."""
+        return scipy.fft.rfftfreq(self.n_x, d=self.dx) * 2 * np.pi
 
 
 @dataclass
@@ -239,37 +235,42 @@ def _density(a: np.ndarray) -> np.ndarray:
 
 
 # Kernels on the state arrays a = (a_+, a_-) and f = (phi, phi_t), and on
-# their spectra.  Each returns new arrays.
+# their spectra.  Each returns new arrays unless told to work in place.
 
 
 # Two entries: a +dt/-dt reversal reuses both without keeping more grids alive.
 @functools.lru_cache(maxsize=2)
-def _wave_phases(grid: GridSpec1D, dt: float) -> np.ndarray:
-    """Per-mode half-wave phases of (a_+, a_-) for dt/2 and for dt, shape
-    (2, 2, n_x); cached, read-only."""
+def _linear_table(grid: GridSpec1D, m: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode tables of linear(h) for h = dt/2 and h = dt, cached and
+    read-only: the half-wave phases of (a_+, a_-), shape (2, 2, n_x), and
+    the matrices [[cos, sin/omega], [-omega sin, cos]] of the exact
+    Klein-Gordon flow on (phi_hat, phi_t_hat), shape (2, 2, 2, n_x // 2 + 1)."""
     xi = np.stack((grid.xi_fft, -grid.xi_fft))
-    return _read_only(np.array([np.exp(-1j * xi * h) for h in (dt / 2, dt)]))
-
-
-@functools.lru_cache(maxsize=2)
-def _kg_propagator(grid: GridSpec1D, m: float, dt: float) -> np.ndarray:
-    """Per-mode matrices [[cos, sin/omega], [-omega sin, cos]] of the exact
-    Klein-Gordon flow on (phi_hat, phi_t_hat) for dt/2 and for dt, shape
-    (2, 2, 2, n_x // 2 + 1); cached, read-only."""
     omega = np.sqrt(grid.xi_rfft**2 + m**2)
 
-    def flow(h):
+    def kg(h):
         c = np.cos(omega * h)
         s_over_omega = h * np.sinc(omega * h / np.pi)  # sin(omega h)/omega, exact at 0
         return [[c, s_over_omega], [-omega * np.sin(omega * h), c]]
 
-    return _read_only(np.array([flow(dt / 2), flow(dt)]))
+    steps = (dt / 2, dt)
+    tables = np.array([np.exp(-1j * xi * h) for h in steps]), np.array([kg(h) for h in steps])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _kg(f_hat: np.ndarray, propagator: np.ndarray) -> np.ndarray:
-    new = propagator[:, 0] * f_hat[0]
-    new += propagator[:, 1] * f_hat[1]
-    return new
+def _linear(table: tuple, j: int, a_hat: np.ndarray, f_hat: np.ndarray, in_place: bool = False):
+    """linear(h) of the spectra (a_hat, f_hat), with h = (dt/2, dt)[j] of
+    ``table``: a new f_hat, and a_hat multiplied into a new array, or in
+    place if ``in_place``."""
+    phases, kg = table[0][j], table[1][j]
+    new = kg[:, 0] * f_hat[0]
+    new += kg[:, 1] * f_hat[1]
+    if not in_place:
+        return phases * a_hat, new
+    a_hat *= phases
+    return a_hat, new
 
 
 def _coupling(a: np.ndarray, phi: np.ndarray, M: float, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -285,14 +286,11 @@ def _coupling(a: np.ndarray, phi: np.ndarray, M: float, h: float) -> tuple[np.nd
     return rotated, kick
 
 
-def _spectra(state: DKGState) -> tuple[np.ndarray, np.ndarray]:
-    return scipy.fft.fft(state.a, axis=-1), scipy.fft.rfft(state.f, axis=-1)
-
-
-def _march(state: DKGState, spectra, dt: float, n_steps: int, every: int):
-    """Take ``n_steps`` Strang steps of ``dt`` from ``state``, whose spectra
-    are ``spectra``; yield (k, t, a_hat, f_hat), new spectra of the state
-    after step k, for every ``every``-th step and for the last one.
+def _march(state: DKGState, dt: float, n_steps: int, every: int):
+    """Take ``n_steps`` Strang steps of ``dt`` from ``state``; yield (k, t,
+    a_hat, f_hat), the spectra of the state after step k: first those of
+    ``state`` (k = 0), then those after every ``every``-th step and after
+    the last one.
 
     Between steps the march holds the spectra after a coupling, and the
     closing linear(dt/2) of one step and the opening one of the next fuse
@@ -300,13 +298,14 @@ def _march(state: DKGState, spectra, dt: float, n_steps: int, every: int):
     held spectra, and with them every yielded bit, do not depend on
     ``every``.
     """
-    if n_steps < 1:
+    a_hat, f_hat = scipy.fft.fft(state.a, axis=-1), scipy.fft.rfft(state.f, axis=-1)
+    t = state.t
+    yield 0, t, a_hat, f_hat
+    if not n_steps:
         return
     M, n = state.M, state.grid.n_x
-    phases = _wave_phases(state.grid, dt)
-    propagator = _kg_propagator(state.grid, state.m, dt)
-    a_hat, f_hat = phases[0] * spectra[0], _kg(spectra[1], propagator[0])
-    t = state.t
+    table = _linear_table(state.grid, state.m, dt)
+    a_hat, f_hat = _linear(table, 0, a_hat, f_hat)
     for k in range(1, n_steps + 1):
         a = scipy.fft.ifft(a_hat, axis=-1, overwrite_x=True)
         a, kick = _coupling(a, scipy.fft.irfft(f_hat[0], n=n), M, dt)
@@ -314,10 +313,9 @@ def _march(state: DKGState, spectra, dt: float, n_steps: int, every: int):
         a_hat = scipy.fft.fft(a, axis=-1, overwrite_x=True)
         t += dt
         if k % every == 0 or k == n_steps:
-            yield k, t, phases[0] * a_hat, _kg(f_hat, propagator[0])
+            yield (k, t, *_linear(table, 0, a_hat, f_hat))
         if k < n_steps:
-            a_hat *= phases[1]
-            f_hat = _kg(f_hat, propagator[1])
+            a_hat, f_hat = _linear(table, 1, a_hat, f_hat, in_place=True)
 
 
 def _materialise(state: DKGState, t: float, a_hat: np.ndarray, f_hat: np.ndarray) -> DKGState:
@@ -332,7 +330,7 @@ def strang_step(state: DKGState, dt: float) -> DKGState:
     ``dt`` must be a finite real number; zero, negative and ``dt > dx`` are allowed."""
     if not finite_real(dt):
         raise ValueError("dt must be finite and real")
-    _, t, a_hat, f_hat = next(_march(state, _spectra(state), dt, 1, 1))
+    *_, (_, t, a_hat, f_hat) = _march(state, dt, 1, 1)
     return _materialise(state, t, a_hat, f_hat)
 
 
@@ -444,20 +442,22 @@ def _record(t: float, a_hat: np.ndarray, f_hat: np.ndarray, weights: tuple) -> t
 def run(
     config: SolverConfig, state: DKGState, return_final: bool = False
 ) -> DiagnosticsSeries | tuple[DiagnosticsSeries, DKGState]:
-    """Advance to t_end, rounded to a whole and finite number of steps (else
-    ValueError), recording diagnostics.
+    """Advance to t_end, rounded to a whole number of steps, recording
+    diagnostics.  A step count (t_end - t) / dt that is not finite or not
+    below 2**53, past which float64 skips whole numbers, raises ValueError.
 
-    Aborts with ``BlowUpError`` carrying the step index as soon as a
-    recorded row stops being finite.  That covers every field value: a
-    non-finite amplitude makes the charge non-finite, a non-finite phi the
-    H^r norm and a non-finite phi_t the energy.  ``config.grid``
-    must be the state's grid, since its ``dt <= dx`` check is made there.
+    The first recorded row that is not finite, the t = 0 row included,
+    aborts the run with ``BlowUpError`` carrying its step index.  That
+    covers every field value: a non-finite amplitude makes the charge
+    non-finite, a non-finite phi the H^r norm and a non-finite phi_t the
+    energy; so does a norm or energy that overflows on a finite state.
+    ``config.grid`` must be the state's grid: its ``dt <= dx`` check is made there.
     """
     if config.grid != state.grid:
         raise ValueError(f"config grid {config.grid} does not match the state grid {state.grid}")
     steps = (config.t_end - state.t) / config.dt
-    if not math.isfinite(steps):
-        raise ValueError(f"(t_end - t) / dt is {steps}, not a finite step count")
+    if not (math.isfinite(steps) and steps < 2**53):
+        raise ValueError(f"(t_end - t) / dt is {steps}, not a finite step count below 2**53")
     n_steps = max(0, int(round(steps)))
     grid = state.grid
     weights = (
@@ -466,9 +466,8 @@ def run(
         _hermitian(_sobolev_weight(grid, config.diag_r)[: grid.n_x // 2 + 1]),
         _energy_weight(grid, state.m),
     )
-    spectra = _spectra(state)
-    records = [_record(state.t, *spectra, weights)]
-    for k, t, a_hat, f_hat in _march(state, spectra, config.dt, n_steps, config.diagnostics_every):
+    records = []
+    for k, t, a_hat, f_hat in _march(state, config.dt, n_steps, config.diagnostics_every):
         row = _record(t, a_hat, f_hat, weights)
         if not all(map(math.isfinite, row)):
             raise BlowUpError(k, t)

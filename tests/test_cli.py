@@ -496,9 +496,12 @@ class TestSolve:
         assert code == 2
         assert "unrecognized arguments: --splitting" in payload["error"]
 
-    @pytest.mark.parametrize("argv", [["--dt", "1e-320"], ["--T", "1e308", "--dt", "1e-300"]])
+    @pytest.mark.parametrize(
+        "argv", [["--dt", "1e-320"], ["--T", "1e308", "--dt", "1e-300"], ["--dt", "1e-300", "--T", "1"]]
+    )
     def test_infinite_step_count_reported(self, capsys, tmp_path, argv):
-        # The run refuses before its first step, with --out opened and left empty.
+        # The run refuses before its first step, with --out opened and left
+        # empty: the last argv asks for 1e300 steps, beyond the 2**53 bound.
         out = tmp_path / "diag.csv"
         code, payload = run_cli(capsys, "solve", "--n", "256", "--xbox", "16", *argv, "--out", str(out))
         assert code == 2

@@ -84,12 +84,8 @@ class TestGridSpec:
         assert g.x[4] == 0.0
         assert sorted(g.xi_fft) == pytest.approx((np.arange(8) - 4) * np.pi / 2)
 
-    def test_dual_modes_cached_read_only(self):
+    def test_dual_modes(self):
         g = GridSpec1D(8, 4.0)
-        for modes in (g.xi_fft, g.xi_rfft):
-            with pytest.raises(ValueError, match="read-only"):
-                modes[0] = 1.0
-        assert g.xi_fft is g.xi_fft and g.xi_rfft is g.xi_rfft
         assert np.array_equal(g.xi_rfft, np.abs(g.xi_fft[: g.n_x // 2 + 1]))
 
     def test_rejects_non_power_of_two(self):
@@ -286,19 +282,17 @@ class TestCouplingFlow:
 class TestPropagatorCache:
     def test_repeated_calls_share_one_read_only_array(self, grid):
         dt = grid.dx / 2
-        for build in (
-            lambda: solver._wave_phases(grid, dt),
-            lambda: solver._kg_propagator(grid, 1.0, dt),
-        ):
-            first = build()
-            assert build() is first
+        table = solver._linear_table(grid, 1.0, dt)
+        assert solver._linear_table(grid, 1.0, dt) is table
+        for array in table:
             with pytest.raises(ValueError, match="read-only"):
-                first[0, 0] = 0.0
+                array[0, 0] = 0.0
 
     def test_stepping_on_many_grids_keeps_two_entries(self):
-        # Each cache keeps the two entries a +dt/-dt reversal needs, so the
+        # The cache keeps the two entries a +dt/-dt reversal needs, so the
         # grids and tables of earlier steps are freed: about 0.6 MiB stays
-        # at 2^12 points, where 32 entries per cache kept about 9.5 MiB.
+        # at 2^12 points, where 32 entries in each of two caches kept about
+        # 9.5 MiB.
         n = 2**12
         tracemalloc.start()
         try:
@@ -317,19 +311,19 @@ class TestPropagatorCache:
     def test_half_step_tables_compose_to_the_full_step(self, grid):
         # The march fuses linear(dt/2) o linear(dt/2) into linear(dt).
         dt = 0.3 * grid.dx
-        phases, propagator = solver._wave_phases(grid, dt), solver._kg_propagator(grid, 1.0, dt)
+        phases, kg = solver._linear_table(grid, 1.0, dt)
         assert_allclose(phases[0] ** 2, phases[1], rtol=0, atol=1e-15)
-        twice = np.einsum("ijb,jkb->ikb", propagator[0], propagator[0])
-        assert_allclose(twice, propagator[1], rtol=1e-14, atol=1e-15)
+        twice = np.einsum("ijb,jkb->ikb", kg[0], kg[0])
+        assert_allclose(twice, kg[1], rtol=1e-14, atol=1e-15)
 
     def test_cache_keyed_by_arguments(self, grid):
+        # The key is (grid, m, dt): an equal grid shares the entry, and each
+        # argument changes the Klein-Gordon matrices.
         dt = grid.dx / 2
-        assert solver._wave_phases(grid, dt) is not solver._wave_phases(grid, dt / 2)
-        assert solver._kg_propagator(grid, 1.0, dt) is not solver._kg_propagator(grid, 2.0, dt)
-        assert np.array_equal(
-            solver._kg_propagator(GridSpec1D(256, 16.0), 1.0, dt),
-            solver._kg_propagator(grid, 1.0, dt),
-        )
+        table = solver._linear_table(grid, 1.0, dt)
+        assert solver._linear_table(GridSpec1D(256, 16.0), 1.0, dt) is table
+        for key in ((GridSpec1D(256, 32.0), 1.0, dt), (grid, 2.0, dt), (grid, 1.0, dt / 2)):
+            assert not np.array_equal(solver._linear_table(*key)[1], table[1])
 
 
 class TestStep:
@@ -747,14 +741,15 @@ class TestRun:
         config = SolverConfig(grid=grid, dt=grid.dx / 2, t_end=1.0, diagnostics_every=4)
         with pytest.raises(solver.BlowUpError) as err:
             solver.run(config, state)
-        assert err.value.step == 4
+        assert err.value.step == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("row", ["psi_plus", "psi_minus", "phi", "phi_t"])
     def test_blowup_in_any_field(self, smooth_state, row, value):
         # The row check is the only finiteness scan: a non-finite entry in
-        # any of the four rows must end the run at the first recorded row.
+        # any of the four rows must end the run at the first recorded row,
+        # the t = 0 row.
         a, f = smooth_state.a.copy(), smooth_state.f.copy()
         fields = {"psi_plus": a[0], "psi_minus": a[1], "phi": f[0], "phi_t": f[1]}
         fields[row][5] = value
@@ -762,7 +757,28 @@ class TestRun:
         config = SolverConfig(grid=state.grid, dt=state.grid.dx / 2, t_end=1.0, diagnostics_every=3)
         with pytest.raises(solver.BlowUpError) as err:
             solver.run(config, state)
-        assert err.value.step == 3
+        assert err.value.step == 0
+
+    def test_overflowing_t0_row_refused(self):
+        # A finite state whose H^r norm and energy overflow: row 0 is checked
+        # like every other row, so even a zero-step run refuses it.
+        g = GridSpec1D(64, 16.0)
+        big = np.full(g.n_x, 1e160)
+        state = solver.init_state(np.zeros((g.n_x, 2), complex), big, 0 * big, 1.0, 1.0, g)
+        with pytest.raises(solver.BlowUpError, match="non-finite diagnostics row at step 0") as err:
+            diagnostics(state)
+        assert err.value.step == 0
+
+    def test_overflow_mid_run_reports_its_step(self):
+        # Row 0 is finite; the first kick dt <beta psi, psi> ~ 1e300 then
+        # overflows the energy, so the run ends at the next recorded row.
+        g = GridSpec1D(64, 16.0)
+        big = np.full(g.n_x, 1e150, complex)
+        state = solver.init_state(np.stack((big, 0 * big), axis=-1), np.zeros(g.n_x), np.zeros(g.n_x), 1.0, 1.0, g)
+        config = SolverConfig(grid=g, dt=g.dx / 2, t_end=1.0, diagnostics_every=4)
+        with pytest.raises(solver.BlowUpError) as err:
+            solver.run(config, state)
+        assert err.value.step == 4
 
     def test_final_state_returned(self, smooth_state):
         config = SolverConfig(grid=smooth_state.grid, dt=smooth_state.grid.dx / 2, t_end=0.25)
@@ -779,7 +795,8 @@ class TestRun:
         with pytest.raises(ValueError, match="grid"):
             solver.run(config, state)
 
-    @pytest.mark.parametrize("dt, t_end", [(1e-320, 1.0), (1e-300, 1e308), (1e-300, -1e308)])
+    # The last pair asks for 1e300 steps: finite, but beyond the 2**53 bound.
+    @pytest.mark.parametrize("dt, t_end", [(1e-320, 1.0), (1e-300, 1e308), (1e-300, -1e308), (1e-300, 1.0)])
     def test_rejects_non_finite_step_count(self, smooth_state, monkeypatch, dt, t_end):
         def no_march(*args, **kwargs):
             raise AssertionError("run stepped before checking the step count")
@@ -870,7 +887,7 @@ class TestRun:
         # A step inverts the amplitudes and phi and transforms back the
         # rotated amplitudes and the kick to phi_t.  Rows take no transform:
         # the t = 0 row shares the opening transforms of the input state, and
-        # the final state is materialised once.
+        # the final state is materialised once, unless no step was taken.
         rows = {}
 
         def counted(name, transform):
@@ -882,11 +899,14 @@ class TestRun:
 
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(solver.scipy.fft, name, counted(name, getattr(solver.scipy.fft, name)))
-        dt, n_steps = smooth_state.grid.dx / 2, 37
-        config = SolverConfig(grid=smooth_state.grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every)
-        solver.run(config, smooth_state, return_final=True)
-        assert rows["fft"] == rows["ifft"] == 2 * n_steps + 2
-        assert rows["rfft"] == rows["irfft"] == n_steps + 2
+        dt = smooth_state.grid.dx / 2
+        for n_steps in (0, 37):
+            rows.clear()
+            config = SolverConfig(grid=smooth_state.grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every)
+            solver.run(config, smooth_state, return_final=True)
+            forward = {"fft": 2 * n_steps + 2, "rfft": n_steps + 2}
+            inverse = {"ifft": forward["fft"], "irfft": forward["rfft"]} if n_steps else {}
+            assert rows == forward | inverse
 
 
 class TestSnapshot:
