@@ -278,6 +278,32 @@ class TestCouplingFlow:
         once = coupled(smooth_state, h)
         assert state_distance(twice, once) <= 1e-14 * state_norm(once)
 
+    def test_awkward_angles(self):
+        # theta = (phi - M) h across +-4 pi, the doubles nearest +-pi and
+        # +-pi/2, where tan(theta/2) is about 1e16 or 1, and both zeros.
+        # The half-angle tangent must give the cos/sin rotation.
+        near = [np.nextafter(x, toward) for x in (np.pi, np.pi / 2) for toward in (0.0, np.inf)]
+        special = [np.pi, -np.pi, np.pi / 2, -np.pi / 2, 0.0, -0.0, *near, *np.negative(near)]
+        theta = np.concatenate((np.linspace(-4 * np.pi, 4 * np.pi, 2001), special))
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((2, theta.size)) + 1j * rng.standard_normal((2, theta.size))
+        M, h = 0.0, 1.0  # so that phi - M and (phi - M) h are theta exactly
+        rotated, _ = solver._coupling(a, theta, M, h)
+        before, after = np.sum(np.abs(a) ** 2, axis=0), np.sum(np.abs(rotated) ** 2, axis=0)
+        assert_allclose(after, before, rtol=1e-14)
+        assert np.sum(after) == pytest.approx(np.sum(before), rel=1e-14)
+        reference = np.cos(theta) * a + 1j * np.sin(theta) * a[::-1]
+        assert np.abs(rotated - reference).max() <= 1e-14 * np.abs(a).max()
+        half = solver._coupling(solver._coupling(a, theta, M, h / 2)[0], theta, M, h / 2)[0]
+        assert np.abs(half - rotated).max() <= 1e-14 * np.abs(a).max()
+        back = solver._coupling(rotated, theta, M, -h)[0]
+        assert np.abs(back - a).max() <= 1e-14 * np.abs(a).max()
+
+    def test_field_equal_to_mass_is_identity(self):
+        a = np.random.default_rng(5).standard_normal((2, 8)) + 0j
+        rotated, _ = solver._coupling(a, np.full(8, 1.25), 1.25, 0.3)
+        assert np.array_equal(rotated, a)
+
 
 class TestPropagatorCache:
     def test_repeated_calls_share_one_read_only_array(self, grid):
@@ -687,6 +713,27 @@ class TestDiagnostics:
         assert row.hr_phi[0] == pytest.approx(reference_sobolev_norm(state.phi, r, grid), rel=1e-13)
         assert row.kg_energy[0] == pytest.approx(reference_kg_energy(state), rel=1e-13)
 
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_field_columns_match_references_on_rough_data(self, grid, m, every):
+        # Rows read H^r and kg_energy off spectra still owed linear(dt/2),
+        # through weights with its Klein-Gordon matrices folded in.  Rough
+        # phi and phi_t fill every bin, the Nyquist bin (whose derivative
+        # the energy drops) included.
+        psi0 = solver.rough_data(0.25, 9, grid)
+        phi0, phi1 = (np.real(solver.rough_data(0.25, seed, grid)[:, 0]) for seed in (10, 11))
+        assert np.abs(np.fft.rfft(phi0)[-1]) > 0 and np.abs(np.fft.rfft(phi1)[-1]) > 0
+        state = solver.init_state(psi0, phi0, phi1, 1.0, m, grid)
+        dt, n_steps, r = 0.3 * grid.dx, 37, 0.5
+        config = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every, diag_s=0.25, diag_r=r)
+        series = solver.run(config, state)
+        rows = [state]
+        for _ in range(n_steps):
+            rows.append(solver.strang_step(rows[-1], dt))
+        rows = [row for k, row in enumerate(rows) if k % every == 0 or k == n_steps]
+        assert_allclose(series.kg_energy, [reference_kg_energy(row) for row in rows], rtol=1e-12)
+        assert_allclose(series.hr_phi, [solver.sobolev_norm(row.phi, r, grid) for row in rows], rtol=1e-12)
+
     @pytest.mark.parametrize("n", [2, 4, 64, 4096])
     def test_nyquist_derivative_dropped(self, n):
         # phi = cos(pi j) lives on the Nyquist bin alone, so both energies
@@ -841,8 +888,8 @@ class TestRun:
     @pytest.mark.parametrize("data", ["smooth", "rough"])
     @pytest.mark.parametrize("M", [0.0, 1.0])
     def test_final_bits_independent_of_every(self, grid, data, M):
-        # Rows observe copies of the spectra the march holds, so how often
-        # they are taken cannot change a bit of the march.
+        # Rows read the spectra the march holds and write nothing into them,
+        # so how often they are taken cannot change a bit of the march.
         state = data_state(grid, data, M)
         dt, n_steps = 0.3 * grid.dx, 37  # non-dyadic, so a reordered product rounds differently
         finals = []
@@ -907,6 +954,32 @@ class TestRun:
             forward = {"fft": 2 * n_steps + 2, "rfft": n_steps + 2}
             inverse = {"ifft": forward["fft"], "irfft": forward["rfft"]} if n_steps else {}
             assert rows == forward | inverse
+
+    @pytest.mark.parametrize("every", [1, 3, 16])
+    def test_linear_budget(self, smooth_state, monkeypatch, every):
+        # The march applies linear once per step (the opening half step, then
+        # one fused full step between steps); rows apply none, and the
+        # closing half step is applied once, to materialise the final state.
+        calls = []
+        linear = solver._linear
+
+        def counted(*args):
+            calls.append(args[1])
+            return linear(*args)
+
+        monkeypatch.setattr(solver, "_linear", counted)
+        dt = smooth_state.grid.dx / 2
+        for n_steps in (0, 1, 37):
+            for return_final in (False, True):
+                calls.clear()
+                config = SolverConfig(grid=smooth_state.grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every)
+                solver.run(config, smooth_state, return_final=return_final)
+                materialised = int(return_final and n_steps > 0)
+                assert len(calls) == n_steps + materialised
+                assert calls.count(1) == max(n_steps - 1, 0)
+        calls.clear()
+        solver.strang_step(smooth_state, dt)
+        assert calls == [0, 0]
 
 
 class TestSnapshot:
