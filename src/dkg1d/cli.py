@@ -56,7 +56,7 @@ def _cmd_verify(args) -> int:
             value <= (NULL_FORM_TOL if key == "null_form_vanishing" else IDENTITY_TOL)
             for key, value in residuals.items()
         )
-        _emit({"target": "spinor", "residuals": residuals, "pass": ok})
+        _emit({"target": "spinor", "samples": args.samples, "residuals": residuals, "pass": ok})
         return 0 if ok else 1
     stats = weights.sample_margins(args.samples, seed=args.seed)
     ok = (

@@ -39,7 +39,9 @@ and the work is O(L), one step per distinct offset (about 22.5 L of them
 for cond2, against about 25 L^2 point pairs); minus-line strips have
 O(1) columns at every L.  Every ratio therefore follows from column
 ranges and the strips' lattice points, with no grid, no FFT and no
-periodic wrap to guard against.
+periodic wrap to guard against.  The counts come in blocks of di rows and
+the strips in blocks of columns, and each norm adds its blocks' sums of
+squares, so memory stays O(block x tuples) at every L.
 
 The X+ x X- -> L2 embedding is the tuple (0, 0, 0, alpha, alpha, 0), where
 cond2's delta = alpha - 1/2 shows it fails below alpha = 1/2.  Also here:
@@ -54,12 +56,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from ._checks import finite_real
-from .norms import Grid2D, NormIndex, indicator_product, point_norm, spatial_inverse
+from .norms import Grid2D, NormIndex, indicator_product, point_squares, spatial_inverse
 
 Interval = tuple[float, float]
 
@@ -73,11 +75,16 @@ DEFAULT_L_LADDER = (64.0, 128.0, 256.0, 512.0)
 # up to 2^51; at 2^52 cond1_ab keeps 8 of its 13 u-points, near 2^60 cond1_gamma
 # and cond4 count no pairs, near 1e20 the columns overflow int64.
 _MAX_L = 2.0**48
-# Most cells of the offset grid that ``pair_counts`` fills.  Only cond2's
-# grows with L, as about 22.5 L cells at a peak of 81 bytes each, so this
-# admits cond2 up to L of about 1.86e5, which peaks at 323 MiB; the other
-# four families stay below 4000 cells at every L.
-_MAX_GRID_CELLS = 2**22
+# Work budget of a ladder scale, in cells of the offset grid that
+# ``pair_counts`` visits: it bounds time, since memory is O(_BLOCK).  Only
+# cond2's grid grows with L, as about 22.5 L cells, so this admits cond2 up
+# to L of about 2.98e6, which takes about 5 s with three tuples on a 2-core
+# x86 host; the other four families stay below 4000 cells at every L.
+_MAX_WORK_CELLS = 2**26
+# di rows of the offset grid, or columns of a strip, per streamed block: the
+# whole ladder up to L = 256 is one block (cond2 there has 645 rows and a
+# 1025-column v strip).
+_BLOCK = 2**11
 
 
 class ExponentTuple(NamedTuple):
@@ -153,8 +160,12 @@ def strip_points(interval: Interval, line: str) -> np.ndarray:
     and xi = j/4 the strip condition reads |2i +- j| <= 2, exact in integers;
     each column j holds 3 points when j is even and 2 when it is odd.
     """
+    return _strip_columns(*_columns(interval), line)
+
+
+def _strip_columns(lo: int, hi: int, line: str) -> np.ndarray:
+    """Lattice indices (i, j) of the strip's points in columns lo..hi."""
     sign = {"plus": 1, "minus": -1}[line]
-    lo, hi = _columns(interval)
     j = np.arange(lo, hi + 1)
     # The window |2i + sign j| <= 2 is centred on -sign j / 2; these three
     # candidates cover it for either parity of j.
@@ -192,19 +203,26 @@ def _offset_grid(A: Interval, B: Interval, v_line: str) -> tuple[int, int, int]:
     return -((4 + u_hi + v_hi) // 2), (4 - u_lo - v_lo) // 2, u_hi - v_lo - (u_lo - v_hi) + 1
 
 
-def pair_counts(A: Interval, B: Interval, v_line: str) -> tuple[np.ndarray, np.ndarray]:
+def pair_counts(A: Interval, B: Interval, v_line: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Offsets p_u - p_v between the strips over A and B, and their pair counts.
 
-    u's strip lies on the plus line and v's on ``v_line``.  Returns the
-    distinct offsets (di, dj), shape (2, m), in lexicographic order, and how
-    many point pairs give each.  With positions s as in ``_position_pairs``,
-    a pair of columns (j_u, j_v) and D = s_u - s_v give the offset
-    2 di = D - j_u +- j_v, dj = j_u - j_v, so the counts follow from column
-    ranges and the position-pair table without forming any point pair.
+    u's strip lies on the plus line and v's on ``v_line``.  Yields blocks of
+    the distinct offsets (di, dj), shape (2, m), and how many point pairs
+    give each; a block holds the offsets of at most ``_BLOCK`` rows di, and
+    the blocks joined are in lexicographic order.  With positions s as in
+    ``_position_pairs``, a pair of columns (j_u, j_v) and D = s_u - s_v give
+    the offset 2 di = D - j_u +- j_v, dj = j_u - j_v, so the counts follow
+    from column ranges and the position-pair table without forming any
+    point pair.
     """
-    (u_lo, u_hi), (v_lo, v_hi) = _columns(A), _columns(B)
     di_lo, di_hi, _ = _offset_grid(A, B, v_line)
-    di = np.arange(di_lo, di_hi + 1)
+    for first in range(di_lo, di_hi + 1, _BLOCK):
+        yield _count_rows(A, B, v_line, np.arange(first, min(first + _BLOCK, di_hi + 1)))
+
+
+def _count_rows(A: Interval, B: Interval, v_line: str, di: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero offsets and counts of ``pair_counts`` in the rows ``di``."""
+    (u_lo, u_hi), (v_lo, v_hi) = _columns(A), _columns(B)
     D = np.arange(-4, 5)
     if v_line == "plus":
         # 2 di = D - dj: the offset fixes D, and the columns enter only
@@ -232,8 +250,21 @@ def pair_counts(A: Interval, B: Interval, v_line: str) -> tuple[np.ndarray, np.n
     return np.stack([di, dj]), counts[nonzero]
 
 
-def _lattice_norm(values, points: np.ndarray, idx: NormIndex) -> np.ndarray:
-    return point_norm(values, points[0] * DTAU, points[1] * DXI, idx, CELL)
+def _lattice_squares(values, points: np.ndarray, idx: NormIndex) -> np.ndarray:
+    return point_squares(values, points[0] * DTAU, points[1] * DXI, idx)
+
+
+def _strip_squares(interval: Interval, line: str, idx: NormIndex) -> tuple[np.ndarray, int]:
+    """``_lattice_squares`` of a strip's indicator, one per exponent row of
+    ``idx``, streamed over blocks of ``_BLOCK`` columns; and the strip's
+    number of points."""
+    lo, hi = _columns(interval)
+    squares, n_points = np.zeros(len(idx.a)), 0
+    for first in range(lo, hi + 1, _BLOCK):
+        points = _strip_columns(first, min(first + _BLOCK - 1, hi), line)
+        squares += _lattice_squares(1.0, points, idx)
+        n_points += points.shape[1]
+    return squares, n_points
 
 
 @dataclass(frozen=True)
@@ -259,7 +290,11 @@ class RatioResult:
 def check_scales(family_id: str, L_values) -> list:
     """``L_values`` as a list, if ``family_id`` names a family and every L is
     a real number with 4 < L <= 2^48 whose offset grid in ``pair_counts``
-    has at most 2^22 cells; a ValueError otherwise, before any array is made."""
+    has at most 2^26 cells; a ValueError otherwise, before any array is made.
+
+    The cell cap is a budget of time (a few seconds of counting), not of
+    memory: the ladder streams its counts, so memory does not grow with L.
+    """
     if family_id not in FAMILIES:
         raise ValueError(f"unknown family {family_id!r}")
     L_values = list(L_values)
@@ -268,8 +303,11 @@ def check_scales(family_id: str, L_values) -> list:
     family = FAMILIES[family_id]
     for L in L_values:
         di_lo, di_hi, n_dj = _offset_grid(*family.intervals(L)[:2], family.v_line)
-        if 9 * (di_hi - di_lo + 1) * n_dj > _MAX_GRID_CELLS:
-            raise ValueError(f"{family_id} at L = {L:g} would count pairs on more than 2^22 offset cells")
+        if 9 * (di_hi - di_lo + 1) * n_dj > _MAX_WORK_CELLS:
+            raise ValueError(
+                f"{family_id} at L = {L:g} would count pairs on more than 2^26 offset cells; "
+                "this cap bounds the time of a ladder, not its memory"
+            )
     return L_values
 
 
@@ -278,7 +316,10 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
 
     The pair counts of the product transform are independent of the
     exponents, so they are computed once per L, and the three norms of all
-    tuples are weighed in one pass over the lattice points.
+    tuples are weighed in one pass over the lattice points.  That pass is
+    streamed: each block of offsets (``pair_counts``) or of strip columns
+    adds its sums of squared weighted values per tuple, so memory is
+    O(block x tuples) whatever L is, and up to L = 256 each norm is one block.
 
     On ``DEFAULT_L_LADDER`` the ``loglog_fit`` slope of every family is
     within 0.15 of -delta(family, e) for entries of e in [-1, 1]; over the
@@ -305,12 +346,15 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     rows: list[RatioResult] = []
     for L in L_values:
         A, B, _ = family.intervals(L)
-        offsets, counts = pair_counts(A, B, family.v_line)
-        strip_u, strip_v = strip_points(A, "plus"), strip_points(B, family.v_line)
-        num = _lattice_norm(indicator_product(counts, CELL), offsets, num_idx)
-        du = _lattice_norm(1.0, strip_u, u_idx)
-        dv = _lattice_norm(1.0, strip_v, v_idx)
-        sizes = (strip_u.shape[1], strip_v.shape[1], offsets.shape[1], int(counts.sum()))
+        num, n_offsets, n_pairs = np.zeros(len(tuples)), 0, 0
+        for offsets, counts in pair_counts(A, B, family.v_line):
+            num += _lattice_squares(indicator_product(counts, CELL), offsets, num_idx)
+            n_offsets += offsets.shape[1]
+            n_pairs += int(counts.sum())
+        du, n_u = _strip_squares(A, "plus", u_idx)
+        dv, n_v = _strip_squares(B, family.v_line, v_idx)
+        num, du, dv = (np.sqrt(squares * CELL) for squares in (num, du, dv))
+        sizes = (n_u, n_v, n_offsets, n_pairs)
         rows += [
             RatioResult(family_id, L, e, float(n), float(u), float(v), *sizes)
             for e, n, u, v in zip(tuples, num, du, dv)

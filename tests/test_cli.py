@@ -31,6 +31,7 @@ class TestVerify:
         code, payload = run_cli(capsys, "verify", "spinor", "--samples", "5000")
         assert code == 0
         assert payload["pass"] is True
+        assert payload["samples"] == 5000
         assert payload["residuals"]["completeness"] <= 1e-14
 
     def test_lemma3(self, capsys):
@@ -216,11 +217,13 @@ class TestCounterexampleAndFit:
         assert not out.exists()
 
     def test_cond2_scale_budget_reported(self, capsys, tmp_path):
-        # At L = 1e9 cond2's offset grid would need tens of gigabytes.
+        # At L = 1e9 cond2's offset grid has about 2.25e10 cells, tens of
+        # minutes of counting; it is refused at once.
         out = tmp_path / "x.csv"
         code, payload = run_cli(capsys, "counterexample", "--family", "cond2", "--L", "1e9", "--out", str(out))
         assert code == 2
-        assert "more than 2^22 offset cells" in payload["error"]
+        assert "more than 2^26 offset cells" in payload["error"]
+        assert "time" in payload["error"]
         assert not out.exists()
 
     def test_unwritable_out_reported(self, capsys, tmp_path):

@@ -42,6 +42,12 @@ def point_pair_counts(u, v):
     return np.stack([nonzero // span, nonzero % span]) + lo[:, None], counts[nonzero]
 
 
+def joined_counts(A, B, line):
+    """The blocks of ``pair_counts`` joined into one (offsets, counts) pair."""
+    offsets, counts = zip(*cx.pair_counts(A, B, line))
+    return np.concatenate(offsets, axis=1), np.concatenate(counts)
+
+
 def strip_tau_xi(interval, line):
     i, j = cx.strip_points(interval, line)
     return i * cx.DTAU, j * cx.DXI
@@ -196,21 +202,21 @@ class TestBuildFamily:
             cx.ratio_ladder(family, [64.0, L], [ZEROS])
 
     def test_cond2_scale_budget(self):
-        # cond2's offset grid has about 22.5 L cells, and L = 2^22 once asked
-        # numpy for several (10485765, 9) arrays; past 2^22 cells a scale is
-        # refused before any array is made.
+        # cond2's offset grid has about 22.5 L cells.  The ladder streams it,
+        # so the cap of 2^26 cells bounds time (a few seconds), not memory;
+        # a scale past it is refused before any array is made.
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"more than 2\^22 offset cells"):
+            with pytest.raises(ValueError, match=r"more than 2\^26 offset cells; .* time"):
                 cx.ratio_ladder("cond2", [64.0, 2.0**30], [ZEROS])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
         assert cx.check_scales("cond2", cx.DEFAULT_L_LADDER) == list(cx.DEFAULT_L_LADDER)
-        assert cx.check_scales("cond2", [1.86e5]) == [1.86e5]
+        assert cx.check_scales("cond2", [2.98e6]) == [2.98e6]
         with pytest.raises(ValueError, match="offset cells"):
-            cx.check_scales("cond2", [1.87e5])
+            cx.check_scales("cond2", [2.99e6])
         # Inside the budget the rows are those counted before it existed.
         (row,) = cx.ratio_ladder("cond2", [2.0**17], [ZEROS])
         assert (row.points_u, row.points_v, row.offsets, row.pairs) == (327683, 1310723, 2949125, 429501644809)
@@ -244,7 +250,7 @@ class TestPairCounts:
         want_offsets, want_counts = point_pair_counts(
             cx.strip_points(A, "plus"), cx.strip_points(B, line)
         )
-        offsets, counts = cx.pair_counts(A, B, line)
+        offsets, counts = joined_counts(A, B, line)
         assert np.array_equal(offsets, want_offsets)
         assert np.array_equal(counts, want_counts)
 
@@ -268,13 +274,84 @@ class TestPairCounts:
     def test_rows_report_offsets_and_pairs(self):
         for family, spec in cx.FAMILIES.items():
             A, B, _ = spec.intervals(100.0)
-            offsets, counts = cx.pair_counts(A, B, spec.v_line)
+            offsets, counts = joined_counts(A, B, spec.v_line)
             (row,) = cx.ratio_ladder(family, [100.0], [ZEROS])
             assert row.offsets == offsets.shape[1]
             assert row.pairs == counts.sum()
             assert row.points_u == cx.strip_points(A, "plus").shape[1]
             assert row.points_v == cx.strip_points(B, spec.v_line).shape[1]
             assert row.pairs == row.points_u * row.points_v
+
+
+THREE = [ZEROS, ExponentTuple(0.5, 0, 0, 0, 0.5, 0), ExponentTuple(0, 0, 1, 1, 1, -0.5)]
+
+
+def row_values(rows):
+    return [(r.numerator, r.denom_u, r.denom_v) for r in rows], [
+        (r.points_u, r.points_v, r.offsets, r.pairs) for r in rows
+    ]
+
+
+class TestStreamedLadder:
+    """``ratio_ladder`` adds per-block sums; the blocks must change nothing but roundoff."""
+
+    def test_rows_match_one_block(self, monkeypatch):
+        # With one block per norm the sums are the whole-array sums.  Up to
+        # L = 256 the default blocks are one block too, and bit-equal.
+        assert cx.DEFAULT_L_LADDER[:3] == (64.0, 128.0, 256.0)
+        rng = np.random.default_rng(1)
+        tuples = THREE + [ExponentTuple(*rng.uniform(-2, 2, 6)) for _ in range(3)]
+        for family in cx.FAMILIES:
+            got, got_sizes = row_values(cx.ratio_ladder(family, cx.DEFAULT_L_LADDER, tuples))
+            with monkeypatch.context() as m:
+                m.setattr(cx, "_BLOCK", 2**62)
+                want, want_sizes = row_values(cx.ratio_ladder(family, cx.DEFAULT_L_LADDER, tuples))
+            assert got_sizes == want_sizes
+            assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=family)
+            assert got[: 3 * len(tuples)] == want[: 3 * len(tuples)]
+
+    def test_rows_match_unstreamed_at_2_17(self):
+        # Rows of the whole-array ladder, which peaked at 318 MiB here.
+        want = [
+            ("0x1.43cc5d8cd5398p+18", "0x1.94c5fd1c07cbfp+7", "0x1.94c5a20941a52p+8"),
+            ("0x1.43cc5d8cd5398p+18", "0x1.5e8c2ffee448bp+15", "0x1.94c5d4a1f2bccp+17"),
+            ("0x1.ff927337265a5p+2", "0x1.09d031994b01fp+8", "0x1.a54d36bda3558p+26"),
+        ]
+        got, sizes = row_values(cx.ratio_ladder("cond2", [2.0**17], THREE))
+        assert sizes == [(327683, 1310723, 2949125, 429501644809)] * 3
+        assert_allclose(got, [[float.fromhex(x) for x in row] for row in want], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_small_blocks(self, monkeypatch, block):
+        L_values = [33.0, 100.0, 512.0]
+        want = {}
+        for family, spec in cx.FAMILIES.items():
+            for L in L_values:
+                A, B, _ = spec.intervals(L)
+                want[family, L] = joined_counts(A, B, spec.v_line)
+            want[family] = row_values(cx.ratio_ladder(family, L_values, THREE))
+        monkeypatch.setattr(cx, "_BLOCK", block)
+        for family, spec in cx.FAMILIES.items():
+            for L in L_values:
+                A, B, _ = spec.intervals(L)
+                blocks = list(cx.pair_counts(A, B, spec.v_line))
+                assert all(np.unique(offsets[0]).size <= block for offsets, _ in blocks)
+                offsets, counts = joined_counts(A, B, spec.v_line)
+                assert np.array_equal(offsets, want[family, L][0])
+                assert np.array_equal(counts, want[family, L][1])
+            got, got_sizes = row_values(cx.ratio_ladder(family, L_values, THREE))
+            assert got_sizes == want[family][1]
+            assert_allclose(got, want[family][0], rtol=1e-13, atol=0, err_msg=family)
+
+    def test_cond2_memory_does_not_grow(self):
+        # The whole-array ladder peaked at 451 MiB here.
+        tracemalloc.start()
+        try:
+            cx.ratio_ladder("cond2", [1.86e5], THREE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestRatio:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,25 @@ from numpy.testing import assert_allclose
 from dkg1d import spinor
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def concatenated_draws(n, seed):
+    """The chunk draws of ``verify_identities`` joined: psi, psi', xi."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for start in range(0, n, spinor._CHUNK):
+        k = min(spinor._CHUNK, n - start)
+        psi = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+        psi_p = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+        draws.append((psi, psi_p, rng.uniform(-100.0, 100.0, size=k)))
+    psi, psi_p, xi = (np.concatenate(parts) for parts in zip(*draws))
+    xi[0] = 0.0
+    return psi, psi_p, xi
+
+
+def whole_array_identities(n, seed):
+    """``verify_identities`` evaluated at once on the concatenated chunk draws."""
+    return {**spinor._chunk_residuals(*concatenated_draws(n, seed)), **spinor._matrix_residuals()}
 
 
 def spinors():
@@ -128,7 +149,50 @@ class TestIdentities:
             tol = 1e-12 if key == "null_form_vanishing" else 1e-14
             assert value <= tol, (key, value)
 
-    @pytest.mark.parametrize("n", [0, -1, 1.5, True, np.True_])
+    @pytest.mark.parametrize("n", [0, -1, 1.5, True, np.True_, pytest.param(2**63, id="2**63")])
     def test_verify_identities_rejects_bad_sample_count(self, n):
         with pytest.raises(ValueError, match="n_samples"):
             spinor.verify_identities(n)
+
+
+class TestStreamedIdentities:
+    C = spinor._CHUNK
+
+    # Below, at and above one chunk (up to one chunk the draws are one
+    # whole-array draw), and several chunks with a ragged tail.
+    @pytest.mark.parametrize("n", [1, 7, C - 1, C, C + 1, 100_003])
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_equals_whole_array_evaluation(self, n, seed):
+        assert spinor.verify_identities(n, seed=seed) == whole_array_identities(n, seed)
+
+    @pytest.mark.parametrize("n", [C + 1, 100_003])
+    def test_chunks_cover_the_draws(self, monkeypatch, n):
+        # Every sample is evaluated once, in order: the chunks passed to the
+        # evaluation join into the draws, with one ragged tail.
+        seen = []
+        evaluate = spinor._chunk_residuals
+        monkeypatch.setattr(spinor, "_chunk_residuals", lambda *chunk: seen.append(chunk) or evaluate(*chunk))
+        spinor.verify_identities(n, seed=5)
+        assert [len(chunk[2]) for chunk in seen] == [self.C] * (n // self.C) + [n % self.C]
+        for got, want in zip(zip(*seen), concatenated_draws(n, 5), strict=True):
+            assert np.array_equal(np.concatenate(got), want)
+
+    def test_pecher_residual_relative_per_sample(self, monkeypatch):
+        # A defect eps in alpha gives (alpha xi) pi psi - |xi| pi psi = eps xi
+        # pi psi: 0.5 eps at xi = 1 with psi = (1, 0), relative to max(1, |xi|)
+        # of that sample, not of the sample at xi = 100 (psi = 0, no defect).
+        eps = 1e-6
+        monkeypatch.setattr(spinor, "ALPHA", spinor.ALPHA + eps * spinor.IDENTITY)
+        psi = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        got = spinor._chunk_residuals(psi, psi, np.array([1.0, 100.0]))["pecher_relations"]
+        assert got == pytest.approx(0.5 * eps, rel=1e-9)
+
+    def test_memory_is_one_chunk(self):
+        # One whole-array evaluation of 10**6 samples would peak near 290 MiB.
+        tracemalloc.start()
+        try:
+            spinor.verify_identities(1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
