@@ -16,3 +16,10 @@ def finite_real(value) -> bool:
 def count(value) -> bool:
     """An integer other than a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def sample_count(n_samples, cap: int) -> None:
+    """Refuse, with ValueError, a sample count that is not an integer in
+    [1, cap]; each sampler's cap bounds its run time."""
+    if not (count(n_samples) and 1 <= n_samples <= cap):
+        raise ValueError(f"n_samples must be an integer with 1 <= n_samples <= {cap} (a cap on run time)")

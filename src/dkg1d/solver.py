@@ -8,9 +8,9 @@ The evolved system, on a periodic spatial interval (D = -i d):
 The state is stored as two stacked arrays, the layout every flow acts on.
 The spinor is kept through scalar amplitudes on the one-dimensional ranges
 of P+-:  psi = a_+ e_+ + a_- e_-  with  e_+- = (1, +-1)/sqrt(2), and
-``DKGState.a`` = (a_+, a_-) is one complex (2, n_x) array; ``DKGState.f`` =
-(phi, phi_t) is one real (2, n_x) array.  The amplitudes halve the memory
-and make the half-wave flows scalar.  ``init_state``, ``save_state`` and
+``DKGState.a`` = (a_+, a_-) = ``spinor.amplitudes(psi)`` is one complex
+(2, n_x) array; ``DKGState.f`` = (phi, phi_t) is one real (2, n_x) array.
+The amplitudes halve the memory and make the half-wave flows scalar.  ``init_state``, ``save_state`` and
 ``load_state`` share one check of a valid state (``_check_state``), so
 ``save_state`` refuses exactly the states that ``load_state`` would refuse.
 
@@ -45,7 +45,8 @@ and the opening one of the next fuse into one linear(dt): linear runs once
 a step.  A step costs one inverse FFT of the amplitudes and one inverse
 real FFT of phi, for the pointwise coupling, then one real FFT of the kick
 to phi_t and one FFT of the rotated amplitudes.  The coupling takes the
-cosine and sine of its angle from one ``tan`` of the half angle.
+cosine and sine of its angle from one ``tan`` of the half angle, since
+NumPy's float64 ``tan`` has a SIMD loop and its ``cos`` and ``sin`` do not.
 
 A diagnostics row reads the spectra the march holds, still owed the
 closing linear(dt/2), with no copy and no transform (``_row_weights``):
@@ -60,14 +61,6 @@ the last yield of a one-step march, materialised the same way.  A
 non-finite field value makes its row non-finite, so the row check is the
 only finiteness scan, and ``run`` silences NumPy's overflow and invalid-value
 warnings.
-
-At n_x = 4096 (rough data, runs of 256 steps in one process on a 2-core
-x86-64 host, medians of 40 alternating runs) a step costs about 430 us
-without its row, against 480 us with cos and sin in the coupling and
-float matrices in ``_linear``; a row adds about 100 us, against about
-130 us when it applied linear(dt/2) to copies of the spectra.  The
-``tan`` gain rests on NumPy's float64 ``tan`` loop for AVX-512, where its
-``cos`` and ``sin`` are scalar.
 
 Transforms are called as ``scipy.fft.<name>`` after a
 plain ``import scipy``, so SciPy loads ``scipy.fft`` (about 0.3 s) on the
@@ -87,9 +80,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy
 
+from . import spinor
 from ._checks import count, finite_real
 
-SQRT2 = np.sqrt(2.0)
 _MAX_MASS = math.sqrt(np.finfo(float).max)  # the largest m whose m**2 is finite
 
 
@@ -235,7 +228,7 @@ def init_state(
         raise ValueError(f"psi0 must have shape ({grid.n_x}, 2)")
     # A non-finite or overflowing psi0 gives a non-finite a (inf - inf is nan), which the check refuses.
     with np.errstate(invalid="ignore", over="ignore"):
-        a = np.stack((psi0[:, 0] + psi0[:, 1], psi0[:, 0] - psi0[:, 1])) / SQRT2
+        a = spinor.amplitudes(psi0)
     state = _check_state(DKGState(a, np.stack((phi0, phi1)), 0.0, M, m, grid))
     return replace(state, f=state.f.astype(float), M=float(M), m=float(m))
 
@@ -298,8 +291,7 @@ def _coupling(a: np.ndarray, phi: np.ndarray, M: float, h: float) -> tuple[np.nd
     t = tan(theta / 2): cos = (1 - t^2) / (1 + t^2) and sin = 2 t / (1 + t^2).
     Their squares sum to 1 for every t, so the rotation stays unitary to
     roundoff, and NumPy's float64 ``tan`` has a SIMD loop (AVX-512) where
-    its ``cos`` and ``sin`` are scalar: 12 us for 4096 angles against 42 us
-    for each of ``cos`` and ``sin`` on a 2-core x86-64 host."""
+    its ``cos`` and ``sin`` are scalar."""
     tan = phi - M
     tan *= h / 2
     tan = np.tan(tan, out=tan)

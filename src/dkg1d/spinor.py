@@ -7,9 +7,12 @@ eigenvalues ``+-xi``.  We work in the fixed representation
 
 both hermitian, with ``alpha^2 = beta^2 = I`` and
 ``alpha beta + beta alpha = 0``.  The constant projections
-``P+- = (I +- alpha) / 2`` diagonalize the symbol; ``pecher_projection``
-implements the frequency-dependent alternative ``pi+-(xi)`` that orders the
-eigenvalues as ``+-|xi|`` instead.
+``P_s = (I + s alpha) / 2``, s = +-1, diagonalize the symbol
+(``alpha P_s = s P_s``), and Pecher's frequency-dependent projections are
+``pi+-(xi) = P_(+-sgn xi)`` (sgn 0 = +1), which order the eigenvalues as
+``+-|xi|`` instead.  One kernel applies P_s for both: ``decompose`` with
+s = +-1, ``pecher_projection`` with s = +-sgn xi.  ``amplitudes`` gives the
+coordinates of a spinor on the ranges of P+-, the state of the solver.
 
 A spinor is any array whose last axis has length 2 (components ``psi_1``,
 ``psi_2``); every operation broadcasts over leading axes, so fields of
@@ -23,30 +26,47 @@ it to source a real scalar field.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ._checks import count
+from ._checks import count, sample_count
 
 ALPHA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 BETA = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
-P_PLUS = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-P_MINUS = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
+P_PLUS, P_MINUS = (0.5 * (IDENTITY + s * ALPHA) for s in (1, -1))
 
 _CHUNK = 2**13  # spinors per verify_identities chunk: 256 KiB per (k, 2) complex array
+_MAX_SAMPLES = 10**7  # about 10 s of verify_identities on a 2-core x86-64 host
 
 
 def apply_matrix(mat: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix to a spinor (or array of spinors)."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.einsum("ij,...j->...i", mat, psi)
+    return np.asarray(psi, dtype=complex) @ mat.T
+
+
+def _project(s, psi: np.ndarray) -> np.ndarray:
+    """P_s psi = (I + s alpha) psi / 2 for s = +-1: one scalar, or one value
+    per spinor (an array broadcasting against the leading axes of psi).
+    alpha psi is psi with its two components swapped."""
+    return 0.5 * (psi + np.expand_dims(s, -1) * psi[..., ::-1])
 
 
 def decompose(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a spinor into its P+ and P- parts; the parts sum back to psi."""
     psi = np.asarray(psi, dtype=complex)
-    return apply_matrix(P_PLUS, psi), apply_matrix(P_MINUS, psi)
+    return _project(1, psi), _project(-1, psi)
+
+
+def amplitudes(psi: np.ndarray) -> np.ndarray:
+    """Coordinates (a_+, a_-) of psi on the ranges of P+-, psi = a_+ e_+ + a_- e_-
+    with e_+- = (1, +-1)/sqrt(2), stacked on a leading axis: shape (2, ...)
+    for psi of shape (..., 2).  P_s psi = a_s e_s, and the map is unitary,
+    since e_+ and e_- are orthonormal."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.stack((psi[..., 0] + psi[..., 1], psi[..., 0] - psi[..., 1])) / math.sqrt(2.0)
 
 
 def null_form(psi: np.ndarray, psi_prime: np.ndarray) -> np.ndarray:
@@ -63,24 +83,16 @@ def null_form(psi: np.ndarray, psi_prime: np.ndarray) -> np.ndarray:
     )
 
 
-def sign_convention(xi):
-    """sgn(xi) with the fixed tie-break sgn(0) = +1."""
-    return np.where(np.asarray(xi) >= 0, 1.0, -1.0)
-
-
 def pecher_projection(xi, sign: int, psi: np.ndarray) -> np.ndarray:
-    """Apply pi_sign(xi) to psi; for xi > 0 this is P_sign, for xi < 0 it is P_-sign.
+    """Apply pi_sign(xi) = P_(sign sgn xi) to psi, with the tie-break
+    sgn(0) = sgn(-0.0) = +1.  ``sign`` is the integer +1 or -1.
 
     ``xi`` may be a scalar or an array broadcasting against the leading axes
     of ``psi``.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    psi = np.asarray(psi, dtype=complex)
-    s = sign * sign_convention(xi)
-    c1 = 0.5 * (psi[..., 0] + s * psi[..., 1])
-    c2 = 0.5 * (s * psi[..., 0] + psi[..., 1])
-    return np.stack([c1, c2], axis=-1)
+    if not (count(sign) and sign in (+1, -1)):
+        raise ValueError("sign must be the integer +1 or -1")
+    return _project(np.where(np.asarray(xi) >= 0, sign, -sign), np.asarray(psi, dtype=complex))
 
 
 def _matrix_residuals() -> dict[str, float]:
@@ -97,48 +109,30 @@ def _matrix_residuals() -> dict[str, float]:
 
 def _chunk_residuals(psi: np.ndarray, psi_p: np.ndarray, xi: np.ndarray) -> dict[str, float]:
     """Max residuals of the identities over one chunk of samples; each residual
-    is a per-sample quantity, so a max over chunks is the max over all samples."""
-    plus, minus = decompose(psi)
-    plus_p, minus_p = decompose(psi_p)
+    is a per-sample quantity, so a max over chunks is the max over all samples.
+    Each identity is written once for s = +-1; a defect is divided, per sample,
+    by the scale its residual is relative to."""
     beta_psi = apply_matrix(BETA, psi)
-    res: dict[str, float] = {}
-    res["completeness"] = float(np.abs(plus + minus - psi).max())
-    res["idempotency"] = max(
-        float(np.abs(apply_matrix(P_PLUS, plus) - plus).max()),
-        float(np.abs(apply_matrix(P_MINUS, minus) - minus).max()),
-    )
-    res["orthogonality"] = max(
-        float(np.abs(apply_matrix(P_PLUS, minus)).max()),
-        float(np.abs(apply_matrix(P_MINUS, plus)).max()),
-    )
-    res["alpha_eigenrelation"] = max(
-        float(np.abs(apply_matrix(ALPHA, plus) - plus).max()),
-        float(np.abs(apply_matrix(ALPHA, minus) + minus).max()),
-    )
-    res["beta_exchange"] = max(
-        float(np.abs(apply_matrix(P_PLUS, beta_psi) - apply_matrix(BETA, minus)).max()),
-        float(np.abs(apply_matrix(P_MINUS, beta_psi) - apply_matrix(BETA, plus)).max()),
-    )
-
-    abs_xi = np.abs(xi)
-    xi_scale = np.maximum(1.0, abs_xi)
-    pi_res = 0.0
-    for sign in (+1, -1):
-        proj = pecher_projection(xi, sign, psi)
-        pi_res = max(pi_res, float(np.abs(pecher_projection(xi, sign, proj) - proj).max()))
-        # (alpha xi) pi_sign psi = sign * |xi| * pi_sign psi, relative to max(1, |xi|)
-        lhs = xi[:, None] * apply_matrix(ALPHA, proj)
-        rhs = sign * abs_xi[:, None] * proj
-        pi_res = max(pi_res, float((np.abs(lhs - rhs).max(axis=-1) / xi_scale).max()))
-    res["pecher_relations"] = pi_res
-
-    res["density_real"] = float(np.abs(np.imag(null_form(psi, psi))).max())
-    scale = np.linalg.norm(psi, axis=-1) * np.linalg.norm(psi_p, axis=-1)
-    scale = np.maximum(scale, 1e-300)
-    res["null_form_vanishing"] = max(
-        float((np.abs(null_form(plus, plus_p)) / scale).max()),
-        float((np.abs(null_form(minus, minus_p)) / scale).max()),
-    )
+    xi_scale = np.maximum(1.0, np.abs(xi))[:, None]
+    scale = np.maximum(np.linalg.norm(psi, axis=-1) * np.linalg.norm(psi_p, axis=-1), 1e-300)
+    parts = {s: _project(s, psi) for s in (1, -1)}
+    res = {
+        "completeness": float(np.abs(parts[1] + parts[-1] - psi).max()),
+        "density_real": float(np.abs(np.imag(null_form(psi, psi))).max()),
+    }
+    for s, part in parts.items():
+        pi = pecher_projection(xi, s, psi)
+        for key, defect, divisor in (
+            ("idempotency", _project(s, part) - part, 1.0),
+            ("orthogonality", _project(-s, part), 1.0),
+            ("alpha_eigenrelation", apply_matrix(ALPHA, part) - s * part, 1.0),
+            ("beta_exchange", _project(s, beta_psi) - apply_matrix(BETA, parts[-s]), 1.0),
+            ("pecher_relations", pecher_projection(xi, s, pi) - pi, 1.0),
+            # (alpha xi) pi_s psi = s |xi| pi_s psi, relative to max(1, |xi|)
+            ("pecher_relations", xi[:, None] * apply_matrix(ALPHA, pi) - s * np.abs(xi)[:, None] * pi, xi_scale),
+            ("null_form_vanishing", null_form(part, _project(s, psi_p)), scale),
+        ):
+            res[key] = max(res.get(key, 0.0), float((np.abs(defect) / divisor).max()))
     return res
 
 
@@ -156,10 +150,10 @@ def verify_identities(n_samples: int = 1000, seed: int = 0) -> dict[str, float]:
     Samples are streamed in chunks of ``_CHUNK`` spinors drawn from one
     generator, each chunk in the order psi, psi', xi (xi = 0 at the first
     sample exercises sgn(0) = +1), and every residual is folded by max:
-    memory is O(chunk) whatever ``n_samples`` is.
+    memory is O(chunk) whatever ``n_samples`` is.  ``n_samples`` is an
+    integer from 1 to ``_MAX_SAMPLES``, a cap on run time (about 10 s).
     """
-    if not (count(n_samples) and 1 <= n_samples < 2**63):
-        raise ValueError("n_samples must be an integer with 1 <= n_samples < 2**63")
+    sample_count(n_samples, _MAX_SAMPLES)
     rng = np.random.default_rng(seed)
     res: dict[str, float] = {}
     for start in range(0, n_samples, _CHUNK):

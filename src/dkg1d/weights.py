@@ -32,13 +32,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import count, finite_real
+from ._checks import finite_real, sample_count
 
 # Share of a ``sample_margins`` budget spent on each corner manifold.
 CORNER_FRACTION = 0.1
 # Corners as (row, source row or None for 0, sign): tau = +-xi, eta = 0, eta = xi, xi = 0.
 _CORNERS = ((0, 1, 1.0), (0, 1, -1.0), (3, None, 0.0), (3, 1, 1.0), (1, None, 0.0))
 _CHUNK = 2**14  # 4-tuples per sample_margins chunk: 128 KB per float64 column
+_MAX_SAMPLES = 2 * 10**8  # about 10 s of sample_margins on a 2-core x86-64 host
 
 
 class WeightTriple(NamedTuple):
@@ -159,10 +160,10 @@ def sample_margins(n_samples: int, seed: int = 0, box: float = 1e3) -> dict[str,
     Returns min/max margin, the max identity residual relative to the scale
     of the inputs, and the min margin of the summed bound, both absolute and
     relative to that scale (the absolute one reads roundoff as about -1e-13
-    at the default box).
+    at the default box).  ``n_samples`` is an integer from 1 to
+    ``_MAX_SAMPLES``, a cap on run time (about 10 s).
     """
-    if not (count(n_samples) and 1 <= n_samples < 2**63):
-        raise ValueError("n_samples must be an integer with 1 <= n_samples < 2**63")
+    sample_count(n_samples, _MAX_SAMPLES)
     # The largest intermediate is 1.5 max(|Gamma|, |Theta+|, |Sigma-|), and
     # |Sigma-| <= 4 box, so the sweep stays finite only while 6 box does.
     if not (finite_real(box) and 0 < 6 * float(box) < np.inf):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dkg1d import cli, weights
+from dkg1d import cli, spinor, weights
 from dkg1d import counterexamples as cx
 
 
@@ -50,6 +50,18 @@ class TestVerify:
         assert code == 2
         assert "n_samples" in payload["error"]
 
+    @pytest.mark.parametrize("target", ["lemma3", "spinor"])
+    def test_sample_count_above_cap_refused_before_sampling(self, capsys, monkeypatch, target):
+        # 10**12 samples would take hours; the count is refused before any chunk is drawn.
+        def no_sampling(*args):
+            raise AssertionError("sampled a count above the cap")
+
+        monkeypatch.setattr(weights, "_chunk_stats", no_sampling)
+        monkeypatch.setattr(spinor, "_chunk_residuals", no_sampling)
+        code, payload = run_cli(capsys, "verify", target, "--samples", "1000000000000")
+        assert code == 2
+        assert "n_samples" in payload["error"] and "run time" in payload["error"]
+
     def test_lemma3_gates_relative_sum_bound(self, capsys, monkeypatch):
         stats = weights.sample_margins(1000, seed=4)
         stats["min_relative_sum_bound_margin"] = -1e-6
@@ -86,11 +98,14 @@ def _no_memory(*args, **kwargs):
         pytest.param(["solve", "--n", "256", "--xbox", "16", "--m", "1e200", "--T", "0", "--out", "{tmp}/x.csv"], id="m-squared-overflows"),
         pytest.param(["solve", "--n", "256", "--xbox", "16", "--dt", "1e-320", "--out", "{tmp}/x.csv"], id="infinite-step-count"),
         pytest.param(["verify", "lemma3", "--samples", "1000"], id="memory-error"),
+        pytest.param(["verify", "lemma3", "--samples", "1000000000000"], id="lemma3-samples-above-cap"),
+        pytest.param(["verify", "spinor", "--samples", "1000000000000"], id="spinor-samples-above-cap"),
     ],
 )
 def test_every_refusal_is_one_json_error(capsys, tmp_path, monkeypatch, argv):
-    # Only verify lemma3 reaches the sample sweep, which here runs out of memory.
-    monkeypatch.setattr(weights, "sample_margins", _no_memory)
+    # Only verify lemma3 with an admitted count reaches the sweep's chunks,
+    # which here run out of memory.
+    monkeypatch.setattr(weights, "_chunk_stats", _no_memory)
     code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
     out, err = capsys.readouterr()
     assert code == 2

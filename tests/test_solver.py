@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dkg1d import solver
+from dkg1d import solver, spinor
 from dkg1d.solver import DKGState, GridSpec1D, SolverConfig
 
 # An int beyond float range: a real number, but not a finite float.
@@ -494,17 +494,25 @@ def momentum(state):
     return dirac - np.sum(state.phi_t * phi_x) * g.dx
 
 
+# Rows e_+ and e_- = (1, +-1)/sqrt(2): psi = a_+ e_+ + a_- e_-.
+E_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+
+
 def system_rhs(state, mass_sign=-1.0):
-    """Time derivative of (a, f) that the DKG system gives, in amplitudes:
-    d_t a_+- = -+ d_x a_+- + i (phi - M) a_-+, d_t phi = phi_t and
-    d_t phi_t = phi_xx - m^2 phi + 2 Re(a_+ conj a_-).  ``mass_sign`` = +1
+    """Time derivative of (a, f) that the DKG system gives in its component
+    form, with D = -i d:  (D_t + alpha D_x) psi + M beta psi = phi beta psi,
+    that is psi_t = -alpha psi_x + i (phi - M) beta psi, and
+    (d_tt - d_xx + m^2) phi = <beta psi, psi>; psi_t is mapped to the
+    amplitudes by ``spinor.amplitudes``, which is linear.  ``mass_sign`` = +1
     puts phi + M in place of phi - M."""
     g = state.grid
-    a_x = np.fft.ifft(1j * g.xi_fft * np.fft.fft(state.a, axis=-1), axis=-1)
-    da = np.stack((-a_x[0], a_x[1])) + 1j * (state.phi + mass_sign * state.M) * state.a[::-1]
+    psi = state.a.T @ E_PLUS_MINUS
+    psi_x = np.fft.ifft(1j * g.xi_fft[:, None] * np.fft.fft(psi, axis=0), axis=0)
+    coupling = 1j * (state.phi + mass_sign * state.M)[:, None] * spinor.apply_matrix(spinor.BETA, psi)
+    psi_t = -spinor.apply_matrix(spinor.ALPHA, psi_x) + coupling
     phi_xx = np.fft.irfft(-(g.xi_rfft**2) * np.fft.rfft(state.phi), n=g.n_x)
-    source = 2 * np.real(state.a[0] * np.conj(state.a[1]))
-    return da, np.stack((state.phi_t, phi_xx - state.m**2 * state.phi + source))
+    source = spinor.null_form(psi, psi).real
+    return spinor.amplitudes(psi_t), np.stack((state.phi_t, phi_xx - state.m**2 * state.phi + source))
 
 
 class TestSystem:
@@ -534,6 +542,17 @@ class TestSystem:
         ratios = [residuals[0] / residuals[1], residuals[1] / residuals[2]]
         assert residuals[0] < 1e-3 and all(3.8 <= r <= 4.2 for r in ratios), (residuals, ratios)
         assert residual(0.01, mass_sign=1.0) > 0.5
+
+    def test_amplitudes_are_the_projections(self, grid):
+        # a_+- e_+- = P+- psi, and the solver's source 2 Re(a_+ conj a_-) is <beta psi, psi>.
+        rng = np.random.default_rng(6)
+        psi = rng.standard_normal((grid.n_x, 2)) + 1j * rng.standard_normal((grid.n_x, 2))
+        a = spinor.amplitudes(psi)
+        scale = np.abs(psi).max()
+        for amplitude, e, projection in zip(a, E_PLUS_MINUS, (spinor.P_PLUS, spinor.P_MINUS)):
+            assert_allclose(amplitude[:, None] * e, spinor.apply_matrix(projection, psi), rtol=0, atol=1e-15 * scale)
+        density = spinor.null_form(psi, psi).real
+        assert_allclose(solver._density(a), density, rtol=0, atol=1e-14 * scale**2)
 
 
 class TestConfigValidation:

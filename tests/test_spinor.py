@@ -108,6 +108,23 @@ class TestPecherProjection:
         with pytest.raises(ValueError):
             spinor.pecher_projection(1.0, 0, [1, 0])
 
+    @pytest.mark.parametrize("sign", [True, np.True_, 1.0])
+    def test_sign_is_the_integer_one_or_minus_one(self, sign):
+        # True == 1, but a bool is not a sign.
+        with pytest.raises(ValueError, match="sign"):
+            spinor.pecher_projection(1.0, sign, [1, 0])
+
+    def test_each_frequency_takes_its_own_sign(self):
+        # pi_sign(xi) = P_(sign sgn xi) sample by sample, with sgn(0) = sgn(-0.0) = +1
+        # and the sign of the smallest subnormals kept.
+        xi = np.array([0.0, -0.0, 5e-324, -5e-324, 100.0, -100.0])
+        sgn = [1, 1, 1, -1, 1, -1]
+        rng = np.random.default_rng(11)
+        psi = rng.standard_normal((xi.size, 2)) + 1j * rng.standard_normal((xi.size, 2))
+        for sign in (+1, -1):
+            want = [(spinor.P_PLUS if sign * g > 0 else spinor.P_MINUS) @ p for g, p in zip(sgn, psi)]
+            assert np.array_equal(spinor.pecher_projection(xi, sign, psi), want)
+
     @given(spinors(), st.floats(min_value=-100, max_value=100, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_idempotent_and_eigenrelation(self, psi, xi):
@@ -149,7 +166,10 @@ class TestIdentities:
             tol = 1e-12 if key == "null_form_vanishing" else 1e-14
             assert value <= tol, (key, value)
 
-    @pytest.mark.parametrize("n", [0, -1, 1.5, True, np.True_, pytest.param(2**63, id="2**63")])
+    @pytest.mark.parametrize(
+        "n",
+        [0, -1, 1.5, True, np.True_, pytest.param(2**63, id="2**63"), pytest.param(spinor._MAX_SAMPLES + 1, id="cap+1")],
+    )
     def test_verify_identities_rejects_bad_sample_count(self, n):
         with pytest.raises(ValueError, match="n_samples"):
             spinor.verify_identities(n)

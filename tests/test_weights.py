@@ -188,7 +188,13 @@ class TestStreamedSweep:
         assert peak < 16 * 2**20
 
     @pytest.mark.parametrize(
-        "n", [0, -1, 1.5, True, np.True_, "10", pytest.param(2**63, id="2**63"), pytest.param(10**400, id="10**400")]
+        "n",
+        [
+            0, -1, 1.5, True, np.True_, "10",
+            pytest.param(2**63, id="2**63"),
+            pytest.param(10**400, id="10**400"),
+            pytest.param(weights._MAX_SAMPLES + 1, id="cap+1"),
+        ],
     )
     def test_rejects_bad_sample_count(self, n):
         with pytest.raises(ValueError, match="n_samples"):
