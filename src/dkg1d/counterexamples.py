@@ -39,9 +39,12 @@ and the work is O(L), one step per distinct offset (about 22.5 L of them
 for cond2, against about 25 L^2 point pairs); minus-line strips have
 O(1) columns at every L.  Every ratio therefore follows from column
 ranges and the strips' lattice points, with no grid, no FFT and no
-periodic wrap to guard against.  The counts come in blocks of di rows and
-the strips in blocks of columns, and each norm adds its blocks' sums of
-squares, so memory stays O(block x tuples) at every L.
+periodic wrap to guard against.  A ladder streams all of its scales through
+one sequence of blocks: the di rows (L, di) of every scale's offset grid,
+and the columns (L, j) of every scale's strips, fill blocks of at most
+``_BLOCK`` in ladder order, and each norm adds, per scale, the sum of
+squares over that scale's stretch of a block.  So a short ladder costs one
+pass per norm, not one per L, and memory stays O(block x tuples) at every L.
 
 The X+ x X- -> L2 embedding is the tuple (0, 0, 0, alpha, alpha, 0), where
 cond2's delta = alpha - 1/2 shows it fails below alpha = 1/2.  Also here:
@@ -61,7 +64,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from ._checks import finite_real
-from .norms import Grid2D, NormIndex, indicator_product, point_squares, spatial_inverse
+from .norms import Grid2D, NormIndex, indicator_product, spatial_inverse, weight
 
 Interval = tuple[float, float]
 
@@ -81,9 +84,10 @@ _MAX_L = 2.0**48
 # to L of about 2.98e6, which takes about 5 s with three tuples on a 2-core
 # x86 host; the other four families stay below 4000 cells at every L.
 _MAX_WORK_CELLS = 2**26
-# di rows of the offset grid, or columns of a strip, per streamed block: the
-# whole ladder up to L = 256 is one block (cond2 there has 645 rows and a
-# 1025-column v strip).
+# di rows of the offset grids, or columns of the strips, per streamed block.
+# Blocks span scales: a scale is split only when it alone has more rows or
+# columns than a block, so a ladder up to L = 256 is one block per norm
+# (cond2 on L = 32, ..., 256 has 1220 rows and 1924 v-strip columns).
 _BLOCK = 2**11
 
 
@@ -153,26 +157,34 @@ def _columns(interval: Interval) -> tuple[int, int]:
 
 
 def strip_points(interval: Interval, line: str) -> np.ndarray:
-    """Lattice indices (i, j), shape (2, n), of a thickness-1 strip.
+    """Lattice indices (i, j), shape (2, n), of a thickness-1 strip, column by column.
 
     The strip is {xi in interval, |tau + xi| <= 1/2} for ``line = "plus"``
     and {xi in interval, |tau - xi| <= 1/2} for ``"minus"``.  With tau = i/2
     and xi = j/4 the strip condition reads |2i +- j| <= 2, exact in integers;
     each column j holds 3 points when j is even and 2 when it is odd.
     """
-    return _strip_columns(*_columns(interval), line)
+    lo, hi = _columns(interval)
+    return _nonzero(*_strip_columns(np.arange(lo, hi + 1), line))[0]
 
 
-def _strip_columns(lo: int, hi: int, line: str) -> np.ndarray:
-    """Lattice indices (i, j) of the strip's points in columns lo..hi."""
+def _strip_columns(j: np.ndarray, line: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three candidate rows i of each column in ``j``, shape (columns, 3), the
+    columns as a (columns, 1) column, and which candidates lie on the strip."""
     sign = {"plus": 1, "minus": -1}[line]
-    j = np.arange(lo, hi + 1)
     # The window |2i + sign j| <= 2 is centred on -sign j / 2; these three
     # candidates cover it for either parity of j.
-    i = (-sign * j) // 2 + np.arange(-1, 2)[:, None]
-    j = np.broadcast_to(j, i.shape)
-    on = np.abs(2 * i + sign * j) <= 2
-    return np.stack([i[on], j[on]])
+    j = j[:, None]
+    i = (-sign * j) // 2 + np.arange(-1, 2)
+    return i, j, np.abs(2 * i + sign * j) <= 2
+
+
+def _nonzero(i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice points (i, j), shape (2, m), of a grid whose counts are
+    nonzero, in row-major order, and their counts."""
+    nonzero = counts > 0
+    i, j = np.broadcast_arrays(i, j)
+    return np.stack([i[nonzero], j[nonzero]]), counts[nonzero]
 
 
 def _position_pairs() -> np.ndarray:
@@ -191,16 +203,66 @@ def _position_pairs() -> np.ndarray:
 
 
 _POSITION_PAIRS = _position_pairs()
+# The same table as [p, e + 2, q] for D = 2e + q, q = 0 or 1 (D = 5 counts 0).
+_POSITION_PAIRS_BY_PARITY = np.hstack([_POSITION_PAIRS, np.zeros((2, 1), dtype=np.int64)]).reshape(2, 5, 2)
 
 
-def _offset_grid(A: Interval, B: Interval, v_line: str) -> tuple[int, int, int]:
+def _offset_grid(columns: tuple[int, int, int, int], v_line: str) -> tuple[int, int, int]:
     """Least and greatest di, and the number of dj, of the offset grid that
-    ``pair_counts`` fills for the strips over A and B.  A plus-line v's grid
-    is (di, D), since dj = D - 2 di; a minus-line v's is (D, di, dj)."""
-    (u_lo, u_hi), (v_lo, v_hi) = _columns(A), _columns(B)
+    ``pair_counts`` fills for strips with columns (u_lo, u_hi, v_lo, v_hi).
+    A plus-line v's grid is (di, D), since dj = D - 2 di; a minus-line v's
+    is (D, di, dj)."""
+    u_lo, u_hi, v_lo, v_hi = columns
     if v_line == "plus":
         return -((4 + u_hi - v_lo) // 2), (4 - u_lo + v_hi) // 2, 1
     return -((4 + u_hi + v_hi) // 2), (4 - u_lo - v_lo) // 2, u_hi - v_lo - (u_lo - v_hi) + 1
+
+
+def _blocks(firsts, sizes) -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
+    """Rows firsts[k], ..., firsts[k] + sizes[k] - 1 of each scale k, packed
+    in ladder order into blocks of at most ``_BLOCK`` rows.  Yields each
+    block's rows and its segments (k, start, stop): the block's rows start
+    to stop - 1 are scale k's.  A scale that fits in a block but not in the
+    room left starts the next block, so only a scale with more than
+    ``_BLOCK`` rows of its own is split."""
+    rows, segments, room = [], [], _BLOCK
+    for k, (first, size) in enumerate(zip(firsts, sizes)):
+        if room < size <= _BLOCK:
+            yield np.concatenate(rows), segments
+            rows, segments, room = [], [], _BLOCK
+        done = 0
+        while done < size:
+            take, at = min(room, size - done), _BLOCK - room
+            rows.append(np.arange(first + done, first + done + take))
+            segments.append((k, at, at + take))
+            done, room = done + take, room - take
+            if room == 0:
+                yield np.concatenate(rows), segments
+                rows, segments, room = [], [], _BLOCK
+    if segments:
+        yield np.concatenate(rows), segments
+
+
+def _ladder_counts(columns, v_line: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list]]:
+    """``pair_counts`` of every scale of a ladder in shared blocks.
+
+    ``columns[k]`` is (u_lo, u_hi, v_lo, v_hi), the strip columns of scale k.
+    The di rows of all offset grids fill blocks as ``_blocks`` packs them.
+    Each block yields the grid of ``_count_rows`` over its rows, zero counts
+    included, and its segments.
+    """
+    grids = [_offset_grid(c, v_line) for c in columns]
+    for di, segments in _blocks([lo for lo, _, _ in grids], [hi - lo + 1 for lo, hi, _ in grids]):
+        bounds = np.repeat([columns[k] for k, _, _ in segments], [stop - start for _, start, stop in segments], 0)
+        yield *_count_rows(*bounds.T[:, :, None], v_line, di[:, None]), segments
+
+
+def _ladder_strips(columns, line: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list]]:
+    """The strips of a ladder over columns[k] = (lo, hi) at scale k, in shared
+    blocks of columns: each block's ``_strip_columns`` grid, the indicator
+    as 0/1 counts, and its segments, as ``_ladder_counts`` gives them."""
+    for j, segments in _blocks([lo for lo, _ in columns], [hi - lo + 1 for lo, hi in columns]):
+        yield *_strip_columns(j, line), segments
 
 
 def pair_counts(A: Interval, B: Interval, v_line: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -213,58 +275,39 @@ def pair_counts(A: Interval, B: Interval, v_line: str) -> Iterator[tuple[np.ndar
     ``_position_pairs``, a pair of columns (j_u, j_v) and D = s_u - s_v give
     the offset 2 di = D - j_u +- j_v, dj = j_u - j_v, so the counts follow
     from column ranges and the position-pair table without forming any
-    point pair.
+    point pair.  This is the one-scale view of the ladder's stream.
     """
-    di_lo, di_hi, _ = _offset_grid(A, B, v_line)
-    for first in range(di_lo, di_hi + 1, _BLOCK):
-        yield _count_rows(A, B, v_line, np.arange(first, min(first + _BLOCK, di_hi + 1)))
+    for di, dj, counts, _ in _ladder_counts([_columns(A) + _columns(B)], v_line):
+        yield _nonzero(di, dj, counts)
 
 
-def _count_rows(A: Interval, B: Interval, v_line: str, di: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero offsets and counts of ``pair_counts`` in the rows ``di``."""
-    (u_lo, u_hi), (v_lo, v_hi) = _columns(A), _columns(B)
-    D = np.arange(-4, 5)
+def _count_rows(u_lo, u_hi, v_lo, v_hi, v_line: str, di: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The offsets (di, dj) and counts of ``pair_counts`` on the rows ``di``,
+    as a grid (rows, 1), (rows, n), (rows, n) in lexicographic order, zero
+    counts included.  ``di`` and the strip columns are (rows, 1) columns,
+    so the rows may come from the offset grids of several scales.  A pair
+    has j_u in [lo, hi] exactly when j_u is in A and j_u - dj in B."""
     if v_line == "plus":
         # 2 di = D - dj: the offset fixes D, and the columns enter only
-        # through how many even and odd j_u have j_u in A and j_u - dj in B.
-        dj = D - 2 * di[:, None]
+        # through how many even and odd j_u lie in [lo, hi].
+        dj = np.arange(-4, 5) - 2 * di
         lo = np.maximum(u_lo, v_lo + dj)
         hi = np.minimum(u_hi, v_hi + dj)
         even = np.maximum((hi >> 1) - ((lo + 1) >> 1) + 1, 0)
         odd = np.maximum(((hi - 1) >> 1) - (lo >> 1) + 1, 0)
-        counts = _POSITION_PAIRS[0] * even + _POSITION_PAIRS[1] * odd
-    else:
-        # 2 di = D - j_u - j_v: the offset and D fix both columns, so this
-        # visits each column pair once per D.  Both strips have O(1) columns.
-        dj = np.arange(u_lo - v_hi, u_hi - v_lo + 1)
-        D = D[:, None, None]
-        twice_ju = D - 2 * di[:, None] + dj
-        j_u = twice_ju >> 1
-        j_v = j_u - dj
-        on = (twice_ju & 1 == 0) & (u_lo <= j_u) & (j_u <= u_hi) & (v_lo <= j_v) & (j_v <= v_hi)
-        counts = (_POSITION_PAIRS[j_u & 1, D + 4] * on).sum(axis=0)
-    # Row-major order over (di, D) or (di, dj) is lexicographic in (di, dj).
-    nonzero = counts > 0
-    di = np.broadcast_to(di[:, None], counts.shape)[nonzero]
-    dj = np.broadcast_to(dj, counts.shape)[nonzero]
-    return np.stack([di, dj]), counts[nonzero]
-
-
-def _lattice_squares(values, points: np.ndarray, idx: NormIndex) -> np.ndarray:
-    return point_squares(values, points[0] * DTAU, points[1] * DXI, idx)
-
-
-def _strip_squares(interval: Interval, line: str, idx: NormIndex) -> tuple[np.ndarray, int]:
-    """``_lattice_squares`` of a strip's indicator, one per exponent row of
-    ``idx``, streamed over blocks of ``_BLOCK`` columns; and the strip's
-    number of points."""
-    lo, hi = _columns(interval)
-    squares, n_points = np.zeros(len(idx.a)), 0
-    for first in range(lo, hi + 1, _BLOCK):
-        points = _strip_columns(first, min(first + _BLOCK - 1, hi), line)
-        squares += _lattice_squares(1.0, points, idx)
-        n_points += points.shape[1]
-    return squares, n_points
+        return di, dj, _POSITION_PAIRS[0] * even + _POSITION_PAIRS[1] * odd
+    # 2 di = D - j_u - j_v: the offset and D fix both columns, and D has the
+    # parity q of dj, D = 2e + q, so j_u = e - di + (dj + q) / 2 for each e.
+    # Both strips have O(1) columns; each row's dj range is padded to the
+    # block's widest, and the padding holds no pair.
+    dj = (u_lo - v_hi) + np.arange(int((u_hi - v_lo - (u_lo - v_hi)).max()) + 1)
+    lo = np.maximum(u_lo, v_lo + dj)
+    hi = np.minimum(u_hi, v_hi + dj)
+    q = dj & 1
+    e = np.arange(-2, 3)[:, None, None]
+    j_u = e + (((dj + q) >> 1) - di)
+    on = (lo <= j_u) & (j_u <= hi)
+    return di, dj, (_POSITION_PAIRS_BY_PARITY[j_u & 1, e + 2, q] * on).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -302,7 +345,8 @@ def check_scales(family_id: str, L_values) -> list:
         raise ValueError("family scale L must be finite and exceed 4, and be at most 2^48")
     family = FAMILIES[family_id]
     for L in L_values:
-        di_lo, di_hi, n_dj = _offset_grid(*family.intervals(L)[:2], family.v_line)
+        A, B, _ = family.intervals(L)
+        di_lo, di_hi, n_dj = _offset_grid(_columns(A) + _columns(B), family.v_line)
         if 9 * (di_hi - di_lo + 1) * n_dj > _MAX_WORK_CELLS:
             raise ValueError(
                 f"{family_id} at L = {L:g} would count pairs on more than 2^26 offset cells; "
@@ -316,10 +360,13 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
 
     The pair counts of the product transform are independent of the
     exponents, so they are computed once per L, and the three norms of all
-    tuples are weighed in one pass over the lattice points.  That pass is
-    streamed: each block of offsets (``pair_counts``) or of strip columns
-    adds its sums of squared weighted values per tuple, so memory is
-    O(block x tuples) whatever L is, and up to L = 256 each norm is one block.
+    tuples are weighed in one pass over the lattice points of the whole
+    ladder.  That pass is streamed in blocks that span scales: the offset
+    rows (L, di) of every scale, or the strip columns (L, j), fill each block
+    in ladder order, and the block adds, per tuple and per L, the sum of
+    squared weighted values over that L's stretch of it.  Memory is
+    O(block x tuples) whatever L is, and a ladder up to L = 256 is one
+    block per norm.
 
     On ``DEFAULT_L_LADDER`` the ``loglog_fit`` slope of every family is
     within 0.15 of -delta(family, e) for entries of e in [-1, 1]; over the
@@ -338,26 +385,39 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     if not all(map(finite_real, itertools.chain.from_iterable(tuples))):
         raise ValueError("exponents must all be finite real numbers")
     exponents = np.array(tuples, dtype=float).reshape(-1, 6)
-    # Six (k, 1) columns, one row per tuple, broadcast against the points.
-    a, b, c, alpha, beta, gamma = exponents.T[:, :, None]
+    # Six (k, 1, 1) columns, one row per tuple, broadcast against the grids.
+    a, b, c, alpha, beta, gamma = exponents.T[:, :, None, None]
     num_idx = NormIndex(-c, -gamma, "H")
     u_idx = NormIndex(a, alpha, "X_plus")
     v_idx = NormIndex(b, beta, "X_minus")
+    columns = [_columns(A) + _columns(B) for A, B, _ in map(family.intervals, L_values)]
+    # Per norm (product, u, v): sums of squares per scale and tuple, and
+    # points with nonzero values per scale; and the pairs of each scale.
+    squares = np.zeros((3, len(L_values), len(tuples)))
+    points = np.zeros((3, len(L_values)), dtype=np.int64)
+    pairs = np.zeros(len(L_values), dtype=np.int64)
+    streams = (
+        (num_idx, _ladder_counts(columns, family.v_line)),
+        (u_idx, _ladder_strips([c[:2] for c in columns], "plus")),
+        (v_idx, _ladder_strips([c[2:] for c in columns], family.v_line)),
+    )
+    for norm, (idx, blocks) in enumerate(streams):
+        for i, j, counts, segments in blocks:
+            # u and v are 0/1 indicators, so their counts are their values.
+            values = indicator_product(counts, CELL) if norm == 0 else counts
+            terms = (weight(idx, i * DTAU, j * DXI) * values) ** 2
+            for k, start, stop in segments:
+                squares[norm, k] += np.sum(terms[:, start:stop], axis=(1, 2))
+                points[norm, k] += np.count_nonzero(counts[start:stop])
+                if norm == 0:
+                    pairs[k] += counts[start:stop].sum()
+    num, du, dv = np.sqrt(squares * CELL)
     rows: list[RatioResult] = []
-    for L in L_values:
-        A, B, _ = family.intervals(L)
-        num, n_offsets, n_pairs = np.zeros(len(tuples)), 0, 0
-        for offsets, counts in pair_counts(A, B, family.v_line):
-            num += _lattice_squares(indicator_product(counts, CELL), offsets, num_idx)
-            n_offsets += offsets.shape[1]
-            n_pairs += int(counts.sum())
-        du, n_u = _strip_squares(A, "plus", u_idx)
-        dv, n_v = _strip_squares(B, family.v_line, v_idx)
-        num, du, dv = (np.sqrt(squares * CELL) for squares in (num, du, dv))
-        sizes = (n_u, n_v, n_offsets, n_pairs)
+    for k, L in enumerate(L_values):
+        n_offsets, n_u, n_v = map(int, points[:, k])
         rows += [
-            RatioResult(family_id, L, e, float(n), float(u), float(v), *sizes)
-            for e, n, u, v in zip(tuples, num, du, dv)
+            RatioResult(family_id, L, e, float(n), float(u), float(v), n_u, n_v, n_offsets, int(pairs[k]))
+            for e, n, u, v in zip(tuples, num[k], du[k], dv[k])
         ]
     return rows
 

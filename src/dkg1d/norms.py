@@ -228,15 +228,8 @@ def point_norm(values, tau, xi, idx: NormIndex, cell: float):
     ``idx`` given as (k, 1) columns against 1-d points give k norms at once,
     each equal to the norm of its row's exponents up to roundoff.
     """
-    return np.sqrt(point_squares(values, tau, xi, idx) * cell)
-
-
-def point_squares(values, tau, xi, idx: NormIndex):
-    """Sum of (weight * |values|)^2 over the points: ``point_norm`` squared,
-    over the cell area.  It adds over disjoint sets of points, so a norm
-    over points given in blocks is sqrt(cell * sum of the blocks' sums)."""
     axes = tuple(range(-np.broadcast(tau, xi).ndim, 0))
-    return np.sum((weight(idx, tau, xi) * np.abs(values)) ** 2, axis=axes)
+    return np.sqrt(np.sum((weight(idx, tau, xi) * np.abs(values)) ** 2, axis=axes) * cell)
 
 
 def indicator_product(counts, cell: float):

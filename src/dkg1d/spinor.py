@@ -43,8 +43,9 @@ _MAX_SAMPLES = 10**7  # about 10 s of verify_identities on a 2-core x86-64 host
 
 
 def apply_matrix(mat: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to a spinor (or array of spinors)."""
-    return np.asarray(psi, dtype=complex) @ mat.T
+    """Apply a 2x2 matrix to a spinor (or array of spinors).  The result is
+    component-major, so spinors drawn in Fortran order keep their layout."""
+    return np.moveaxis(np.tensordot(mat, np.asarray(psi, dtype=complex), axes=([1], [-1])), 0, -1)
 
 
 def _project(s, psi: np.ndarray) -> np.ndarray:
@@ -85,14 +86,18 @@ def null_form(psi: np.ndarray, psi_prime: np.ndarray) -> np.ndarray:
 
 def pecher_projection(xi, sign: int, psi: np.ndarray) -> np.ndarray:
     """Apply pi_sign(xi) = P_(sign sgn xi) to psi, with the tie-break
-    sgn(0) = sgn(-0.0) = +1.  ``sign`` is the integer +1 or -1.
+    sgn(0) = sgn(-0.0) = +1; +-inf take their sign, and a NaN xi, which has
+    none, is refused with ValueError.  ``sign`` is the integer +1 or -1.
 
     ``xi`` may be a scalar or an array broadcasting against the leading axes
     of ``psi``.
     """
     if not (count(sign) and sign in (+1, -1)):
         raise ValueError("sign must be the integer +1 or -1")
-    return _project(np.where(np.asarray(xi) >= 0, sign, -sign), np.asarray(psi, dtype=complex))
+    xi = np.asarray(xi)
+    if np.isnan(xi).any():
+        raise ValueError("frequency xi must not be NaN: pi+-(xi) needs the sign of xi")
+    return _project(np.where(xi >= 0, sign, -sign), np.asarray(psi, dtype=complex))
 
 
 def _matrix_residuals() -> dict[str, float]:
@@ -110,8 +115,8 @@ def _matrix_residuals() -> dict[str, float]:
 def _chunk_residuals(psi: np.ndarray, psi_p: np.ndarray, xi: np.ndarray) -> dict[str, float]:
     """Max residuals of the identities over one chunk of samples; each residual
     is a per-sample quantity, so a max over chunks is the max over all samples.
-    Each identity is written once for s = +-1; a defect is divided, per sample,
-    by the scale its residual is relative to."""
+    Each identity is written once for s = +-1; a relative residual divides
+    the defect's modulus, per sample, by its scale."""
     beta_psi = apply_matrix(BETA, psi)
     xi_scale = np.maximum(1.0, np.abs(xi))[:, None]
     scale = np.maximum(np.linalg.norm(psi, axis=-1) * np.linalg.norm(psi_p, axis=-1), 1e-300)
@@ -122,17 +127,17 @@ def _chunk_residuals(psi: np.ndarray, psi_p: np.ndarray, xi: np.ndarray) -> dict
     }
     for s, part in parts.items():
         pi = pecher_projection(xi, s, psi)
-        for key, defect, divisor in (
-            ("idempotency", _project(s, part) - part, 1.0),
-            ("orthogonality", _project(-s, part), 1.0),
-            ("alpha_eigenrelation", apply_matrix(ALPHA, part) - s * part, 1.0),
-            ("beta_exchange", _project(s, beta_psi) - apply_matrix(BETA, parts[-s]), 1.0),
-            ("pecher_relations", pecher_projection(xi, s, pi) - pi, 1.0),
+        for key, error in (
+            ("idempotency", np.abs(_project(s, part) - part)),
+            ("orthogonality", np.abs(_project(-s, part))),
+            ("alpha_eigenrelation", np.abs(apply_matrix(ALPHA, part) - s * part)),
+            ("beta_exchange", np.abs(_project(s, beta_psi) - apply_matrix(BETA, parts[-s]))),
+            ("pecher_relations", np.abs(pecher_projection(xi, s, pi) - pi)),
             # (alpha xi) pi_s psi = s |xi| pi_s psi, relative to max(1, |xi|)
-            ("pecher_relations", xi[:, None] * apply_matrix(ALPHA, pi) - s * np.abs(xi)[:, None] * pi, xi_scale),
-            ("null_form_vanishing", null_form(part, _project(s, psi_p)), scale),
+            ("pecher_relations", np.abs(xi[:, None] * apply_matrix(ALPHA, pi) - s * np.abs(xi)[:, None] * pi) / xi_scale),
+            ("null_form_vanishing", np.abs(null_form(part, _project(s, psi_p))) / scale),
         ):
-            res[key] = max(res.get(key, 0.0), float((np.abs(defect) / divisor).max()))
+            res[key] = max(res.get(key, 0.0), float(error.max()))
     return res
 
 
@@ -158,8 +163,12 @@ def verify_identities(n_samples: int = 1000, seed: int = 0) -> dict[str, float]:
     res: dict[str, float] = {}
     for start in range(0, n_samples, _CHUNK):
         k = min(_CHUNK, n_samples - start)
-        psi = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
-        psi_p = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+        # Component-major (Fortran) spinors: the identities' loops then run
+        # over the k samples, not over a trailing axis of length 2.
+        psi, psi_p = (np.empty((k, 2), dtype=complex, order="F") for _ in range(2))
+        for spinors in (psi, psi_p):
+            spinors.real = rng.standard_normal((k, 2))
+            spinors.imag = rng.standard_normal((k, 2))
         xi = rng.uniform(-100.0, 100.0, size=k)
         if start == 0:
             xi[0] = 0.0  # exercise the sgn(0) = +1 branch

@@ -321,7 +321,10 @@ class TestStreamedLadder:
         assert sizes == [(327683, 1310723, 2949125, 429501644809)] * 3
         assert_allclose(got, [[float.fromhex(x) for x in row] for row in want], rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("block", [1, 7])
+    # 24 packs two 11-row scales of cond1_ab and cond3 into one block; 1000
+    # packs every small family's ladder into one and splits cond2 at L = 512
+    # midway, its rows and its v columns both.
+    @pytest.mark.parametrize("block", [1, 7, 24, 1000])
     def test_small_blocks(self, monkeypatch, block):
         L_values = [33.0, 100.0, 512.0]
         want = {}
@@ -342,6 +345,33 @@ class TestStreamedLadder:
             got, got_sizes = row_values(cx.ratio_ladder(family, L_values, THREE))
             assert got_sizes == want[family][1]
             assert_allclose(got, want[family][0], rtol=1e-13, atol=0, err_msg=family)
+
+    def test_blocks_span_scales(self, monkeypatch):
+        # A scale that fits a block but not the room left starts the next one;
+        # only a scale larger than a block is split.
+        monkeypatch.setattr(cx, "_BLOCK", 24)
+        blocks = [(rows.tolist(), segments) for rows, segments in cx._blocks([0, 100, -5], [11, 11, 11])]
+        assert blocks == [
+            ([*range(11), *range(100, 111)], [(0, 0, 11), (1, 11, 22)]),
+            ([*range(-5, 6)], [(2, 0, 11)]),
+        ]
+        monkeypatch.setattr(cx, "_BLOCK", 1000)
+        blocks = [(rows.tolist(), segments) for rows, segments in cx._blocks([0, 0, 0], [87, 255, 1285])]
+        assert blocks == [
+            ([*range(87), *range(255), *range(658)], [(0, 0, 87), (1, 87, 342), (2, 342, 1000)]),
+            ([*range(658, 1285)], [(2, 0, 627)]),
+        ]
+
+    @pytest.mark.parametrize("L_values", [(32.0, 64.0, 128.0, 256.0), cx.DEFAULT_L_LADDER])
+    def test_rows_match_one_scale_ladders(self, L_values):
+        # Scales share blocks; each row must be the row of its scale alone.
+        for family in cx.FAMILIES:
+            got, got_sizes = row_values(cx.ratio_ladder(family, L_values, THREE))
+            want, want_sizes = row_values(
+                [row for L in L_values for row in cx.ratio_ladder(family, [L], THREE)]
+            )
+            assert got_sizes == want_sizes
+            assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=family)
 
     def test_cond2_memory_does_not_grow(self):
         # The whole-array ladder peaked at 451 MiB here.

@@ -125,6 +125,19 @@ class TestPecherProjection:
             want = [(spinor.P_PLUS if sign * g > 0 else spinor.P_MINUS) @ p for g, p in zip(sgn, psi)]
             assert np.array_equal(spinor.pecher_projection(xi, sign, psi), want)
 
+    def test_infinite_frequency_takes_its_sign(self):
+        xi = np.array([np.inf, -np.inf])
+        projection = {+1: spinor.P_PLUS, -1: spinor.P_MINUS}
+        for sign in (+1, -1):
+            want = [projection[sign] @ [1, 0], projection[-sign] @ [1, 0]]
+            assert np.array_equal(spinor.pecher_projection(xi, sign, [[1, 0], [1, 0]]), want)
+
+    @pytest.mark.parametrize("xi", [np.nan, np.array([1.0, np.nan, -1.0])])
+    def test_rejects_nan_frequency(self, xi):
+        # NaN has no sign; read as xi >= 0 it would silently pick P-.
+        with pytest.raises(ValueError, match="xi"):
+            spinor.pecher_projection(xi, +1, [1, 0])
+
     @given(spinors(), st.floats(min_value=-100, max_value=100, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_idempotent_and_eigenrelation(self, psi, xi):
