@@ -6,9 +6,10 @@ import numbers
 
 def finite_real(value) -> bool:
     """A real number other than a bool that is finite as a float; an int
-    beyond float range is not."""
+    beyond float range is not.  A float skips the slower ABC test."""
     try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        real = isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return real and math.isfinite(value)
     except OverflowError:
         return False
 

@@ -109,15 +109,20 @@ _HALF = Fraction(1, 2)
 class CounterexampleFamily:
     """One construction as exact data: v's strip line, the endpoints of A, B and C
     (lo, hi each) as pairs (p, q) meaning p L + q, and delta as the sum of the
-    named exponents plus ``delta_constant``."""
+    named exponents plus ``delta_constant``.  A float L takes float endpoints,
+    held once, with the bits of Fraction arithmetic; an int or Fraction L is exact."""
 
     v_line: str
     endpoints: tuple[tuple[int | Fraction, int | Fraction], ...]
     delta_sum: tuple[str, ...]
     delta_constant: Fraction | None = None
 
+    @functools.cached_property
+    def _float_endpoints(self) -> tuple[tuple[float, float], ...]:
+        return tuple((float(p), float(q)) for p, q in self.endpoints)
+
     def intervals(self, L) -> tuple[Interval, Interval, Interval]:
-        x = [p * L + q for p, q in self.endpoints]
+        x = [p * L + q for p, q in (self._float_endpoints if isinstance(L, float) else self.endpoints)]
         return (x[0], x[1]), (x[2], x[3]), (x[4], x[5])
 
 
@@ -310,8 +315,7 @@ def _count_rows(u_lo, u_hi, v_lo, v_hi, v_line: str, di: np.ndarray) -> tuple[np
     return di, dj, (_POSITION_PAIRS_BY_PARITY[j_u & 1, e + 2, q] * on).sum(axis=0)
 
 
-@dataclass(frozen=True)
-class RatioResult:
+class RatioResult(NamedTuple):
     """One ratio row, with the strip points, offsets and point pairs it was counted from."""
 
     family: str
@@ -338,21 +342,25 @@ def check_scales(family_id: str, L_values) -> list:
     The cell cap is a budget of time (a few seconds of counting), not of
     memory: the ladder streams its counts, so memory does not grow with L.
     """
+    return _checked_columns(family_id, L_values)[0]
+
+
+def _checked_columns(family_id: str, L_values) -> tuple[list, list[tuple[int, int, int, int]]]:
+    """``check_scales``'s list, and each scale's strip columns (u_lo, u_hi, v_lo, v_hi)."""
     if family_id not in FAMILIES:
         raise ValueError(f"unknown family {family_id!r}")
     L_values = list(L_values)
     if not all(finite_real(L) and 4 < L <= _MAX_L for L in L_values):
         raise ValueError("family scale L must be finite and exceed 4, and be at most 2^48")
     family = FAMILIES[family_id]
-    for L in L_values:
-        A, B, _ = family.intervals(L)
-        di_lo, di_hi, n_dj = _offset_grid(_columns(A) + _columns(B), family.v_line)
+    columns = [_columns(A) + _columns(B) for A, B, _ in map(family.intervals, L_values)]
+    for L, (di_lo, di_hi, n_dj) in zip(L_values, (_offset_grid(c, family.v_line) for c in columns)):
         if 9 * (di_hi - di_lo + 1) * n_dj > _MAX_WORK_CELLS:
             raise ValueError(
                 f"{family_id} at L = {L:g} would count pairs on more than 2^26 offset cells; "
                 "this cap bounds the time of a ladder, not its memory"
             )
-    return L_values
+    return L_values, columns
 
 
 def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
@@ -379,27 +387,21 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     A - B = [-5L/4, 0], where for c > 1 a few pairs near xi = 0, at weight
     O(1), dominate; the construction pairs the product with a strip over C only.
     """
-    L_values = check_scales(family_id, L_values)
+    L_values, columns = _checked_columns(family_id, L_values)
     family = FAMILIES[family_id]
     tuples = [ExponentTuple(*t) for t in tuples]
     if not all(map(finite_real, itertools.chain.from_iterable(tuples))):
         raise ValueError("exponents must all be finite real numbers")
-    exponents = np.array(tuples, dtype=float).reshape(-1, 6)
     # Six (k, 1, 1) columns, one row per tuple, broadcast against the grids.
-    a, b, c, alpha, beta, gamma = exponents.T[:, :, None, None]
-    num_idx = NormIndex(-c, -gamma, "H")
-    u_idx = NormIndex(a, alpha, "X_plus")
-    v_idx = NormIndex(b, beta, "X_minus")
-    columns = [_columns(A) + _columns(B) for A, B, _ in map(family.intervals, L_values)]
-    # Per norm (product, u, v): sums of squares per scale and tuple, and
-    # points with nonzero values per scale; and the pairs of each scale.
+    a, b, c, alpha, beta, gamma = np.array(tuples, dtype=float).reshape(-1, 6).T[:, :, None, None]
+    # Per norm (product, u, v): sums of squares per scale and tuple, and the
+    # points with nonzero values per scale; then, as a fourth row, the pairs.
     squares = np.zeros((3, len(L_values), len(tuples)))
-    points = np.zeros((3, len(L_values)), dtype=np.int64)
-    pairs = np.zeros(len(L_values), dtype=np.int64)
+    sizes = np.zeros((4, len(L_values)), dtype=np.int64)
     streams = (
-        (num_idx, _ladder_counts(columns, family.v_line)),
-        (u_idx, _ladder_strips([c[:2] for c in columns], "plus")),
-        (v_idx, _ladder_strips([c[2:] for c in columns], family.v_line)),
+        (NormIndex(-c, -gamma, "H"), _ladder_counts(columns, family.v_line)),
+        (NormIndex(a, alpha, "X_plus"), _ladder_strips([c[:2] for c in columns], "plus")),
+        (NormIndex(b, beta, "X_minus"), _ladder_strips([c[2:] for c in columns], family.v_line)),
     )
     for norm, (idx, blocks) in enumerate(streams):
         for i, j, counts, segments in blocks:
@@ -407,39 +409,38 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
             values = indicator_product(counts, CELL) if norm == 0 else counts
             terms = (weight(idx, i * DTAU, j * DXI) * values) ** 2
             for k, start, stop in segments:
-                squares[norm, k] += np.sum(terms[:, start:stop], axis=(1, 2))
-                points[norm, k] += np.count_nonzero(counts[start:stop])
+                squares[norm, k] += terms[:, start:stop].sum(axis=(1, 2))
+                sizes[norm, k] += np.count_nonzero(counts[start:stop])
                 if norm == 0:
-                    pairs[k] += counts[start:stop].sum()
-    num, du, dv = np.sqrt(squares * CELL)
-    rows: list[RatioResult] = []
-    for k, L in enumerate(L_values):
-        n_offsets, n_u, n_v = map(int, points[:, k])
-        rows += [
-            RatioResult(family_id, L, e, float(n), float(u), float(v), n_u, n_v, n_offsets, int(pairs[k]))
-            for e, n, u, v in zip(tuples, num[k], du[k], dv[k])
-        ]
-    return rows
+                    sizes[3, k] += counts[start:stop].sum()
+    scales = zip(L_values, sizes.T.tolist(), *np.sqrt(squares * CELL).tolist())
+    return [
+        RatioResult(family_id, L, e, n, u, v, n_u, n_v, n_offsets, n_pairs)
+        for L, (n_offsets, n_u, n_v, n_pairs), nums, dus, dvs in scales
+        for e, n, u, v in zip(tuples, nums, dus, dvs)
+    ]
 
 
 def loglog_fit(L_values: np.ndarray, ratios: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of log(ratio) against log(L), with r^2.
 
     Both come in closed form from the centred logs: slope = sxy / sxx and
-    r^2 = sxy^2 / (sxx syy).  Raises ``ValueError`` unless every L and ratio
-    is finite and positive and there are at least two distinct L.
+    r^2 = sxy^2 / (sxx syy).  Raises ``ValueError`` unless L and ratio are 1-D
+    arrays of one length, finite and positive, with two distinct L.
     """
-    # log is finite exactly on finite positive input.
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.log(L_values)
-        y = np.log(ratios)
-    for name, logs in (("L", x), ("ratio", y)):
-        if not np.isfinite(logs).all():
+        x, y = np.log(L_values), np.log(ratios)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("log-log fit needs L and ratio as 1-D arrays of equal length")
+    # log is finite exactly on finite positive input, and then lies in
+    # [-745, 710], so a sum of logs is finite exactly when every log is.
+    sx, sy = x.sum(), y.sum()
+    for name, total in (("L", sx), ("ratio", sy)):
+        if not math.isfinite(total):
             raise ValueError(f"log-log fit needs finite, positive {name} values")
-    if not x.max() > x.min():
+    if x.size < 2 or not x.max() > x.min():
         raise ValueError("log-log fit needs at least two distinct L")
-    x = x - x.mean()
-    y = y - y.mean()
+    x, y = x - sx / x.size, y - sy / y.size
     sxx, sxy, syy = float(x @ x), float(x @ y), float(y @ y)
     # A ladder that is constant to roundoff carries no variance to explain.
     r_squared = 1.0 if syy < 1e-18 else sxy**2 / (sxx * syy)
@@ -466,8 +467,7 @@ def wave_product_constant(f_hat: np.ndarray, g_hat: np.ndarray, grid: Grid2D) ->
     so the time extent must not exceed half the spatial extent; otherwise
     the box would integrate the transversal crossing more than once.
     """
-    f_hat = np.asarray(f_hat, dtype=complex)
-    g_hat = np.asarray(g_hat, dtype=complex)
+    f_hat, g_hat = np.asarray(f_hat, dtype=complex), np.asarray(g_hat, dtype=complex)
     if f_hat.shape != (grid.n_x,) or g_hat.shape != (grid.n_x,):
         raise ValueError("spatial spectra must be 1d arrays on the grid's xi axis")
     if not (np.isfinite(f_hat).all() and np.isfinite(g_hat).all()):
@@ -479,8 +479,7 @@ def wave_product_constant(f_hat: np.ndarray, g_hat: np.ndarray, grid: Grid2D) ->
         )
     f = spatial_inverse(f_hat, grid.x_extent)
     g = spatial_inverse(g_hat, grid.x_extent)
-    norm_f = float(np.sqrt(np.sum(np.abs(f) ** 2) * grid.dx))
-    norm_g = float(np.sqrt(np.sum(np.abs(g) ** 2) * grid.dx))
+    norm_f, norm_g = (float(np.sqrt(np.sum(np.abs(p) ** 2) * grid.dx)) for p in (f, g))
     if norm_f == 0.0 or norm_g == 0.0:
         raise ValueError("wave_product_constant: zero profile")
     for name, prof in (("f", f), ("g", g)):

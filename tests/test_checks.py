@@ -16,6 +16,19 @@ def test_predicates():
     assert count(7) and count(np.int64(3)) and count(10**400)
 
 
+def test_finite_real_on_floats():
+    # Floats, np.float64 and float subclasses are answered by math.isfinite.
+    class Scale(float):
+        pass
+
+    for value in (-0.0, 5e-324, Scale(2.5), Scale(-0.0)):
+        assert finite_real(value) and finite_real(np.float64(value)), value
+    for value in (np.nan, np.inf, -np.inf, Scale("nan"), Scale("inf")):
+        assert not finite_real(value) and not finite_real(np.float64(value)), value
+    for value in (True, np.True_, 10**400):
+        assert not finite_real(value), value
+
+
 def test_sample_count_admits_one_to_cap():
     for n in (1, 10, np.int64(10)):
         sample_count(n, 10)

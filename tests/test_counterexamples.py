@@ -128,6 +128,25 @@ class TestIntervals:
         assert exact == cx.FAMILIES[family].intervals(64.5)
 
     @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
+    def test_float_scale_has_the_bits_of_exact_endpoints(self, family):
+        # A float L takes float endpoints held once per family; Fraction
+        # arithmetic on a float falls back to the same float(p) L + float(q).
+        rng = np.random.default_rng(17)
+        for L in np.exp(rng.uniform(math.log(4), 48 * math.log(2), 200)):
+            for scale in (float(L), np.float64(L)):
+                got = [end for interval in cx.FAMILIES[family].intervals(scale) for end in interval]
+                want = [p * scale + q for p, q in cx.FAMILIES[family].endpoints]
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), scale
+
+    @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
+    def test_int_and_fraction_scales_stay_exact(self, family):
+        # 2^60 + 1 is not a float: only exact arithmetic gets its endpoints.
+        for L in (97, Fraction(129, 2), 2**60 + 1):
+            got = [end for interval in cx.FAMILIES[family].intervals(L) for end in interval]
+            assert not any(isinstance(end, float) for end in got), L
+            assert got == [Fraction(p) * L + q for p, q in cx.FAMILIES[family].endpoints]
+
+    @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
     def test_abc_closure_sampled(self, family):
         A, B, C = cx.FAMILIES[family].intervals(96.0)
         rng = np.random.default_rng(0)
@@ -373,6 +392,15 @@ class TestStreamedLadder:
             assert got_sizes == want_sizes
             assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=family)
 
+    def test_float_list_and_float64_array_give_equal_rows(self):
+        # A list of floats and an np.float64 array of the same ladder take the
+        # same float endpoints, so every row is equal field for field.
+        L_values = [33.0, 64.5, 100.3, 256.0]
+        for family in cx.FAMILIES:
+            from_list = cx.ratio_ladder(family, L_values, THREE)
+            from_array = cx.ratio_ladder(family, np.array(L_values), THREE)
+            assert from_list == from_array, family
+
     def test_cond2_memory_does_not_grow(self):
         # The whole-array ladder peaked at 451 MiB here.
         tracemalloc.start()
@@ -455,6 +483,10 @@ class TestFitExponent:
             ([0.0, 128.0], [1.0, 2.0]),
             ([64.0, 64.0], [1.0, 2.0]),
             ([64.0], [1.0]),
+            ([], []),
+            ([64.0, 128.0, 256.0], [1.0, 2.0]),
+            ([[64.0, 128.0], [64.0, 128.0]], [[1.0, 2.0], [1.0, 2.0]]),
+            (64.0, 1.0),
         ],
     )
     def test_loglog_fit_rejects_bad_input(self, L, ratios):
