@@ -24,10 +24,17 @@ the sign of xi.
 
 All functions are vectorized over numpy arrays.  ``sample_margins`` builds the
 weights once per chunk; the three margin functions are its tested reference.
+It sweeps its sample stream as two halves on two threads, the caller's and one
+worker's, each half drawing from its own generator: a copy of the seed's
+generator advanced by 4 draws per sample before the half.  Memory is O(two
+chunks), and each seed gives the same statistics bit for bit as one serial
+stream.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +46,7 @@ CORNER_FRACTION = 0.1
 # Corners as (row, source row or None for 0, sign): tau = +-xi, eta = 0, eta = xi, xi = 0.
 _CORNERS = ((0, 1, 1.0), (0, 1, -1.0), (3, None, 0.0), (3, 1, 1.0), (1, None, 0.0))
 _CHUNK = 2**14  # 4-tuples per sample_margins chunk: 128 KB per float64 column
-_MAX_SAMPLES = 2 * 10**8  # about 10 s of sample_margins on a 2-core x86-64 host
+_MAX_SAMPLES = 2 * 10**8  # about 7 s of sample_margins on a 2-core x86-64 host, 11 s on one core
 
 
 class WeightTriple(NamedTuple):
@@ -145,6 +152,46 @@ def _chunk_stats(cols: np.ndarray) -> dict[str, float]:
     }
 
 
+def _halves(n_samples: int) -> tuple[list, list]:
+    """The sweep's chunks in stream order, as (corner, size) with corner None
+    for the bulk, cut into two contiguous halves; the first takes the middle
+    chunk of an odd count, so a sweep of one chunk is all first half."""
+    n_corner = int(n_samples * CORNER_FRACTION)
+    blocks = [(None, n_samples - 5 * n_corner)] + [(c, n_corner) for c in _CORNERS]
+    chunks = [(corner, min(_CHUNK, size - start)) for corner, size in blocks for start in range(0, size, _CHUNK)]
+    cut = (len(chunks) + 1) // 2
+    return chunks[:cut], chunks[cut:]
+
+
+def _fold(stats: dict[str, float], part: dict[str, float]) -> None:
+    """Fold ``part`` into ``stats``: max for the ``max_*`` statistics, min for the others."""
+    for key, value in part.items():
+        fold = np.maximum if key.startswith("max") else np.minimum
+        stats[key] = float(fold(stats.get(key, value), value))
+
+
+def _sweep(chunks: list, rng: np.random.Generator, box: float, stop: threading.Event) -> dict[str, float]:
+    """The folded statistics of ``chunks``, each drawn from ``rng`` in turn.
+
+    Returns early, with what it has, once ``stop`` is set before a chunk, and
+    sets ``stop`` when it raises, so that the other half stops too.
+    """
+    stats: dict[str, float] = {}
+    try:
+        for corner, size in chunks:
+            if stop.is_set():
+                break
+            cols = rng.uniform(-box, box, size=(size, 4)).T.copy()
+            if corner is not None:
+                row, source, sign = corner
+                cols[row] = 0.0 if source is None else sign * cols[source]
+            _fold(stats, _chunk_stats(cols))
+    except BaseException:
+        stop.set()
+        raise
+    return stats
+
+
 def sample_margins(n_samples: int, seed: int = 0, box: float = 1e3) -> dict[str, float]:
     """Monte-Carlo sweep of the inequality over [-box, box]^4 plus corner manifolds.
 
@@ -152,32 +199,43 @@ def sample_margins(n_samples: int, seed: int = 0, box: float = 1e3) -> dict[str,
     ``eta in {0, xi}``, so a ``CORNER_FRACTION`` of the budget is spent on
     each of those manifolds (and on ``xi = 0``) rather than on the bulk.
     Samples are streamed in chunks of ``_CHUNK`` 4-tuples that continue one
-    generator stream: memory is O(chunk), and each seed gives the same samples
-    as one whole-array draw.  One pass per chunk builds the weights once and
-    matches ``dominance_margin``, ``sum_bound_margin`` and ``sign_split_residual``
+    generator stream, and each seed gives the same samples as one whole-array
+    draw.  The stream runs as two halves, each a contiguous run of chunks: the
+    calling thread sweeps the first from ``default_rng(seed)``, and one worker
+    thread the second from a copy of that generator advanced by 4 draws per
+    sample before it (``uniform`` takes one 64-bit output per double).  Memory
+    is O(two chunks), one per thread.  The statistics are folded by min and
+    max, which do not depend on order, so the result is that of one serial
+    stream bit for bit.  A sweep of one chunk runs inline and starts no
+    thread.  An error in either half stops the other at its next chunk and is
+    raised here.
+
+    One pass per chunk builds the weights once and matches
+    ``dominance_margin``, ``sum_bound_margin`` and ``sign_split_residual``
     bit for bit; those three are the reference the sweep is tested against.
 
     Returns min/max margin, the max identity residual relative to the scale
     of the inputs, and the min margin of the summed bound, both absolute and
     relative to that scale (the absolute one reads roundoff as about -1e-13
     at the default box).  ``n_samples`` is an integer from 1 to
-    ``_MAX_SAMPLES``, a cap on run time (about 10 s).
+    ``_MAX_SAMPLES``, a cap on run time (about 7 s on two cores).
     """
     sample_count(n_samples, _MAX_SAMPLES)
     # The largest intermediate is 1.5 max(|Gamma|, |Theta+|, |Sigma-|), and
     # |Sigma-| <= 4 box, so the sweep stays finite only while 6 box does.
     if not (finite_real(box) and 0 < 6 * float(box) < np.inf):
         raise ValueError("box must be a positive real number, with 6 * box finite")
+    first, second = _halves(n_samples)
     rng = np.random.default_rng(seed)
-    n_corner = int(n_samples * CORNER_FRACTION)
-    stats = {"samples": int(n_samples)}
-    for corner, size in [(None, n_samples - 5 * n_corner)] + [(c, n_corner) for c in _CORNERS]:
-        for start in range(0, size, _CHUNK):
-            cols = rng.uniform(-box, box, size=(min(_CHUNK, size - start), 4)).T.copy()
-            if corner is not None:
-                row, source, sign = corner
-                cols[row] = 0.0 if source is None else sign * cols[source]
-            for key, value in _chunk_stats(cols).items():
-                fold = np.maximum if key.startswith("max") else np.minimum
-                stats[key] = float(fold(stats.get(key, value), value))
-    return stats
+    stop = threading.Event()
+    if not second:
+        return {"samples": int(n_samples), **_sweep(first, rng, box, stop)}
+    # Imported here: concurrent.futures (with logging) adds about 8 ms to start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    ahead = copy.deepcopy(rng.bit_generator).advance(4 * sum(size for _, size in first))
+    with ThreadPoolExecutor(1) as pool:
+        later = pool.submit(_sweep, second, np.random.Generator(ahead), box, stop)
+        stats = _sweep(first, rng, box, stop)
+    _fold(stats, later.result())
+    return {"samples": int(n_samples), **stats}

@@ -1,3 +1,6 @@
+import concurrent.futures
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -170,12 +173,101 @@ class TestChunkStats:
 
 
 class TestStreamedSweep:
-    # Sizes below, at and above one chunk (2**14) and n_corner = 0 (n < 10).
-    @pytest.mark.parametrize("n", [1, 7, 10, 16_383, 16_384, 16_385, 100_003])
+    # Sizes below, at and above one chunk (2**14) and n_corner = 0 (n < 10);
+    # where the two halves meet is pinned by test_split_points.
+    SPLITS = {9: "one chunk", 163_840: "between manifolds", 250_000: "inside a manifold"}
+
+    @pytest.mark.parametrize("n", [1, 7, 10, 16_383, 16_384, 16_385, 100_003, *SPLITS])
     @pytest.mark.parametrize("seed", [0, 5, 2024])
     @pytest.mark.parametrize("box", [1.0, 1e3, 1e9])
-    def test_equals_whole_array_sweep(self, n, seed, box):
+    def test_equals_whole_array_sweep(self, n, seed, box, monkeypatch):
+        pools = []
+
+        class SpyPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
         assert weights.sample_margins(n, seed=seed, box=box) == whole_array_sweep(n, seed, box)
+        # A sweep of one chunk (n < 10) runs inline; any other opens one pool.
+        assert len(pools) == (0 if n < 10 else 1)
+
+    @pytest.mark.parametrize("n", SPLITS)
+    def test_split_points(self, n):
+        first, second = weights._halves(n)
+        if not second:
+            where = "one chunk"
+        elif first[-1][0] == second[0][0]:
+            where = "inside a manifold"
+        else:
+            where = "between manifolds"
+        assert where == self.SPLITS[n]
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_error_in_one_half_stops_the_other(self, failing, monkeypatch):
+        """The half that raises sets the shared stop event; the other half,
+        held in its first chunk until then, stops at its next one; the error
+        reaches the caller and no thread of the call is left running."""
+        caller = threading.current_thread()
+        sweep, chunk_stats = weights._sweep, weights._chunk_stats
+        stops = {}
+        calls = {"caller": 0, "worker": 0}
+
+        def spy_sweep(chunks, rng, box, stop):
+            stops[threading.current_thread()] = stop
+            return sweep(chunks, rng, box, stop)
+
+        def spy_chunk_stats(cols):
+            half = "caller" if threading.current_thread() is caller else "worker"
+            calls[half] += 1
+            if half == failing:
+                raise RuntimeError(f"{half} half failed")
+            assert stops[threading.current_thread()].wait(timeout=30)
+            return chunk_stats(cols)
+
+        monkeypatch.setattr(weights, "_sweep", spy_sweep)
+        monkeypatch.setattr(weights, "_chunk_stats", spy_chunk_stats)
+        with pytest.raises(RuntimeError, match=f"{failing} half failed"):
+            weights.sample_margins(250_000, seed=1)
+        (worker,) = set(stops) - {caller}
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        (stop,) = set(stops.values())
+        assert stop.is_set()
+        assert calls[failing] == 1
+        # Each half has 9 chunks; the worker may find the event set before its first.
+        if failing == "worker":
+            assert calls["caller"] == 1
+        else:
+            assert calls["worker"] <= 1
+
+    def test_rapid_thread_switching(self):
+        """Twenty sweeps of 7 chunks from four concurrent callers, eight
+        sweeping threads on the cores, under a switch interval of 1 us.  Each
+        caller is joined with a timeout, so that a hang fails rather than
+        stalls.  A lost update, or a generator shared by two halves or two
+        calls, would differ from the serial whole-array sweep."""
+        seeds = range(20)
+        expected = {seed: whole_array_sweep(40_000, seed, 1e3) for seed in seeds}
+        got = {}
+
+        def sweep(seeds):
+            for seed in seeds:
+                got[seed] = weights.sample_margins(40_000, seed=seed)
+
+        callers = [threading.Thread(target=sweep, args=(seeds[k::4],)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == expected
 
     def test_memory_is_one_chunk(self):
         # The whole-array sweep peaks at about 131 MiB for 10**6 samples.
