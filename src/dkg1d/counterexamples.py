@@ -102,6 +102,14 @@ class ExponentTuple(NamedTuple):
     gamma: float = 0.0
 
 
+def _exponent_tuple(e) -> ExponentTuple:
+    """``e`` as an ``ExponentTuple``; ValueError unless it holds exactly six numbers."""
+    e = tuple(e)
+    if len(e) != len(ExponentTuple._fields):
+        raise ValueError(f"an exponent tuple takes six numbers (a, b, c, alpha, beta, gamma), not {len(e)}")
+    return ExponentTuple(*e)
+
+
 _HALF = Fraction(1, 2)
 
 
@@ -150,8 +158,9 @@ FAMILIES: dict[str, CounterexampleFamily] = {
 
 def predicted_delta(family_id: str, e) -> float:
     """delta of the family at ``e``, any six numbers: exact for Fractions, and for
-    floats the bits of the written-out sum, -0.0 included, as no zero is added."""
-    family, e = FAMILIES[family_id], ExponentTuple(*e)
+    floats the bits of the written-out sum, -0.0 included, as no zero is added.
+    Another count of numbers raises ValueError."""
+    family, e = FAMILIES[family_id], _exponent_tuple(e)
     delta = functools.reduce(operator.add, [getattr(e, name) for name in family.delta_sum])
     return delta if family.delta_constant is None else delta + family.delta_constant
 
@@ -365,6 +374,7 @@ def _checked_columns(family_id: str, L_values) -> tuple[list, list[tuple[int, in
 
 def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     """Ratios ||u conj(v)||_{H^{-c,-gamma}} / (X+ norm * X- norm) over L and tuples.
+    Each tuple holds exactly six finite real numbers; otherwise ValueError.
 
     The pair counts of the product transform are independent of the
     exponents, so they are computed once per L, and the three norms of all
@@ -389,7 +399,7 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     """
     L_values, columns = _checked_columns(family_id, L_values)
     family = FAMILIES[family_id]
-    tuples = [ExponentTuple(*t) for t in tuples]
+    tuples = [_exponent_tuple(t) for t in tuples]
     if not all(map(finite_real, itertools.chain.from_iterable(tuples))):
         raise ValueError("exponents must all be finite real numbers")
     # Six (k, 1, 1) columns, one row per tuple, broadcast against the grids.

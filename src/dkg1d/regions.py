@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counterexamples import ExponentTuple, predicted_delta
+from .counterexamples import ExponentTuple, _exponent_tuple, predicted_delta
 
 WELLPOSED_INEQUALITIES = ("s > -1/4", "r > 0", "|s| <= r", "r <= 1+s")
 
@@ -145,9 +145,10 @@ def bilinear_necessary_conditions(e: ExponentTuple) -> dict[str, dict]:
     least ``delta`` of the condition's families over e and e*, and
     ``family`` and ``exponents`` name where it is attained (ties go to e,
     then to the family listed first), so that
-    ``ratio_ladder(family, L, [exponents])`` grows at rate -margin.
+    ``ratio_ladder(family, L, [exponents])`` grows at rate -margin.  An
+    ``e`` of other than six numbers raises ValueError.
     """
-    e = ExponentTuple(*e)
+    e = _exponent_tuple(e)
     mirror = e._replace(a=e.b, b=e.a, alpha=e.beta, beta=e.alpha)
     report = {}
     for condition, family_ids in CONDITION_FAMILIES.items():

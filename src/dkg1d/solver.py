@@ -49,11 +49,11 @@ cosine and sine of its angle from one ``tan`` of the half angle, since
 NumPy's float64 ``tan`` has a SIMD loop and its ``cos`` and ``sin`` do not.
 
 A diagnostics row reads the spectra the march holds, still owed the
-closing linear(dt/2), with no copy and no transform (``_row_weights``):
-the charge and the H^s norm from |a_hat|^2, since the half-wave phases
-have modulus 1, and the H^r norm and ``kg_energy`` as fixed quadratic forms
-in (phi_hat, phi_t_hat) with the Klein-Gordon matrices of the half step
-folded into their weights.  Rows write nothing, so the march's bits do not
+closing linear(dt/2), with no transform: it applies the Klein-Gordon half
+step to a copy of f_hat, and reads every column as a Parseval sum with
+plain weights (``_row_weights``).  a_hat is read as it is, since the
+half-wave phases have modulus 1 and leave |a_hat|^2, so the charge and the
+H^s norm, unchanged.  Rows write nothing, so the march's bits do not
 depend on ``diagnostics_every``.  ``run`` checks every row, t = 0 included,
 in its one loop, and materialises the final state once: the closing
 linear(dt/2), an inverse FFT and an inverse real FFT; ``strang_step`` is
@@ -192,8 +192,7 @@ class SolverConfig:
         if not (count(self.diagnostics_every) and self.diagnostics_every >= 1):
             raise ValueError("diagnostics_every must be an integer >= 1")
         for s in (self.diag_s, self.diag_r):
-            if not (finite_real(s) and np.isfinite(_sobolev_weight(self.grid, s)).all()):
-                raise ValueError("diag_s and diag_r must be real and finite, with finite H^s weights on the grid")
+            _sobolev_weight(self.grid, s, "diag_s and diag_r")
 
 
 def _check_state(state: DKGState) -> DKGState:
@@ -273,14 +272,19 @@ def _linear_table(grid: GridSpec1D, m: float, dt: float) -> tuple[np.ndarray, np
     return tables
 
 
+def _kg_flow(kg: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
+    """A new f_hat: the Klein-Gordon matrices ``kg`` of a table applied to
+    f_hat = (phi_hat, phi_t_hat)."""
+    new = kg[:, 0] * f_hat[0]
+    new += kg[:, 1] * f_hat[1]
+    return new
+
+
 def _linear(table: tuple, j: int, a_hat: np.ndarray, f_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """linear(h) of the spectra (a_hat, f_hat), with h = (dt/2, dt)[j] of
     ``table``: a_hat multiplied in place, and a new f_hat."""
-    phases, kg = table[0][j], table[1][j]
-    new = kg[:, 0] * f_hat[0]
-    new += kg[:, 1] * f_hat[1]
-    a_hat *= phases
-    return a_hat, new
+    a_hat *= table[0][j]
+    return a_hat, _kg_flow(table[1][j], f_hat)
 
 
 def _coupling(a: np.ndarray, phi: np.ndarray, M: float, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -373,14 +377,18 @@ def _energy_weight(grid: GridSpec1D, m: float) -> np.ndarray:
     return _hermitian(np.stack((potential + m**2, np.ones_like(potential))) * (grid.dx / (2 * grid.n_x)))
 
 
-def _sobolev_weight(grid: GridSpec1D, s: float) -> np.ndarray:
+def _sobolev_weight(grid: GridSpec1D, s: float, name: str = "s") -> np.ndarray:
     """FFT weight w with sum(w |values_hat|^2) = ||values||_{H^s}^2:
     (1 + |xi|)^(2s) with the normalisation dx^2 / x_extent = dx / n_x folded
-    in.  An overflow leaves an inf, which ``SolverConfig`` rejects."""
-    with np.errstate(over="ignore"):
-        weight = (1.0 + np.abs(grid.xi_fft)) ** (2 * s)
-        weight *= grid.dx / grid.n_x
-    return weight
+    in.  ValueError, naming ``name``, unless s is real and finite and w is
+    finite on every bin, so that a finite state has a finite norm."""
+    if finite_real(s):
+        with np.errstate(over="ignore"):
+            weight = (1.0 + np.abs(grid.xi_fft)) ** (2 * s)
+            weight *= grid.dx / grid.n_x
+        if np.isfinite(weight).all():
+            return weight
+    raise ValueError(f"{name} must be real and finite, with finite H^s weights on the grid")
 
 
 def sobolev_norm(values: np.ndarray, s: float, grid: GridSpec1D) -> float:
@@ -389,13 +397,16 @@ def sobolev_norm(values: np.ndarray, s: float, grid: GridSpec1D) -> float:
     One complex FFT, weighted by (1 + |xi|)^(2s) and normalized so that
     s = 0 gives the physical L2(dx) norm.  The H^s norm of psi is that of
     the amplitudes (a_+, a_-), since the map between them is a constant
-    unitary matrix.
+    unitary matrix.  ``s`` must be real and finite, with a finite weight on
+    every bin of ``grid``, as ``SolverConfig`` asks of ``diag_s``; otherwise
+    ValueError.
     """
+    weight = _sobolev_weight(grid, s)
     values = np.asarray(values)
     if values.shape[-1] != grid.n_x:
         raise ValueError("last axis must match the grid")
     hat = scipy.fft.fft(values, axis=-1)
-    return float(np.sqrt(np.vdot(hat * _sobolev_weight(grid, s), hat).real))
+    return float(np.sqrt(np.vdot(hat * weight, hat).real))
 
 
 def rough_data(s: float, seed: int, grid: GridSpec1D) -> np.ndarray:
@@ -446,53 +457,35 @@ class DiagnosticsSeries:
     kg_energy: np.ndarray
 
 
-def _row_weights(config: SolverConfig, m: float) -> list[tuple]:
-    """Weights that read a diagnostics row off the spectra (a_hat, f_hat) the
-    march holds, by Parseval and with no copy of them, built once per run:
-    for the t = 0 row, which reads the input's own spectra (h = 0), and for
-    every later row, which reads spectra still owed linear(h), h = dt/2.
-
-    The half-wave phases have modulus 1, so the charge and the H^s norm read
-    |a_hat|^2 directly: weights dx / n_x and the H^s weight.  After the
-    Klein-Gordon matrices k = ``_kg(h)``, the H^r norm squared and
-    ``kg_energy`` are sums over modes of w_0 |phi'|^2 + w_1 |phi_t'|^2, with
-    (w_0, w_1) = (H^r weight, 0) and ``_energy_weight``: fixed quadratic
-    forms in f = (phi_hat, phi_t_hat), with the weight sum_i w_i k_ij^2 on
-    |f_j|^2 and 2 sum_i w_i k_i0 k_i1 on Re(phi_hat conj phi_t_hat).  This
-    holds bin by bin, the Nyquist bin with its dropped derivative included.
-    Every weight is repeated over the (re, im) pairs of a real view."""
+def _row_weights(config: SolverConfig, m: float) -> tuple:
+    """Parseval weights that read a diagnostics row off spectra (a_hat,
+    f_hat), built once per run: dx / n_x and the H^s weight on |a_hat|^2
+    (charge and H^s norm), the H^r weight on the real-FFT bins of |phi_hat|^2
+    and ``_energy_weight`` on |f_hat|^2.  Every weight is repeated over the
+    (re, im) pairs of a real view."""
     grid = config.grid
-    n_f = grid.n_x // 2 + 1
-    hs = np.repeat(_sobolev_weight(grid, config.diag_s), 2)
-    w = np.stack(((_hermitian(_sobolev_weight(grid, config.diag_r)[:n_f]), np.zeros(n_f)), _energy_weight(grid, m)))
-    weights = []
-    for h in (0.0, config.dt / 2):
-        kg = _kg(grid, m, h)
-        squares = (w[:, :, None] * kg**2).sum(axis=1)
-        cross = 2 * (w * kg[:, 0] * kg[:, 1]).sum(axis=1)
-        weights.append((grid.dx / grid.n_x, hs, np.repeat(squares, 2, axis=-1).reshape(2, -1), np.repeat(cross, 2, axis=-1)))
-    return weights
+    hr = _hermitian(_sobolev_weight(grid, config.diag_r)[: grid.n_x // 2 + 1])
+    hs = _sobolev_weight(grid, config.diag_s)
+    return grid.dx / grid.n_x, np.repeat(hs, 2), np.repeat(hr, 2), np.repeat(_energy_weight(grid, m), 2, axis=-1)
 
 
 def _record(t: float, a_hat: np.ndarray, f_hat: np.ndarray, weights: tuple) -> tuple[float, ...]:
-    """The row (t, charge, H^s, H^r, kg_energy) of the state that the spectra
-    (a_hat, f_hat) stand for, read with one entry of ``_row_weights``.
+    """The row (t, charge, H^s, H^r, kg_energy) of the state whose FFT is
+    a_hat and whose real FFT is f_hat, read with ``_row_weights``.
 
-    Each dot runs over one row of a real view, about 2 n_x doubles: OpenBLAS
-    spreads a longer dot over its threads, and in the march at n_x = 4096
-    one dot over both rows of a_hat (16384 doubles) took 54 us with two
-    threads against 9 us with one.  A square that overflows makes the row
-    non-finite; ``run`` silences the warning."""
-    l2, hs, squares_weight, cross_weight = weights
-    f = f_hat.view(float)
-    squares, cross = (f * f).reshape(-1), f[0] * f[1]
-    hr_squared, energy = (np.dot(w, squares) + np.dot(v, cross) for w, v in zip(squares_weight, cross_weight))
+    Each dot runs over about 2 n_x doubles: OpenBLAS spreads a longer dot
+    over its threads, and in the march at n_x = 4096 one dot over both rows
+    of a_hat (16384 doubles) took 54 us with two threads against 9 us with
+    one.  A square that overflows makes the row non-finite; ``run``
+    silences the warning."""
+    l2, hs, hr, energy = weights
+    squares = f_hat.view(float) ** 2
     charge_squared = hs_squared = 0.0
     for row in a_hat.view(float):
         charge_squared += np.dot(row, row)
         hs_squared += np.dot(row * hs, row)
-    # Roundoff can leave a vanishing H^r form a few ulps below zero; max keeps a nan.
-    return t, math.sqrt(charge_squared * l2), math.sqrt(hs_squared), math.sqrt(max(hr_squared, 0.0)), float(energy)
+    hr_squared = np.dot(hr, squares[0])
+    return t, math.sqrt(charge_squared * l2), math.sqrt(hs_squared), math.sqrt(hr_squared), float(np.vdot(energy, squares))
 
 
 def run(
@@ -516,11 +509,14 @@ def run(
         raise ValueError(f"(t_end - t) / dt is {steps}, not a finite step count below 2**53")
     n_steps = max(0, int(round(steps)))
     weights = _row_weights(config, state.m)
+    # A row after a step reads a copy of f_hat with its closing Klein-Gordon
+    # half step applied; the half-wave phases leave |a_hat|^2 alone.
+    kg = _linear_table(state.grid, state.m, config.dt)[1][0] if n_steps else None
     records = []
     # An overflow or a non-finite value ends the run as a non-finite row, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t, a_hat, f_hat in _march(state, config.dt, n_steps, config.diagnostics_every):
-            row = _record(t, a_hat, f_hat, weights[k > 0])
+            row = _record(t, a_hat, _kg_flow(kg, f_hat) if k else f_hat, weights)
             if not all(map(math.isfinite, row)):
                 raise BlowUpError(k, t)
             records.append(row)

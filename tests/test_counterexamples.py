@@ -254,6 +254,14 @@ class TestBuildFamily:
         with pytest.raises(ValueError, match="unknown family"):
             cx.ratio_ladder("cond5", [64.0], [ZEROS])
 
+    @pytest.mark.parametrize("e", [(), (1.0, 0.5), (0.0,) * 5, (0.0,) * 7])
+    def test_rejects_tuples_not_of_six(self, e):
+        # A short tuple is not padded with zeros, nor is a long one cut.
+        with pytest.raises(ValueError, match=f"six numbers .*, not {len(e)}"):
+            cx.ratio_ladder("cond3", [64.0, 128.0], [ZEROS, e])
+        with pytest.raises(ValueError, match=f"six numbers .*, not {len(e)}"):
+            cx.predicted_delta("cond3", e)
+
 
 class TestPairCounts:
     """The closed-form counts of ``pair_counts`` against every point pair."""

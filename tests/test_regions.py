@@ -221,6 +221,11 @@ class TestNecessaryConditions:
         }
         assert all(isinstance(entry["margin"], Fraction) for entry in exact.values())
 
+    @pytest.mark.parametrize("e", [(), (1.0,), (0.0,) * 5, (0.0,) * 7])
+    def test_rejects_tuples_not_of_six(self, e):
+        with pytest.raises(ValueError, match=f"six numbers .*, not {len(e)}"):
+            regions.bilinear_necessary_conditions(e)
+
     def test_cond3_fails(self):
         report = regions.bilinear_necessary_conditions(ExponentTuple(0, 0, -1, 1, 1, 1))
         assert not report["cond3"]["holds"]

@@ -697,6 +697,13 @@ def reference_kg_energy(state):
 
 
 class TestDiagnostics:
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf, 1e300])
+    def test_sobolev_norm_rejects_bad_regularity(self, s):
+        # SolverConfig's rule for diag_s: a finite s with a finite weight on
+        # every bin.  1e300 is finite but its weight overflows.
+        with pytest.raises(ValueError, match="s must be real and finite, with finite H\\^s weights"):
+            solver.sobolev_norm(np.ones(64), s, GridSpec1D(64, 16.0))
+
     @pytest.mark.parametrize("n", [2, 4, 64, 4096])
     @pytest.mark.parametrize("s", [-0.5, 0.0, 0.25, 1.0])
     def test_sobolev_norm_matches_full_fft(self, n, s):
@@ -735,10 +742,9 @@ class TestDiagnostics:
     @pytest.mark.parametrize("every", [1, 3])
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_field_columns_match_references_on_rough_data(self, grid, m, every):
-        # Rows read H^r and kg_energy off spectra still owed linear(dt/2),
-        # through weights with its Klein-Gordon matrices folded in.  Rough
-        # phi and phi_t fill every bin, the Nyquist bin (whose derivative
-        # the energy drops) included.
+        # Rows read H^r and kg_energy off a copy of f_hat with the closing
+        # Klein-Gordon half step applied.  Rough phi and phi_t fill every
+        # bin, the Nyquist bin (whose derivative the energy drops) included.
         psi0 = solver.rough_data(0.25, 9, grid)
         phi0, phi1 = (np.real(solver.rough_data(0.25, seed, grid)[:, 0]) for seed in (10, 11))
         assert np.abs(np.fft.rfft(phi0)[-1]) > 0 and np.abs(np.fft.rfft(phi1)[-1]) > 0
@@ -907,17 +913,24 @@ class TestRun:
     @pytest.mark.parametrize("data", ["smooth", "rough"])
     @pytest.mark.parametrize("M", [0.0, 1.0])
     def test_final_bits_independent_of_every(self, grid, data, M):
-        # Rows read the spectra the march holds and write nothing into them,
-        # so how often they are taken cannot change a bit of the march.
+        # Rows read the spectra the march holds, or a copy, and write nothing
+        # into them, so how often they are taken cannot change a bit of the
+        # march, nor of a row taken at a step that two intervals share.
         state = data_state(grid, data, M)
         dt, n_steps = 0.3 * grid.dx, 37  # non-dyadic, so a reordered product rounds differently
-        finals = []
+        runs = []
         for every in (1, 3, 16, 37):
             config = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, diagnostics_every=every, diag_s=0.25, diag_r=0.5)
-            finals.append(solver.run(config, state, return_final=True)[1])
-        for final in finals[1:]:
-            assert np.array_equal(final.a, finals[0].a) and np.array_equal(final.f, finals[0].f)
-            assert final.t == finals[0].t
+            series, final = solver.run(config, state, return_final=True)
+            steps = [k for k in range(n_steps + 1) if k % every == 0 or k == n_steps]
+            assert series.t.size == len(steps)  # the t = 0 row and the last one included
+            runs.append((dict(zip(steps, np.column_stack(dataclasses.astuple(series)))), final))
+        (rows_1, final_1), *others = runs
+        for rows, final in others:
+            assert np.array_equal(final.a, final_1.a) and np.array_equal(final.f, final_1.f)
+            assert final.t == final_1.t
+            for k, row in rows.items():
+                assert np.array_equal(row, rows_1[k]), k
 
     @pytest.mark.parametrize("data", ["smooth", "rough"])
     @pytest.mark.parametrize("M", [0.0, 1.0])

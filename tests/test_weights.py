@@ -208,11 +208,14 @@ class TestStreamedSweep:
     def test_error_in_one_half_stops_the_other(self, failing, monkeypatch):
         """The half that raises sets the shared stop event; the other half,
         held in its first chunk until then, stops at its next one; the error
-        reaches the caller and no thread of the call is left running."""
+        reaches the caller and no thread of the call is left running.  The
+        failing half raises only once the other is in its first chunk, since
+        otherwise the other may find the event set before it."""
         caller = threading.current_thread()
         sweep, chunk_stats = weights._sweep, weights._chunk_stats
         stops = {}
         calls = {"caller": 0, "worker": 0}
+        other_in_chunk = threading.Event()
 
         def spy_sweep(chunks, rng, box, stop):
             stops[threading.current_thread()] = stop
@@ -222,7 +225,9 @@ class TestStreamedSweep:
             half = "caller" if threading.current_thread() is caller else "worker"
             calls[half] += 1
             if half == failing:
+                assert other_in_chunk.wait(timeout=30)
                 raise RuntimeError(f"{half} half failed")
+            other_in_chunk.set()
             assert stops[threading.current_thread()].wait(timeout=30)
             return chunk_stats(cols)
 
@@ -235,12 +240,8 @@ class TestStreamedSweep:
         assert not worker.is_alive()
         (stop,) = set(stops.values())
         assert stop.is_set()
-        assert calls[failing] == 1
-        # Each half has 9 chunks; the worker may find the event set before its first.
-        if failing == "worker":
-            assert calls["caller"] == 1
-        else:
-            assert calls["worker"] <= 1
+        # Each half has 9 chunks, and each entered exactly one.
+        assert calls == {"caller": 1, "worker": 1}
 
     def test_rapid_thread_switching(self):
         """Twenty sweeps of 7 chunks from four concurrent callers, eight
