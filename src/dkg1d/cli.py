@@ -68,16 +68,9 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _exponents(values) -> cx.ExponentTuple:
-    parts = [float(v) for v in values]
-    if len(parts) != 6 or not all(map(math.isfinite, parts)):
-        raise ValueError("expected 6 finite exponents")
-    return cx.ExponentTuple(*parts)
-
-
 def _cmd_counterexample(args) -> int:
     L_values = cx.check_scales(args.family, (float(v) for v in args.L.split(",")))
-    exps = _exponents(args.exps.split(","))
+    exps = cx._exponent_tuple(float(v) for v in args.exps.split(","))
     # Open the output before the ladder, so that an unwritable path fails at once.
     with open(args.out, "w", newline="") as fh:
         rows = cx.ratio_ladder(args.family, L_values, [exps])
@@ -100,9 +93,8 @@ def _read_ratios(path) -> dict[tuple[str, cx.ExponentTuple], list[tuple[float, f
         if missing:
             raise ValueError(f"ratio CSV lacks column(s) {', '.join(missing)}")
         for record in reader:
-            if record["family"] not in cx.FAMILIES:
-                raise ValueError(f"unknown family {record['family']!r}")
-            key = (record["family"], _exponents(record[name] for name in _EXPONENT_COLUMNS))
+            cx._family(record["family"])
+            key = (record["family"], cx._exponent_tuple(float(record[name]) for name in _EXPONENT_COLUMNS))
             ladders.setdefault(key, []).append((float(record["L"]), float(record["ratio"])))
     if not ladders:
         raise ValueError("ratio CSV has no rows")

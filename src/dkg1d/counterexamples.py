@@ -29,7 +29,7 @@ product transform is exactly a pair count,
     F(u conj v)(k) = (2 pi)^{-2} cell #{p in S_u : p - k in S_v},
 
 with cell = dtau dxi (``norms.indicator_product``).  The pairs are counted
-without forming them (``pair_counts``).  Write a strip point as (j, s),
+without forming them (``_ladder_counts``).  Write a strip point as (j, s),
 with s = 2i +- j one of -2, 0, 2 for even j and -1, 1 for odd j.  Then an
 offset has 2 di = D - j_u +- j_v and dj = j_u - j_v, where D = s_u - s_v
 lies in [-4, 4] and a fixed table gives how many position pairs fall on
@@ -79,7 +79,7 @@ DEFAULT_L_LADDER = (64.0, 128.0, 256.0, 512.0)
 # and cond4 count no pairs, near 1e20 the columns overflow int64.
 _MAX_L = 2.0**48
 # Work budget of a ladder scale, in cells of the offset grid that
-# ``pair_counts`` visits: it bounds time, since memory is O(_BLOCK).  Only
+# ``_ladder_counts`` visits: it bounds time, since memory is O(_BLOCK).  Only
 # cond2's grid grows with L, as about 22.5 L cells, so this admits cond2 up
 # to L of about 2.98e6, which takes about 5 s with three tuples on a 2-core
 # x86 host; the other four families stay below 4000 cells at every L.
@@ -103,10 +103,13 @@ class ExponentTuple(NamedTuple):
 
 
 def _exponent_tuple(e) -> ExponentTuple:
-    """``e`` as an ``ExponentTuple``; ValueError unless it holds exactly six numbers."""
+    """``e`` as an ``ExponentTuple``, Fractions kept exact; ValueError unless it
+    holds exactly six finite real numbers.  The one check of an exponent tuple."""
     e = tuple(e)
     if len(e) != len(ExponentTuple._fields):
         raise ValueError(f"an exponent tuple takes six numbers (a, b, c, alpha, beta, gamma), not {len(e)}")
+    if not all(map(finite_real, e)):
+        raise ValueError("exponents must all be finite real numbers")
     return ExponentTuple(*e)
 
 
@@ -156,11 +159,19 @@ FAMILIES: dict[str, CounterexampleFamily] = {
 }
 
 
+def _family(family_id: str) -> CounterexampleFamily:
+    """``FAMILIES[family_id]``; ValueError for a name not in it."""
+    try:
+        return FAMILIES[family_id]
+    except KeyError:
+        raise ValueError(f"unknown family {family_id!r}") from None
+
+
 def predicted_delta(family_id: str, e) -> float:
-    """delta of the family at ``e``, any six numbers: exact for Fractions, and for
-    floats the bits of the written-out sum, -0.0 included, as no zero is added.
-    Another count of numbers raises ValueError."""
-    family, e = FAMILIES[family_id], _exponent_tuple(e)
+    """delta of the family at ``e``: exact for Fractions, and for floats the bits
+    of the written-out sum, -0.0 included, as no zero is added.  An unknown
+    family, or an ``e`` refused by ``_exponent_tuple``, raises ValueError."""
+    family, e = _family(family_id), _exponent_tuple(e)
     delta = functools.reduce(operator.add, [getattr(e, name) for name in family.delta_sum])
     return delta if family.delta_constant is None else delta + family.delta_constant
 
@@ -179,7 +190,8 @@ def strip_points(interval: Interval, line: str) -> np.ndarray:
     each column j holds 3 points when j is even and 2 when it is odd.
     """
     lo, hi = _columns(interval)
-    return _nonzero(*_strip_columns(np.arange(lo, hi + 1), line))[0]
+    i, j, on = _strip_columns(np.arange(lo, hi + 1), line)
+    return np.stack(np.broadcast_arrays(i, j))[:, on]
 
 
 def _strip_columns(j: np.ndarray, line: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,14 +203,6 @@ def _strip_columns(j: np.ndarray, line: str) -> tuple[np.ndarray, np.ndarray, np
     j = j[:, None]
     i = (-sign * j) // 2 + np.arange(-1, 2)
     return i, j, np.abs(2 * i + sign * j) <= 2
-
-
-def _nonzero(i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice points (i, j), shape (2, m), of a grid whose counts are
-    nonzero, in row-major order, and their counts."""
-    nonzero = counts > 0
-    i, j = np.broadcast_arrays(i, j)
-    return np.stack([i[nonzero], j[nonzero]]), counts[nonzero]
 
 
 def _position_pairs() -> np.ndarray:
@@ -223,7 +227,7 @@ _POSITION_PAIRS_BY_PARITY = np.hstack([_POSITION_PAIRS, np.zeros((2, 1), dtype=n
 
 def _offset_grid(columns: tuple[int, int, int, int], v_line: str) -> tuple[int, int, int]:
     """Least and greatest di, and the number of dj, of the offset grid that
-    ``pair_counts`` fills for strips with columns (u_lo, u_hi, v_lo, v_hi).
+    ``_ladder_counts`` fills for strips with columns (u_lo, u_hi, v_lo, v_hi).
     A plus-line v's grid is (di, D), since dj = D - 2 di; a minus-line v's
     is (D, di, dj)."""
     u_lo, u_hi, v_lo, v_hi = columns
@@ -258,12 +262,16 @@ def _blocks(firsts, sizes) -> Iterator[tuple[np.ndarray, list[tuple[int, int, in
 
 
 def _ladder_counts(columns, v_line: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list]]:
-    """``pair_counts`` of every scale of a ladder in shared blocks.
+    """Offsets p_u - p_v between u's plus-line strip and v's strip on
+    ``v_line``, and how many point pairs give each, for every scale of a
+    ladder in shared blocks.
 
     ``columns[k]`` is (u_lo, u_hi, v_lo, v_hi), the strip columns of scale k.
     The di rows of all offset grids fill blocks as ``_blocks`` packs them.
     Each block yields the grid of ``_count_rows`` over its rows, zero counts
-    included, and its segments.
+    included, and its segments; a scale's rows over its blocks are in
+    lexicographic order.  The counts follow from column ranges and the
+    position-pair table without forming any point pair.
     """
     grids = [_offset_grid(c, v_line) for c in columns]
     for di, segments in _blocks([lo for lo, _, _ in grids], [hi - lo + 1 for lo, hi, _ in grids]):
@@ -279,24 +287,8 @@ def _ladder_strips(columns, line: str) -> Iterator[tuple[np.ndarray, np.ndarray,
         yield *_strip_columns(j, line), segments
 
 
-def pair_counts(A: Interval, B: Interval, v_line: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Offsets p_u - p_v between the strips over A and B, and their pair counts.
-
-    u's strip lies on the plus line and v's on ``v_line``.  Yields blocks of
-    the distinct offsets (di, dj), shape (2, m), and how many point pairs
-    give each; a block holds the offsets of at most ``_BLOCK`` rows di, and
-    the blocks joined are in lexicographic order.  With positions s as in
-    ``_position_pairs``, a pair of columns (j_u, j_v) and D = s_u - s_v give
-    the offset 2 di = D - j_u +- j_v, dj = j_u - j_v, so the counts follow
-    from column ranges and the position-pair table without forming any
-    point pair.  This is the one-scale view of the ladder's stream.
-    """
-    for di, dj, counts, _ in _ladder_counts([_columns(A) + _columns(B)], v_line):
-        yield _nonzero(di, dj, counts)
-
-
 def _count_rows(u_lo, u_hi, v_lo, v_hi, v_line: str, di: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The offsets (di, dj) and counts of ``pair_counts`` on the rows ``di``,
+    """The offsets (di, dj) and pair counts of ``_ladder_counts`` on the rows ``di``,
     as a grid (rows, 1), (rows, n), (rows, n) in lexicographic order, zero
     counts included.  ``di`` and the strip columns are (rows, 1) columns,
     so the rows may come from the offset grids of several scales.  A pair
@@ -345,7 +337,7 @@ class RatioResult(NamedTuple):
 
 def check_scales(family_id: str, L_values) -> list:
     """``L_values`` as a list, if ``family_id`` names a family and every L is
-    a real number with 4 < L <= 2^48 whose offset grid in ``pair_counts``
+    a real number with 4 < L <= 2^48 whose offset grid in ``_ladder_counts``
     has at most 2^26 cells; a ValueError otherwise, before any array is made.
 
     The cell cap is a budget of time (a few seconds of counting), not of
@@ -356,12 +348,10 @@ def check_scales(family_id: str, L_values) -> list:
 
 def _checked_columns(family_id: str, L_values) -> tuple[list, list[tuple[int, int, int, int]]]:
     """``check_scales``'s list, and each scale's strip columns (u_lo, u_hi, v_lo, v_hi)."""
-    if family_id not in FAMILIES:
-        raise ValueError(f"unknown family {family_id!r}")
+    family = _family(family_id)
     L_values = list(L_values)
     if not all(finite_real(L) and 4 < L <= _MAX_L for L in L_values):
         raise ValueError("family scale L must be finite and exceed 4, and be at most 2^48")
-    family = FAMILIES[family_id]
     columns = [_columns(A) + _columns(B) for A, B, _ in map(family.intervals, L_values)]
     for L, (di_lo, di_hi, n_dj) in zip(L_values, (_offset_grid(c, family.v_line) for c in columns)):
         if 9 * (di_hi - di_lo + 1) * n_dj > _MAX_WORK_CELLS:
@@ -400,8 +390,6 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     L_values, columns = _checked_columns(family_id, L_values)
     family = FAMILIES[family_id]
     tuples = [_exponent_tuple(t) for t in tuples]
-    if not all(map(finite_real, itertools.chain.from_iterable(tuples))):
-        raise ValueError("exponents must all be finite real numbers")
     # Six (k, 1, 1) columns, one row per tuple, broadcast against the grids.
     a, b, c, alpha, beta, gamma = np.array(tuples, dtype=float).reshape(-1, 6).T[:, :, None, None]
     # Per norm (product, u, v): sums of squares per scale and tuple, and the

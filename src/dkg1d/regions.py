@@ -146,7 +146,8 @@ def bilinear_necessary_conditions(e: ExponentTuple) -> dict[str, dict]:
     ``family`` and ``exponents`` name where it is attained (ties go to e,
     then to the family listed first), so that
     ``ratio_ladder(family, L, [exponents])`` grows at rate -margin.  An
-    ``e`` of other than six numbers raises ValueError.
+    ``e`` of other than six finite real numbers raises ValueError, and
+    Fractions give exact margins.
     """
     e = _exponent_tuple(e)
     mirror = e._replace(a=e.b, b=e.a, alpha=e.beta, beta=e.alpha)

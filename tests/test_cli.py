@@ -345,7 +345,7 @@ class TestCounterexampleAndFit:
         out = tmp_path / "x.csv"
         code, payload = run_cli(capsys, "counterexample", "--family", "cond3", "--exps", "1,2", "--out", str(out))
         assert code == 2
-        assert "expected 6 finite exponents" in payload["error"]
+        assert "six numbers" in payload["error"]
         assert not out.exists()
 
 

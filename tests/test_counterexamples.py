@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dkg1d import counterexamples as cx
-from dkg1d import norms
+from dkg1d import norms, regions
 from dkg1d.counterexamples import ExponentTuple
 from dkg1d.norms import NormIndex
 
@@ -42,9 +42,20 @@ def point_pair_counts(u, v):
     return np.stack([nonzero // span, nonzero % span]) + lo[:, None], counts[nonzero]
 
 
+def one_scale_counts(A, B, line):
+    """The blocks of ``_ladder_counts`` for the one scale with strips over A and B."""
+    return cx._ladder_counts([cx._columns(A) + cx._columns(B)], line)
+
+
 def joined_counts(A, B, line):
-    """The blocks of ``pair_counts`` joined into one (offsets, counts) pair."""
-    offsets, counts = zip(*cx.pair_counts(A, B, line))
+    """The blocks of ``one_scale_counts`` joined, zero cells dropped: the
+    offsets (di, dj), shape (2, m), in lexicographic order, and their counts."""
+    offsets, counts = [], []
+    for di, dj, n, _ in one_scale_counts(A, B, line):
+        di, dj = np.broadcast_arrays(di, dj)
+        nonzero = n > 0
+        offsets.append(np.stack([di[nonzero], dj[nonzero]]))
+        counts.append(n[nonzero])
     return np.concatenate(offsets, axis=1), np.concatenate(counts)
 
 
@@ -249,10 +260,18 @@ class TestBuildFamily:
         e[slot] = bad
         with pytest.raises(ValueError, match="finite"):
             cx.ratio_ladder("cond2", [64.0, 128.0], [ZEROS, ExponentTuple(*e)])
+        # The same check keeps a string out of delta's sum, and a NaN margin,
+        # which would still carry a verdict, out of the necessary conditions.
+        with pytest.raises(ValueError, match="finite"):
+            cx.predicted_delta("cond1_ab", e)
+        with pytest.raises(ValueError, match="finite"):
+            regions.bilinear_necessary_conditions(e)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             cx.ratio_ladder("cond5", [64.0], [ZEROS])
+        with pytest.raises(ValueError, match="unknown family 'cond5'"):
+            cx.predicted_delta("cond5", ZEROS)
 
     @pytest.mark.parametrize("e", [(), (1.0, 0.5), (0.0,) * 5, (0.0,) * 7])
     def test_rejects_tuples_not_of_six(self, e):
@@ -264,7 +283,7 @@ class TestBuildFamily:
 
 
 class TestPairCounts:
-    """The closed-form counts of ``pair_counts`` against every point pair."""
+    """The closed-form counts of ``_ladder_counts`` against every point pair."""
 
     @pytest.mark.parametrize(
         "family, L",
@@ -364,8 +383,7 @@ class TestStreamedLadder:
         for family, spec in cx.FAMILIES.items():
             for L in L_values:
                 A, B, _ = spec.intervals(L)
-                blocks = list(cx.pair_counts(A, B, spec.v_line))
-                assert all(np.unique(offsets[0]).size <= block for offsets, _ in blocks)
+                assert all(di.size <= block for di, *_ in one_scale_counts(A, B, spec.v_line))
                 offsets, counts = joined_counts(A, B, spec.v_line)
                 assert np.array_equal(offsets, want[family, L][0])
                 assert np.array_equal(counts, want[family, L][1])

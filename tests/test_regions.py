@@ -208,7 +208,7 @@ class TestNecessaryConditions:
         report = regions.bilinear_necessary_conditions(ExponentTuple(1, 2, -1, 0, 0, 0))
         assert report["cond3"]["holds"]
         assert report["cond3"]["margin"] == 0.0
-        # Any six numbers are accepted, and rationals give exact margins.
+        # Any six finite real numbers are accepted, and rationals give exact margins.
         plain = regions.bilinear_necessary_conditions((1, 0, 1, 0, 0, 0))
         assert plain == regions.bilinear_necessary_conditions(ExponentTuple(1, 0, 1, 0, 0, 0))
         assert plain["cond3"]["margin"] == 1 and plain["cond3"]["exponents"] == (0, 1, 1, 0, 0, 0)
