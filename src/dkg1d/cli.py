@@ -32,6 +32,7 @@ import csv
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -199,11 +200,13 @@ def _cmd_solve(args) -> int:
     with contextlib.ExitStack() as outputs:
         out = outputs.enter_context(open(args.out, "w", newline=""))
         state_out = outputs.enter_context(open(args.state_out, "wb")) if args.state_out else None
+        start = time.perf_counter()
         try:
             series, final = solver.run(config, state, return_final=True)
         except solver.BlowUpError as err:
             _emit({"error": str(err), "step": err.step})
             return 1
+        run_s = time.perf_counter() - start
         writer = csv.writer(out)
         columns = vars(series)
         writer.writerow(columns)
@@ -213,7 +216,8 @@ def _cmd_solve(args) -> int:
     drift = float(np.abs(series.charge - series.charge[0]).max())
     rel = drift / series.charge[0] if series.charge[0] > 0 else 0.0
     steps = int(round(final.t / dt))
-    _emit({"out": args.out, "n_x": grid.n_x, "steps": steps, "rows": series.t.size, "charge_drift_rel": rel})
+    _emit({"out": args.out, "n_x": grid.n_x, "steps": steps, "rows": series.t.size, "charge_drift_rel": rel,
+           "run_s": run_s, "step_us": run_s / steps * 1e6 if steps else None})
     return 0
 
 

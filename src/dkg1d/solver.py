@@ -62,9 +62,12 @@ non-finite field value makes its row non-finite, so the row check is the
 only finiteness scan, and ``run`` silences NumPy's overflow and invalid-value
 warnings.
 
-Transforms are called as ``scipy.fft.<name>`` after a
-plain ``import scipy``, so SciPy loads ``scipy.fft`` (about 0.3 s) on the
-first transform and a process that never takes one does not pay for it.
+The march calls ``_pocketfft()``, SciPy's binding under ``scipy.fft``,
+as ``scipy.fft`` would, without its per-call dispatch (more than a transform
+at n_x = 1024); it opens on ``a`` as complex128 and ``f`` as float64.  Like
+``scipy.fft`` elsewhere, the binding is imported on first use, so SciPy loads
+``scipy.fft`` (about 0.3 s) on the first transform and a process that never
+takes one does not pay for it.
 """
 
 from __future__ import annotations
@@ -309,6 +312,15 @@ def _coupling(a: np.ndarray, phi: np.ndarray, M: float, h: float) -> tuple[np.nd
     return rotated, kick
 
 
+def _pocketfft():
+    """SciPy's pocketfft binding, called as ``c2c(x, axes, forward, inorm,
+    out, nthreads)``, ``r2c`` alike and ``c2r(x, axes, n, forward, inorm,
+    out, nthreads)``; inorm 0 leaves the sum unscaled, 2 divides it by n."""
+    from scipy.fft._pocketfft import pypocketfft
+
+    return pypocketfft
+
+
 def _march(state: DKGState, dt: float, n_steps: int, every: int):
     """Take ``n_steps`` Strang steps of ``dt`` from ``state``; yield (k, t,
     a_hat, f_hat), the spectra the march holds: first those of ``state``
@@ -320,7 +332,9 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
     ones, not copies: a reader must not write into them, and then no bit
     of the march depends on ``every``.
     """
-    a_hat, f_hat = scipy.fft.fft(state.a, axis=-1), scipy.fft.rfft(state.f, axis=-1)
+    fft = _pocketfft()
+    a_hat = fft.c2c(np.asarray(state.a, complex), (-1,), True, 0, None, 1)
+    f_hat = fft.r2c(np.asarray(state.f, float), (-1,), True, 0, None, 1)
     t = state.t
     yield 0, t, a_hat, f_hat
     if not n_steps:
@@ -329,10 +343,10 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
     table = _linear_table(state.grid, state.m, dt)
     a_hat, f_hat = _linear(table, 0, a_hat, f_hat)
     for k in range(1, n_steps + 1):
-        a = scipy.fft.ifft(a_hat, axis=-1, overwrite_x=True)
-        a, kick = _coupling(a, scipy.fft.irfft(f_hat[0], n=n), M, dt)
-        f_hat[1] += scipy.fft.rfft(kick)
-        a_hat = scipy.fft.fft(a, axis=-1, overwrite_x=True)
+        a = fft.c2c(a_hat, (-1,), False, 2, a_hat, 1)
+        a, kick = _coupling(a, fft.c2r(f_hat[0], (-1,), n, False, 2, None, 1), M, dt)
+        f_hat[1] += fft.r2c(kick, (-1,), True, 0, None, 1)
+        a_hat = fft.c2c(a, (-1,), True, 0, a, 1)
         t += dt
         if k % every == 0 or k == n_steps:
             yield k, t, a_hat, f_hat
@@ -344,8 +358,9 @@ def _materialise(state: DKGState, dt: float, t: float, a_hat: np.ndarray, f_hat:
     """The state at ``t`` from the spectra a march of ``dt`` holds after a
     step: the closing linear(dt/2), then an inverse FFT and an inverse real FFT."""
     a_hat, f_hat = _linear(_linear_table(state.grid, state.m, dt), 0, a_hat, f_hat)
-    a = scipy.fft.ifft(a_hat, axis=-1, overwrite_x=True)
-    return replace(state, a=a, f=scipy.fft.irfft(f_hat, n=state.grid.n_x, axis=-1), t=t)
+    fft = _pocketfft()
+    a = fft.c2c(a_hat, (-1,), False, 2, a_hat, 1)
+    return replace(state, a=a, f=fft.c2r(f_hat, (-1,), state.grid.n_x, False, 2, None, 1), t=t)
 
 
 def strang_step(state: DKGState, dt: float) -> DKGState:

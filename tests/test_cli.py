@@ -448,6 +448,8 @@ class TestSolve:
         assert payload["n_x"] == 256
         assert payload["rows"] == 2  # t = 0 and the last step; the default interval is 16
         assert payload["charge_drift_rel"] <= 1e-10
+        assert payload["run_s"] > 0
+        assert payload["step_us"] == pytest.approx(payload["run_s"] / 16 * 1e6)
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert set(rows[0]) == {"t", "charge", "hs_psi", "hr_phi", "kg_energy"}
@@ -505,6 +507,7 @@ class TestSolve:
         )
         assert code == 0
         assert payload["steps"] == 0
+        assert payload["step_us"] is None and payload["run_s"] >= 0
         with open(out, newline="") as fh:
             assert [float(r["t"]) for r in csv.DictReader(fh)] == [0.0]
 

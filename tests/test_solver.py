@@ -2,9 +2,11 @@ import dataclasses
 import gc
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -967,6 +969,8 @@ class TestRun:
         # rotated amplitudes and the kick to phi_t.  Rows take no transform:
         # the t = 0 row shares the opening transforms of the input state, and
         # the final state is materialised once, unless no step was taken.
+        # The march calls the pocketfft binding; a transform through the
+        # public scipy.fft names counts as well, so none may slip in.
         rows = {}
 
         def counted(name, transform):
@@ -976,8 +980,16 @@ class TestRun:
 
             return wrapper
 
+        binding = solver._pocketfft()
+        c2c = {True: counted("fft", binding.c2c), False: counted("ifft", binding.c2c)}
+        kernels = types.SimpleNamespace(
+            c2c=lambda x, axes, forward, *args: c2c[forward](x, axes, forward, *args),
+            r2c=counted("rfft", binding.r2c),
+            c2r=counted("irfft", binding.c2r),
+        )
+        monkeypatch.setattr(solver, "_pocketfft", lambda: kernels)
         for name in ("fft", "ifft", "rfft", "irfft"):
-            monkeypatch.setattr(solver.scipy.fft, name, counted(name, getattr(solver.scipy.fft, name)))
+            monkeypatch.setattr(scipy.fft, name, counted(name, getattr(scipy.fft, name)))
         dt = smooth_state.grid.dx / 2
         for n_steps in (0, 37):
             rows.clear()
@@ -986,6 +998,36 @@ class TestRun:
             forward = {"fft": 2 * n_steps + 2, "rfft": n_steps + 2}
             inverse = {"ifft": forward["fft"], "irfft": forward["rfft"]} if n_steps else {}
             assert rows == forward | inverse
+
+    @pytest.mark.parametrize(
+        "field, convert, exact",
+        [
+            pytest.param("f", lambda f: np.round(4 * f).astype(int), True, id="int-f"),
+            pytest.param("f", lambda f: f.astype(np.float32), False, id="float32-f"),
+            pytest.param("a", lambda a: a.astype(np.complex64), False, id="complex64-a"),
+            pytest.param("a", lambda a: a.real.copy(), True, id="real-a"),
+            pytest.param("a", np.asfortranarray, True, id="fortran-a"),
+            pytest.param("f", lambda f: np.repeat(f, 2, axis=-1)[:, ::2], True, id="strided-f"),
+        ],
+    )
+    def test_state_dtypes_and_layouts(self, smooth_state, field, convert, exact):
+        # The state check admits any real f and any a of shape (2, n_x); the
+        # march reads a as complex128 and f as float64, so a state in another
+        # dtype or layout runs, and one that casts without rounding gives the
+        # bits of the same state cast up front.
+        state = dataclasses.replace(smooth_state, **{field: convert(getattr(smooth_state, field))})
+        cast = dataclasses.replace(state, a=np.ascontiguousarray(state.a, complex), f=np.ascontiguousarray(state.f, float))
+        dt = state.grid.dx / 2
+        config = SolverConfig(grid=state.grid, dt=dt, t_end=20 * dt, diagnostics_every=3)
+        results = [(solver.run(config, s, return_final=True), solver.strang_step(s, dt)) for s in (state, cast)]
+        ((series, final), step), ((series_cast, final_cast), step_cast) = results
+        rows, rows_cast = np.column_stack(dataclasses.astuple(series)), np.column_stack(dataclasses.astuple(series_cast))
+        assert rows.shape == (8, 5) and np.isfinite(rows).all()
+        assert final.a.dtype == step.a.dtype == complex and final.f.dtype == step.f.dtype == float
+        if exact:
+            assert np.array_equal(rows, rows_cast)
+            for x, y in ((final, final_cast), (step, step_cast)):
+                assert np.array_equal(x.a, y.a) and np.array_equal(x.f, y.f)
 
     @pytest.mark.parametrize("every", [1, 3, 16])
     def test_linear_budget(self, smooth_state, monkeypatch, every):
@@ -1012,6 +1054,30 @@ class TestRun:
         calls.clear()
         solver.strang_step(smooth_state, dt)
         assert calls == [0, 0]
+
+
+@pytest.mark.parametrize("n", [2, 16, 1024, 4096])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["1-D", "2-rows"])
+def test_pocketfft_binding_matches_scipy_fft(n, lead):
+    # The march calls SciPy's private binding with the arguments scipy.fft
+    # passes it.  A release that changes the binding's signature or its
+    # norm codes fails here, bit for bit, before the solver's tests do.
+    binding = solver._pocketfft()
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((*lead, n)) + 1j * rng.standard_normal((*lead, n))
+    real, half = x.real.copy(), x[..., : n // 2 + 1].copy()
+
+    def same_bits(got, want):
+        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    assert same_bits(binding.c2c(x, (-1,), True, 0, None, 1), scipy.fft.fft(x))
+    assert same_bits(binding.c2c(x, (-1,), False, 2, None, 1), scipy.fft.ifft(x))
+    assert same_bits(binding.r2c(real, (-1,), True, 0, None, 1), scipy.fft.rfft(real))
+    assert same_bits(binding.c2r(half, (-1,), n, False, 2, None, 1), scipy.fft.irfft(half, n=n))
+    for forward, inorm, transform in ((True, 0, scipy.fft.fft), (False, 2, scipy.fft.ifft)):
+        held = x.copy()
+        binding.c2c(held, (-1,), forward, inorm, held, 1)
+        assert same_bits(held, transform(x))
 
 
 class TestSnapshot:
