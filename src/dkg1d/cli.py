@@ -17,7 +17,9 @@ argparse's errors (a missing, unknown or malformed option, a bad choice),
 input a subcommand rejects, an ``--out`` it cannot open and memory the
 host will not allocate alike.  A negative number in exponent notation
 needs the ``=`` form (``--s=-1e-3``), since argparse reads ``-1e-3`` as an
-option.  ``counterexample`` and ``solve`` open their outputs once their
+option.  ``region-grid`` refuses more than 2 * 10**6 points (``--ns``
+times ``--nr``), a cap on run time, before it opens ``--out``.
+``counterexample`` and ``solve`` open their outputs once their
 input is checked and before they compute, so an unwritable path is
 reported at once; a ``solve`` whose T / dt is not finite or not below 2**53
 (exit code 2) or that records a non-finite row, t = 0 included (exit code
@@ -42,6 +44,7 @@ from . import regions, solver, spinor, weights
 IDENTITY_TOL = 1e-14
 NULL_FORM_TOL = 1e-12
 SLOPE_TOL = 0.15
+_MAX_GRID_POINTS = 2 * 10**6  # about 9 s and 69 MB of region-grid CSV on a 2-core x86-64 host
 _EXPONENT_COLUMNS = cx.ExponentTuple._fields
 
 
@@ -160,6 +163,8 @@ def _cmd_region_grid(args) -> int:
     _require_finite(args, "s-min", "s-max", "r-max")
     if min(args.ns, args.nr) < 1:
         raise ValueError("--ns and --nr must be at least 1")
+    if args.ns * args.nr > _MAX_GRID_POINTS:
+        raise ValueError(f"--ns * --nr must be at most {_MAX_GRID_POINTS} (a cap on run time)")
     s_values = np.linspace(args.s_min, args.s_max, args.ns)
     r_values = args.r_max * (np.arange(args.nr) + 1) / args.nr  # half-open (0, r_max]
     violations = 0

@@ -214,22 +214,8 @@ def weighted_norm(u_hat: GridFunction2D, idx: NormIndex) -> float:
     if not np.all(np.isfinite(u_hat.values)):
         raise ValueError("weighted_norm: non-finite values in input")
     grid = u_hat.grid
-    return float(
-        point_norm(u_hat.values, grid.tau[:, None], grid.xi[None, :], idx, grid.cell_fourier)
-    )
-
-
-def point_norm(values, tau, xi, idx: NormIndex, cell: float):
-    """``weighted_norm`` of Fourier-side data given only at lattice points.
-
-    ``values`` are the data at the distinct points (tau, xi) of a lattice
-    with cell area ``cell``; the data vanish everywhere else.  The points
-    span the axes of ``tau`` and ``xi`` broadcast together.  Exponents of
-    ``idx`` given as (k, 1) columns against 1-d points give k norms at once,
-    each equal to the norm of its row's exponents up to roundoff.
-    """
-    axes = tuple(range(-np.broadcast(tau, xi).ndim, 0))
-    return np.sqrt(np.sum((weight(idx, tau, xi) * np.abs(values)) ** 2, axis=axes) * cell)
+    weighted = weight(idx, grid.tau[:, None], grid.xi[None, :]) * np.abs(u_hat.values)
+    return float(np.sqrt(np.sum(weighted**2) * grid.cell_fourier))
 
 
 def indicator_product(counts, cell: float):

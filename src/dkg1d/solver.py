@@ -62,12 +62,12 @@ non-finite field value makes its row non-finite, so the row check is the
 only finiteness scan, and ``run`` silences NumPy's overflow and invalid-value
 warnings.
 
-The march calls ``_pocketfft()``, SciPy's binding under ``scipy.fft``,
+Every transform here, the march's and those of ``sobolev_norm`` and
+``rough_data``, calls ``_pocketfft()``, SciPy's binding under ``scipy.fft``,
 as ``scipy.fft`` would, without its per-call dispatch (more than a transform
-at n_x = 1024); it opens on ``a`` as complex128 and ``f`` as float64.  Like
-``scipy.fft`` elsewhere, the binding is imported on first use, so SciPy loads
-``scipy.fft`` (about 0.3 s) on the first transform and a process that never
-takes one does not pay for it.
+at n_x = 1024), on complex128 or float64 input.  The binding is imported on
+first use, so SciPy loads ``scipy.fft`` (about 0.3 s) on the first transform
+and a process that never takes one does not pay for it.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy
 
 from . import spinor
 from ._checks import count, finite_real
@@ -129,12 +128,12 @@ class GridSpec1D:
     @property
     def xi_fft(self) -> np.ndarray:
         """Dual modes in FFT storage order."""
-        return scipy.fft.fftfreq(self.n_x, d=self.dx) * 2 * np.pi
+        return np.fft.fftfreq(self.n_x, d=self.dx) * 2 * np.pi
 
     @property
     def xi_rfft(self) -> np.ndarray:
         """Nonnegative dual modes of a real FFT."""
-        return scipy.fft.rfftfreq(self.n_x, d=self.dx) * 2 * np.pi
+        return np.fft.rfftfreq(self.n_x, d=self.dx) * 2 * np.pi
 
 
 @dataclass
@@ -420,7 +419,8 @@ def sobolev_norm(values: np.ndarray, s: float, grid: GridSpec1D) -> float:
     values = np.asarray(values)
     if values.shape[-1] != grid.n_x:
         raise ValueError("last axis must match the grid")
-    hat = scipy.fft.fft(values, axis=-1)
+    # Real input stays real, as scipy.fft.fft passes it: the binding's real path gives other bits.
+    hat = _pocketfft().c2c(values.astype(np.result_type(values, float), copy=False), (-1,), True, 0, None, 1)
     return float(np.sqrt(np.vdot(hat * weight, hat).real))
 
 
@@ -446,7 +446,7 @@ def rough_data(s: float, seed: int, grid: GridSpec1D) -> np.ndarray:
     rng = np.random.default_rng(seed)
     phases = np.exp(2j * np.pi * rng.random((2, grid.n_x)))
     magnitude = (1.0 + np.abs(grid.xi_fft)) ** exponent
-    components = scipy.fft.ifft(magnitude * phases, axis=-1) / grid.dx
+    components = _pocketfft().c2c(magnitude * phases, (-1,), False, 2, None, 1) / grid.dx
     return components.T / sobolev_norm(components, s, grid)
 
 

@@ -407,6 +407,14 @@ class TestRegion:
         assert code == 2
         assert message in payload["error"]
 
+    def test_grid_above_cap_refused_before_out_opens(self, capsys, tmp_path):
+        # 10**10 points would take about 14 h and write about 335 GB.
+        out = tmp_path / "grid.csv"
+        code, payload = run_cli(capsys, "region-grid", "--ns", "100000", "--nr", "100000", "--out", str(out))
+        assert code == 2
+        assert payload == {"error": f"--ns * --nr must be at most {cli._MAX_GRID_POINTS} (a cap on run time)"}
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -528,6 +536,18 @@ class TestSolve:
         assert code == 2
         assert "not a finite step count" in payload["error"]
         assert out.read_text() == ""
+
+    def test_blow_up_reported_with_its_step(self, capsys, tmp_path):
+        # m**2 = 1e308 passes the mass check and the t = 0 energy reads 1.6e307;
+        # the next row, after the last step (3), overflows.
+        out, state_out = tmp_path / "diag.csv", tmp_path / "state.bin"
+        code, payload = run_cli(
+            capsys, "solve", "--n", "256", "--xbox", "16", "--m", "1e154", "--T", "0.1",
+            "--out", str(out), "--state-out", str(state_out),
+        )
+        assert code == 1
+        assert payload == {"error": "non-finite diagnostics row at step 3 (t = 0.09375)", "step": 3}
+        assert out.read_bytes() == state_out.read_bytes() == b""
 
     def test_rough_run(self, capsys, tmp_path):
         out = tmp_path / "diag.csv"

@@ -636,6 +636,17 @@ class TestWaveProductConstant:
         with pytest.raises(ValueError, match="decay"):
             cx.wave_product_constant(single_mode, single_mode, g)
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [pytest.param(((255,), (256,)), id="short-f"), pytest.param(((256,), (2, 256)), id="2d-g")],
+    )
+    def test_wrong_spectrum_shape_rejected(self, shapes):
+        g = cx.default_wave_grid(256)
+        f_hat, g_hat = (np.ones(shape, complex) for shape in shapes)
+        with pytest.raises(ValueError) as err:
+            cx.wave_product_constant(f_hat, g_hat, g)
+        assert str(err.value) == "spatial spectra must be 1d arrays on the grid's xi axis"
+
     def test_wide_time_box_rejected(self):
         # The guard's slack scales with the box: a tiny box that holds two crossings is refused too.
         for g in (norms.Grid2D(256, 256, 32.0, 32.0), norms.Grid2D(64, 64, 1e-13, 1e-13)):

@@ -211,11 +211,13 @@ class TestWeightedNorm:
 
 
 class TestPointNorm:
-    """Exponent columns give, row by row, one exponent at a time up to roundoff."""
+    """Exponent columns of ``weight`` give, row by row, the weights of one
+    exponent at a time up to roundoff, as ``ratio_ladder`` relies on."""
 
     # numpy evaluates ``array ** -1.0`` and ``** 0.5`` apart from its general
     # power, so those two exponents are in the list next to random ones.  The
-    # test name predates the roundoff bound; it is kept so that ids stay stable.
+    # class and test names predate the roundoff bound; they are kept so that
+    # ids stay stable.
     EXPONENTS = [-1.0, 0.5, 2.0, 1.0, 0.0, -0.0, -0.5, -2.0, 1.5]
     EXPONENTS += list(np.random.default_rng(11).uniform(-2, 2, 40))
 
@@ -225,18 +227,13 @@ class TestPointNorm:
         rng = np.random.default_rng(n)
         tau = rng.integers(-4 * n, 4 * n, n) * 0.5
         xi = rng.integers(-4 * n, 4 * n, n) * 0.25
-        values = rng.integers(1, 50, n) * 0.01
         a = np.array(self.EXPONENTS)
         alpha = a[::-1].copy()
-        batch = NormIndex(a[:, None], alpha[:, None], flavor)
-        weights = norms.weight(batch, tau, xi)
-        norm = norms.point_norm(values, tau, xi, batch, 0.125)
-        assert weights.shape == (a.size, n) and norm.shape == (a.size,)
+        weights = norms.weight(NormIndex(a[:, None], alpha[:, None], flavor), tau, xi)
+        assert weights.shape == (a.size, n)
         for k in range(a.size):
             idx = NormIndex(float(a[k]), float(alpha[k]), flavor)
             assert_array_max_ulp(weights[k], norms.weight(idx, tau, xi), maxulp=4)
-            one = norms.point_norm(values, tau, xi, idx, 0.125)
-            assert_allclose(norm[k], one, rtol=1e-15, err_msg=f"{a[k]}, {alpha[k]}")
 
 
 class TestBilinearConvolution:
@@ -312,6 +309,48 @@ class TestProductNorm:
         w_hat = GridFunction2D(g, conv.values / (2 * np.pi) ** 2, "fourier")
         via_conv = norms.weighted_norm(w_hat, idx)
         assert via_product == pytest.approx(via_conv, rel=1e-8)
+
+
+_G = Grid2D(8, 8, 1.0, 1.0)
+_PHYSICAL = GridFunction2D(_G, np.ones((8, 8), complex), "physical")
+_FOURIER = GridFunction2D(_G, np.ones((8, 8), complex), "fourier")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: GridFunction2D(_G, np.ones((8, 8)), "spectral"), "unknown side 'spectral'", id="side"),
+        pytest.param(lambda: norms.spatial_inverse(np.ones(5), 1.0), "spatial_inverse needs an even number of samples", id="odd-length"),
+        pytest.param(lambda: NormIndex(0.0, 0.0, "X"), "unknown flavor 'X'", id="flavor"),
+        pytest.param(
+            lambda: norms.weighted_norm(_PHYSICAL, NormIndex(0.0, 0.0, "H")),
+            "weighted_norm expects a fourier-side function",
+            id="weighted-norm-side",
+        ),
+        pytest.param(
+            lambda: norms.bilinear_convolution(_PHYSICAL, _FOURIER),
+            "bilinear_convolution expects fourier-side functions",
+            id="convolution-side",
+        ),
+        pytest.param(lambda: norms.bilinear_convolution(_FOURIER, _FOURIER, "fast"), "unknown method 'fast'", id="method"),
+        pytest.param(
+            lambda: norms.product_norm(_PHYSICAL, _FOURIER, NormIndex(0.0, 0.0, "H")),
+            "product_norm expects physical-side functions",
+            id="product-side",
+        ),
+        pytest.param(
+            lambda: norms.product_norm(
+                _PHYSICAL, GridFunction2D(Grid2D(8, 8, 2.0, 1.0), _PHYSICAL.values, "physical"), NormIndex(0.0, 0.0, "H")
+            ),
+            "product_norm: grid mismatch",
+            id="product-grids",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # Deterministic and bounded, so that the suite stays reproducible and fast.

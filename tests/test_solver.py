@@ -102,6 +102,24 @@ class TestGridSpec:
             GridSpec1D(8, extent)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # The extent is positive, but dx = 5e-324 / 2 underflows to 0.
+        pytest.param(lambda: GridSpec1D(2, 5e-324), "grid spacings must be finite and positive", id="dx-underflows"),
+        pytest.param(
+            lambda: solver.sobolev_norm(np.ones((2, 32)), 0.0, GridSpec1D(64, 16.0)),
+            "last axis must match the grid",
+            id="sobolev-axis",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestStateLayout:
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(DKGState)] == ["a", "f", "t", "M", "m", "grid"]
@@ -1059,7 +1077,7 @@ class TestRun:
 @pytest.mark.parametrize("n", [2, 16, 1024, 4096])
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["1-D", "2-rows"])
 def test_pocketfft_binding_matches_scipy_fft(n, lead):
-    # The march calls SciPy's private binding with the arguments scipy.fft
+    # The solver calls SciPy's private binding with the arguments scipy.fft
     # passes it.  A release that changes the binding's signature or its
     # norm codes fails here, bit for bit, before the solver's tests do.
     binding = solver._pocketfft()
@@ -1071,6 +1089,7 @@ def test_pocketfft_binding_matches_scipy_fft(n, lead):
         return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     assert same_bits(binding.c2c(x, (-1,), True, 0, None, 1), scipy.fft.fft(x))
+    assert same_bits(binding.c2c(real, (-1,), True, 0, None, 1), scipy.fft.fft(real))
     assert same_bits(binding.c2c(x, (-1,), False, 2, None, 1), scipy.fft.ifft(x))
     assert same_bits(binding.r2c(real, (-1,), True, 0, None, 1), scipy.fft.rfft(real))
     assert same_bits(binding.c2r(half, (-1,), n, False, 2, None, 1), scipy.fft.irfft(half, n=n))
