@@ -29,10 +29,7 @@ Weight families, with ``<y> = 1 + |y|``:
     X_minus  <xi>^a <tau - xi>^alpha
     H        <xi>^a <|tau| - |xi|>^alpha
 
-Transforms are called as ``scipy.fft.<name>`` after a plain ``import scipy``:
-SciPy then loads ``scipy.fft`` (about 0.3 s) on the first transform, so the
-counterexample ladders, which count lattice pairs without an FFT, never pay
-for it.
+Transforms are NumPy's (``numpy.fft``); this module imports no other FFT library.
 """
 
 from __future__ import annotations
@@ -42,11 +39,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-import scipy
 
 from ._checks import count, finite_real
-
-_WORKERS = 2
 
 Side = Literal["physical", "fourier"]
 Flavor = Literal["X_plus", "X_minus", "H"]
@@ -146,15 +140,14 @@ class GridFunction2D:
 
 def _centered(fftn, values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """``fftn`` over ``axes`` of samples stored centered, stored centered again."""
-    shifted = fftn(scipy.fft.ifftshift(values, axes=axes), axes=axes, workers=_WORKERS)
-    return scipy.fft.fftshift(shifted, axes=axes)
+    return np.fft.fftshift(fftn(np.fft.ifftshift(values, axes=axes), axes=axes), axes=axes)
 
 
 def transform(u: GridFunction2D) -> GridFunction2D:
     """Forward space-time transform (physical -> fourier), Riemann-sum scaled."""
     if u.side != "physical":
         raise ValueError("transform expects a physical-side function")
-    vals = _centered(scipy.fft.fftn, np.asarray(u.values, dtype=complex), (0, 1)) * u.grid.cell_physical
+    vals = _centered(np.fft.fftn, np.asarray(u.values, dtype=complex), (0, 1)) * u.grid.cell_physical
     return GridFunction2D(u.grid, vals, "fourier")
 
 
@@ -162,7 +155,7 @@ def inverse_transform(u_hat: GridFunction2D) -> GridFunction2D:
     """Inverse space-time transform (fourier -> physical)."""
     if u_hat.side != "fourier":
         raise ValueError("inverse_transform expects a fourier-side function")
-    vals = _centered(scipy.fft.ifftn, np.asarray(u_hat.values, dtype=complex), (0, 1)) / u_hat.grid.cell_physical
+    vals = _centered(np.fft.ifftn, np.asarray(u_hat.values, dtype=complex), (0, 1)) / u_hat.grid.cell_physical
     return GridFunction2D(u_hat.grid, vals, "physical")
 
 
@@ -173,7 +166,7 @@ def spatial_inverse(values: np.ndarray, extent: float) -> np.ndarray:
     if n % 2:
         raise ValueError("spatial_inverse needs an even number of samples")
     dx = extent / n
-    return _centered(scipy.fft.ifftn, values, (-1,)) / dx
+    return _centered(np.fft.ifftn, values, (-1,)) / dx
 
 
 @dataclass(frozen=True)
@@ -246,38 +239,25 @@ def bilinear_convolution(
     cell = grid.cell_fourier
 
     if method == "direct":
+        # out[k] = sum_p F[p] G[p - k + n/2], with G zero-padded by n/2 on each side
         Fv = np.asarray(F.values, dtype=complex)
-        Gv = np.asarray(G.values, dtype=complex)
-        out = np.zeros((nt, nx), dtype=complex)
-        # out[k] = sum_p F[p] G[p - k + n/2], with G zero outside its box
+        padded = np.pad(np.asarray(G.values, dtype=complex), ((nt // 2, nt // 2), (nx // 2, nx // 2)))
+        out = np.empty((nt, nx), dtype=complex)
         for kt in range(nt):
-            st = kt - nt // 2  # G row index = F row index - st
-            ft_lo, ft_hi = max(0, st), min(nt, nt + st)
-            gt_lo = ft_lo - st
             for kx in range(nx):
-                sx = kx - nx // 2
-                fx_lo, fx_hi = max(0, sx), min(nx, nx + sx)
-                gx_lo = fx_lo - sx
-                block = Fv[ft_lo:ft_hi, fx_lo:fx_hi] * Gv[
-                    gt_lo : gt_lo + (ft_hi - ft_lo), gx_lo : gx_lo + (fx_hi - fx_lo)
-                ]
-                out[kt, kx] = block.sum()
+                out[kt, kx] = (Fv * padded[nt - kt : 2 * nt - kt, nx - kx : 2 * nx - kx]).sum()
         return GridFunction2D(grid, out * cell, "fourier")
 
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
 
-    # out[k] = linear_conv(F, reverse(G))[k + n/2 - 1] per axis
-    mt = scipy.fft.next_fast_len(2 * nt - 1)
-    mx = scipy.fft.next_fast_len(2 * nx - 1)
-    Fb = scipy.fft.fft2(np.asarray(F.values, dtype=complex), s=(mt, mx), workers=_WORKERS)
-    Gb = scipy.fft.fft2(
-        np.asarray(G.values, dtype=complex)[::-1, ::-1], s=(mt, mx), workers=_WORKERS
-    )
-    full = scipy.fft.ifft2(Fb * Gb, workers=_WORKERS)
+    # out[k] = linear_conv(F, reverse(G))[k + n/2 - 1] per axis; its 2n - 1 points fit in length 2n
+    shape = (2 * nt, 2 * nx)
+    Fb = np.fft.fft2(np.asarray(F.values, dtype=complex), shape)
+    Gb = np.fft.fft2(np.asarray(G.values, dtype=complex)[::-1, ::-1], shape)
+    full = np.fft.ifft2(Fb * Gb)
     t0, x0 = nt // 2 - 1, nx // 2 - 1
-    out = full[t0 : t0 + nt, x0 : x0 + nx]
-    return GridFunction2D(grid, np.ascontiguousarray(out) * cell, "fourier")
+    return GridFunction2D(grid, full[t0 : t0 + nt, x0 : x0 + nx] * cell, "fourier")
 
 
 def product_norm(u: GridFunction2D, v: GridFunction2D, idx: NormIndex) -> float:

@@ -1,0 +1,162 @@
+"""Mutation check: each hand-written mutant of ``src/dkg1d`` must fail the tests named for it.
+
+Run from the repository root (pytest does not collect this file):
+
+    python tests/mutants.py
+
+Each entry of ``MUTANTS`` is (module under ``src/dkg1d``, exact old text, new
+text, test ids expected to catch it), and the old text must occur exactly
+once in its module.  The script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory and runs pytest there, with
+bytecode caching off so that a mutant of unchanged length cannot run stale
+bytecode.  The unmutated copy must pass every named test; then each mutant in
+turn is written into the copy and must fail its named tests (pytest exit code
+1).  The script prints one line per mutant and exits 1 if an old text is
+missing or repeated, the unmutated copy fails, or a mutant survives.
+
+Rules for later changes:
+
+* a refactor that moves a mutant's old text updates the entry in the same change;
+* no mutant is deleted to make the check pass;
+* a mutant that a refactor makes equivalent is replaced by one that is not,
+  and CHANGES.md says so.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = [
+    (
+        "solver.py",
+        "f_hat[1] += fft.r2c(kick,",
+        "f_hat[1] -= fft.r2c(kick,",
+        ["tests/test_solver.py::TestSystem::test_central_difference_matches_system"],
+    ),
+    (
+        "solver.py",
+        "rotated += (scale * tan * 2j) * a[::-1]",
+        "rotated -= (scale * tan * 2j) * a[::-1]",
+        ["tests/test_solver.py::TestCouplingFlow::test_awkward_angles"],
+    ),
+    (
+        "solver.py",
+        "return 2.0 * np.real(a[0] * np.conj(a[1]))",
+        "return 1.0 * np.real(a[0] * np.conj(a[1]))",
+        ["tests/test_solver.py::TestCouplingFlow::test_zero_field_kicks_phi_t"],
+    ),
+    (
+        "solver.py",
+        "tan = phi - M",
+        "tan = phi + M",
+        ["tests/test_solver.py::TestCouplingFlow::test_field_equal_to_mass_is_identity"],
+    ),
+    (
+        "solver.py",
+        "omega = np.sqrt(grid.xi_rfft**2 + m**2)",
+        "omega = np.sqrt(grid.xi_rfft**2 + 4 * m**2)",
+        ["tests/test_solver.py::TestKGFlow::test_energy_conserved"],
+    ),
+    (
+        "weights.py",
+        "return 1.5 * biggest - smallest",
+        "return 1.4 * biggest - smallest",
+        ["tests/test_weights.py::TestDominanceMargin::test_single_eta"],
+    ),
+    (
+        "weights.py",
+        "margin *= 1.5",
+        "margin *= 1.6",
+        ["tests/test_weights.py::TestChunkStats::test_equals_public_functions"],
+    ),
+    (
+        "regions.py",
+        '"s > -1/4": s > -0.25,',
+        '"s > -1/4": s >= -0.25,',
+        ["tests/test_regions.py::TestRegionMembership::test_violation_names_on_each_edge"],
+    ),
+    (
+        "regions.py",
+        '"r7": r <= 1 + 2 * s + 1 - rho - eps,',
+        '"r7": r <= 1 + 2 * s + 1 - rho,',
+        ["tests/test_regions.py::TestCheckConstraints::test_r7_counts_eps"],
+    ),
+    (
+        "spinor.py",
+        "return 0.5 * (psi + np.expand_dims(s, -1) * psi[..., ::-1])",
+        "return 0.5 * (psi - np.expand_dims(s, -1) * psi[..., ::-1])",
+        ["tests/test_spinor.py::TestDecompose::test_plus_range_vector"],
+    ),
+    (
+        "norms.py",
+        "padded[nt - kt : 2 * nt - kt, nx - kx : 2 * nx - kx]",
+        "padded[nt - kt - 1 : 2 * nt - kt - 1, nx - kx : 2 * nx - kx]",
+        [
+            "tests/test_norms.py::TestBilinearConvolution::test_single_cells",
+            "tests/test_norms.py::TestBilinearConvolution::test_fft_matches_direct",
+        ],
+    ),
+    (
+        "norms.py",
+        "t0, x0 = nt // 2 - 1, nx // 2 - 1",
+        "t0, x0 = nt // 2, nx // 2 - 1",
+        [
+            "tests/test_norms.py::TestBilinearConvolution::test_single_cells",
+            "tests/test_norms.py::TestBilinearConvolution::test_fft_matches_direct",
+        ],
+    ),
+]
+
+
+def run_tests(copy: Path, ids: list[str]) -> int:
+    """pytest's exit code for ``ids`` in ``copy``, stopping at the first failure."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *ids]
+    return subprocess.run(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    failures = 0
+    for module, old, new, _ in MUTANTS:
+        found = (ROOT / "src" / "dkg1d" / module).read_text().count(old)
+        if found != 1:
+            print(f"{module}: old text {old!r} occurs {found} times, not once")
+            failures += 1
+    if failures:
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        ids = sorted({test for *_, tests in MUTANTS for test in tests})
+        start = time.perf_counter()
+        if run_tests(copy, ids) != 0:
+            print("the unmutated copy fails the named tests")
+            return 1
+        print(f"unmutated copy passes {len(ids)} test ids ({time.perf_counter() - start:.1f} s)")
+        for module, old, new, tests in MUTANTS:
+            path = copy / "src" / "dkg1d" / module
+            original = path.read_text()
+            path.write_text(original.replace(old, new))
+            start = time.perf_counter()
+            code = run_tests(copy, tests)
+            path.write_text(original)
+            verdict = "caught" if code == 1 else f"SURVIVED (pytest exit {code})"
+            print(f"{verdict}: {module}: {old!r} -> {new!r} ({time.perf_counter() - start:.1f} s)")
+            failures += code != 1
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants caught")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dkg1d import cli, spinor, weights
+from dkg1d import cli, regions, spinor, weights
 from dkg1d import counterexamples as cx
 
 
@@ -128,7 +128,7 @@ import dkg1d
 for info in pkgutil.iter_modules(dkg1d.__path__):
     importlib.import_module("dkg1d." + info.name)
 assert "dkg1d.cli" in sys.modules
-assert "scipy.fft" not in sys.modules and "scipy.special" not in sys.modules
+assert "scipy" not in sys.modules
 from dkg1d import solver
 grid = solver.GridSpec1D(16, 2.0)
 state = solver.init_state(np.ones((16, 2)), np.zeros(16), np.zeros(16), 1.0, 1.0, grid)
@@ -139,7 +139,8 @@ assert "scipy.fft" in sys.modules
 
 def test_startup_defers_scipy_fft():
     # Importing scipy.fft takes about 0.3 s, so only a process that takes a
-    # transform loads it; verify, region, counterexample and fit start without it.
+    # solver transform loads it; importing every module loads no SciPy at all,
+    # so verify, region, counterexample and fit start without it.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     result = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -387,6 +388,19 @@ class TestRegion:
             if r["wellposed"] == "1" and r["pecher"] == "0" and r["machihara"] == "0"
         ]
         assert gained
+
+    def test_grid_containment_violation_exits_one(self, capsys, tmp_path, monkeypatch):
+        # Pecher's region made to accept (-0.3, 0.75), which s > -1/4 excludes
+        # from the certified region: one point of the 2 x 2 grid.
+        pecher = regions.in_pecher_region
+        monkeypatch.setattr(regions, "in_pecher_region", lambda s, r: (s, r) == (-0.3, 0.75) or pecher(s, r))
+        out = tmp_path / "grid.csv"
+        code, payload = run_cli(capsys, "region-grid", "--out", str(out), "--ns", "2", "--nr", "2")
+        assert code == 1
+        assert payload["containment_violations"] == 1
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["s"], r["r"]) for r in rows if r["pecher"] == "1" and r["wellposed"] == "0"] == [("-0.3", "0.75")]
 
     def test_grid_unwritable_out_reported(self, capsys, tmp_path):
         out = tmp_path / "missing" / "grid.csv"

@@ -64,6 +64,26 @@ class TestRegionMembership:
         assert regions.region_violations(-0.3, -1.0) == ("s > -1/4", "r > 0", "|s| <= r")
         assert regions.region_violations(0.0, 0.5) == ()
 
+    @pytest.mark.parametrize(
+        "s, r, names",
+        [
+            # s > -1/4 and r > 0 are strict: their edges fail them.
+            (-0.25, 0.5, ("s > -1/4",)),
+            (-0.25, 0.25, ("s > -1/4",)),
+            (-0.25, 0.75, ("s > -1/4",)),
+            (0.0, 0.0, ("r > 0",)),
+            # |s| <= r and r <= 1+s are not: their edges hold, and a step past fails.
+            (0.3, 0.3, ()),
+            (-0.2, 0.2, ()),
+            (0.3, 0.25, ("|s| <= r",)),
+            (0.5, 1.5, ()),
+            (0.5, 1.625, ("r <= 1+s",)),
+        ],
+    )
+    def test_violation_names_on_each_edge(self, s, r, names):
+        assert regions.region_violations(s, r) == names
+        assert regions.in_wellposed_region(s, r) == (names == ())
+
     def test_prior_regions_contained(self):
         s_values, r_values = region_grid()
         for s in s_values:
@@ -119,6 +139,10 @@ class TestCheckConstraints:
     def test_sigma_cap(self):
         report = regions.check_constraints(0.0, 0.5, ParameterChoice(1.0, 9 / 16, 1 / 16))
         assert not report["sigma1"]
+
+    def test_r7_counts_eps(self):
+        # r <= 2 + 2s - rho - eps: 1.2 <= 1.15 fails, while without eps 1.2 <= 1.25 would hold.
+        assert regions.check_constraints(0, 1.2, ParameterChoice(0.75, 0.75, 0.1))["r7"] is False
 
     def test_s2_unreachable_below_quarter(self):
         # For s < -1/4 the spinor constraint fails for every rho > 1/2, eps > 0.
