@@ -69,17 +69,17 @@ def region_violations(s: float, r: float) -> tuple[str, ...]:
 
 def in_wellposed_region(s: float, r: float) -> bool:
     """s > -1/4, r > 0, |s| <= r <= 1+s (strict/non-strict exactly as written)."""
-    return s > -0.25 and r > 0 and abs(s) <= r <= 1 + s
+    return bool(s > -0.25 and r > 0 and abs(s) <= r <= 1 + s)
 
 
 def in_pecher_region(s: float, r: float) -> bool:
     """s > -1/4, r > 0, |s| <= r, r < 1+2s, r <= 1+s: the certified region cut by r < 1+2s."""
-    return in_wellposed_region(s, r) and r < 1 + 2 * s
+    return bool(in_wellposed_region(s, r) and r < 1 + 2 * s)
 
 
 def in_machihara_region(s: float, r: float) -> bool:
     """-1/4 < s <= 0, 2|s| <= r, r <= 1+2s."""
-    return -0.25 < s <= 0 and 2 * abs(s) <= r and r <= 1 + 2 * s
+    return bool(-0.25 < s <= 0 and 2 * abs(s) <= r and r <= 1 + 2 * s)
 
 
 def check_constraints(s: float, r: float, choice: ParameterChoice) -> dict[str, bool]:

@@ -44,9 +44,11 @@ of (phi, phi_t), between steps, where the closing linear(dt/2) of one step
 and the opening one of the next fuse into one linear(dt): linear runs once
 a step.  A step costs one inverse FFT of the amplitudes and one inverse
 real FFT of phi, for the pointwise coupling, then one real FFT of the kick
-to phi_t and one FFT of the rotated amplitudes.  The coupling takes the
-cosine and sine of its angle from one ``tan`` of the half angle, since
-NumPy's float64 ``tan`` has a SIMD loop and its ``cos`` and ``sin`` do not.
+to phi_t and one FFT of the rotated amplitudes; the half-wave phases carry
+the amplitudes' inverse FFT's 1/n_x, so no pass of its own scales them.
+The coupling takes the cosine and sine of its angle from one ``tan`` of
+the half angle, since NumPy's float64 ``tan`` has a SIMD loop and its
+``cos`` and ``sin`` do not.
 
 A diagnostics row reads the spectra the march holds, still owed the
 closing linear(dt/2), with no transform: it applies the Klein-Gordon half
@@ -263,12 +265,15 @@ def _kg(grid: GridSpec1D, m: float, h: float) -> np.ndarray:
 @functools.lru_cache(maxsize=2)
 def _linear_table(grid: GridSpec1D, m: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode tables of linear(h) for h = dt/2 and h = dt, cached and
-    read-only: the half-wave phases of (a_+, a_-), shape (2, 2, n_x), and
-    the Klein-Gordon matrices ``_kg``, shape (2, 2, 2, n_x // 2 + 1), stored
-    complex so that applying them to f_hat casts nothing (the same bits)."""
+    read-only: the half-wave phases of (a_+, a_-), shape (2, 2, n_x),
+    divided by n_x for the unscaled inverse FFT that follows them (exact,
+    as n_x is a power of two), and the Klein-Gordon matrices ``_kg``, shape
+    (2, 2, 2, n_x // 2 + 1), stored complex so that applying them to f_hat
+    casts nothing (the same bits)."""
     xi = np.stack((grid.xi_fft, -grid.xi_fft))
     steps = (dt / 2, dt)
-    tables = np.array([np.exp(-1j * xi * h) for h in steps]), np.array([_kg(grid, m, h) for h in steps], dtype=complex)
+    phases = np.array([np.exp(-1j * xi * h) / grid.n_x for h in steps])
+    tables = phases, np.array([_kg(grid, m, h) for h in steps], dtype=complex)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -284,7 +289,7 @@ def _kg_flow(kg: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
 
 def _linear(table: tuple, j: int, a_hat: np.ndarray, f_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """linear(h) of the spectra (a_hat, f_hat), with h = (dt/2, dt)[j] of
-    ``table``: a_hat multiplied in place, and a new f_hat."""
+    ``table``: a_hat multiplied in place (and divided by n_x), and a new f_hat."""
     a_hat *= table[0][j]
     return a_hat, _kg_flow(table[1][j], f_hat)
 
@@ -294,20 +299,23 @@ def _coupling(a: np.ndarray, phi: np.ndarray, M: float, h: float) -> tuple[np.nd
     the kick h <beta psi, psi> to phi_t.
 
     cos(theta) and sin(theta) come from one tangent of the half angle,
-    t = tan(theta / 2): cos = (1 - t^2) / (1 + t^2) and sin = 2 t / (1 + t^2).
+    t = tan(theta / 2): cos = (1 - t^2) / d and sin = 2 t / d, d = 1 + t^2.
     Their squares sum to 1 for every t, so the rotation stays unitary to
     roundoff, and NumPy's float64 ``tan`` has a SIMD loop (AVX-512) where
     its ``cos`` and ``sin`` are scalar."""
     tan = phi - M
     tan *= h / 2
     tan = np.tan(tan, out=tan)
-    square = tan * tan
-    scale = 1.0 / (1.0 + square)
+    d = tan * tan
+    cos = 1.0 - d
+    d += 1.0
+    cos /= d
+    tan /= d
     kick = _density(a)  # invariant under the rotation below
     kick *= h
     # beta swaps the ranges: a_+- <- cos(theta) a_+- + i sin(theta) a_-+.
-    rotated = (1.0 - square) * scale * a
-    rotated += (scale * tan * 2j) * a[::-1]
+    rotated = cos * a
+    rotated += (tan * 2j) * a[::-1]
     return rotated, kick
 
 
@@ -342,7 +350,7 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
     table = _linear_table(state.grid, state.m, dt)
     a_hat, f_hat = _linear(table, 0, a_hat, f_hat)
     for k in range(1, n_steps + 1):
-        a = fft.c2c(a_hat, (-1,), False, 2, a_hat, 1)
+        a = fft.c2c(a_hat, (-1,), False, 0, a_hat, 1)
         a, kick = _coupling(a, fft.c2r(f_hat[0], (-1,), n, False, 2, None, 1), M, dt)
         f_hat[1] += fft.r2c(kick, (-1,), True, 0, None, 1)
         a_hat = fft.c2c(a, (-1,), True, 0, a, 1)
@@ -358,7 +366,7 @@ def _materialise(state: DKGState, dt: float, t: float, a_hat: np.ndarray, f_hat:
     step: the closing linear(dt/2), then an inverse FFT and an inverse real FFT."""
     a_hat, f_hat = _linear(_linear_table(state.grid, state.m, dt), 0, a_hat, f_hat)
     fft = _pocketfft()
-    a = fft.c2c(a_hat, (-1,), False, 2, a_hat, 1)
+    a = fft.c2c(a_hat, (-1,), False, 0, a_hat, 1)
     return replace(state, a=a, f=fft.c2r(f_hat, (-1,), state.grid.n_x, False, 2, None, 1), t=t)
 
 

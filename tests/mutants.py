@@ -43,8 +43,8 @@ MUTANTS = [
     ),
     (
         "solver.py",
-        "rotated += (scale * tan * 2j) * a[::-1]",
-        "rotated -= (scale * tan * 2j) * a[::-1]",
+        "rotated += (tan * 2j) * a[::-1]",
+        "rotated -= (tan * 2j) * a[::-1]",
         ["tests/test_solver.py::TestCouplingFlow::test_awkward_angles"],
     ),
     (
@@ -64,6 +64,15 @@ MUTANTS = [
         "omega = np.sqrt(grid.xi_rfft**2 + m**2)",
         "omega = np.sqrt(grid.xi_rfft**2 + 4 * m**2)",
         ["tests/test_solver.py::TestKGFlow::test_energy_conserved"],
+    ),
+    (
+        "solver.py",
+        "np.exp(-1j * xi * h) / grid.n_x",
+        "np.exp(-1j * xi * h)",
+        [
+            "tests/test_solver.py::TestPropagatorCache::test_half_step_tables_compose_to_the_full_step",
+            "tests/test_solver.py::TestStep::test_charge_conservation_long_run",
+        ],
     ),
     (
         "weights.py",
@@ -112,6 +121,54 @@ MUTANTS = [
             "tests/test_norms.py::TestBilinearConvolution::test_single_cells",
             "tests/test_norms.py::TestBilinearConvolution::test_fft_matches_direct",
         ],
+    ),
+    (
+        "_checks.py",
+        "return real and math.isfinite(value)",
+        "return real",
+        ["tests/test_checks.py::test_predicates", "tests/test_checks.py::test_finite_real_on_floats"],
+    ),
+    (
+        "_checks.py",
+        "1 <= n_samples <= cap",
+        "0 <= n_samples <= cap",
+        ["tests/test_checks.py::test_sample_count_admits_one_to_cap"],
+    ),
+    (
+        "cli.py",
+        "return 0 if violations == 0 else 1",
+        "return 0",
+        ["tests/test_cli.py::TestRegion::test_grid_containment_violation_exits_one"],
+    ),
+    (
+        "cli.py",
+        "r_values = args.r_max * (np.arange(args.nr) + 1) / args.nr",
+        "r_values = args.r_max * np.arange(args.nr) / args.nr",
+        ["tests/test_cli.py::TestRegion::test_grid_sweep"],
+    ),
+    (
+        "cli.py",
+        '"pass": abs(slope + delta) <= args.tolerance,',
+        '"pass": abs(slope - delta) <= args.tolerance,',
+        ["tests/test_cli.py::TestCounterexampleAndFit::test_ladder_csv_then_fit"],
+    ),
+    (
+        "counterexamples.py",
+        '("a", "c")',
+        '("a", "b")',
+        ["tests/test_counterexamples.py::TestFitExponent::test_predicted_delta_formulas"],
+    ),
+    (
+        "counterexamples.py",
+        "odd = np.maximum(((hi - 1) >> 1) - (lo >> 1) + 1, 0)",
+        "odd = np.maximum(((hi - 1) >> 1) - (lo >> 1), 0)",
+        ["tests/test_counterexamples.py::TestPairCounts::test_matches_point_pairs"],
+    ),
+    (
+        "counterexamples.py",
+        "return sxy / sxx, r_squared",
+        "return sxy / syy, r_squared",
+        ["tests/test_counterexamples.py::TestFitExponent::test_loglog_fit_matches_polyfit"],
     ),
 ]
 

@@ -382,6 +382,8 @@ class TestRegion:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1600
+        r_values = sorted({float(row["r"]) for row in rows})
+        assert len(r_values) == 40 and r_values[0] > 0 and r_values[-1] == 1.5  # half-open (0, r_max]
         gained = [
             r
             for r in rows

@@ -84,6 +84,21 @@ class TestRegionMembership:
         assert regions.region_violations(s, r) == names
         assert regions.in_wellposed_region(s, r) == (names == ())
 
+    @pytest.mark.parametrize(
+        "predicate", [regions.in_wellposed_region, regions.in_pecher_region, regions.in_machihara_region]
+    )
+    def test_numpy_scalars_give_python_bools(self, predicate):
+        # region-grid passes np.linspace values.  Points on and just off each
+        # edge: s = -1/4, r = 0, r = |s|, r = 1+s, r = 1+2s, s = 0, r = 2|s|.
+        points = [
+            (-0.25, 0.5), (-0.125, 0.5), (0.0, 0.0), (0.0, 0.25), (0.25, 0.25), (0.25, 0.125),
+            (0.5, 1.5), (0.5, 1.625), (-0.125, 0.75), (-0.125, 0.625), (0.0, 1.0), (0.125, 0.5),
+            (-0.125, 0.25), (-0.125, 0.125),
+        ]
+        for s, r in points:
+            got = predicate(np.float64(s), np.float64(r))
+            assert type(got) is bool and got == predicate(s, r)
+
     def test_prior_regions_contained(self):
         s_values, r_values = region_grid()
         for s in s_values:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import struct
 import tracemalloc
@@ -355,10 +356,12 @@ class TestPropagatorCache:
         assert retained < 2**21
 
     def test_half_step_tables_compose_to_the_full_step(self, grid):
-        # The march fuses linear(dt/2) o linear(dt/2) into linear(dt).
+        # The march fuses linear(dt/2) o linear(dt/2) into linear(dt).  The
+        # phases carry the inverse FFT's 1/n_x, an exact power-of-two scaling.
         dt = 0.3 * grid.dx
         phases, kg = solver._linear_table(grid, 1.0, dt)
-        assert_allclose(phases[0] ** 2, phases[1], rtol=0, atol=1e-15)
+        n = grid.n_x
+        assert_allclose((n * phases[0]) ** 2, n * phases[1], rtol=0, atol=1e-15)
         twice = np.einsum("ijb,jkb->ikb", kg[0], kg[0])
         assert_allclose(twice, kg[1], rtol=1e-14, atol=1e-15)
 
@@ -1091,9 +1094,12 @@ def test_pocketfft_binding_matches_scipy_fft(n, lead):
     assert same_bits(binding.c2c(x, (-1,), True, 0, None, 1), scipy.fft.fft(x))
     assert same_bits(binding.c2c(real, (-1,), True, 0, None, 1), scipy.fft.fft(real))
     assert same_bits(binding.c2c(x, (-1,), False, 2, None, 1), scipy.fft.ifft(x))
+    # The march's inverse FFT of the amplitudes is unscaled (inorm 0).
+    unscaled_ifft = functools.partial(scipy.fft.ifft, norm="forward")
+    assert same_bits(binding.c2c(x, (-1,), False, 0, None, 1), unscaled_ifft(x))
     assert same_bits(binding.r2c(real, (-1,), True, 0, None, 1), scipy.fft.rfft(real))
     assert same_bits(binding.c2r(half, (-1,), n, False, 2, None, 1), scipy.fft.irfft(half, n=n))
-    for forward, inorm, transform in ((True, 0, scipy.fft.fft), (False, 2, scipy.fft.ifft)):
+    for forward, inorm, transform in ((True, 0, scipy.fft.fft), (False, 2, scipy.fft.ifft), (False, 0, unscaled_ifft)):
         held = x.copy()
         binding.c2c(held, (-1,), forward, inorm, held, 1)
         assert same_bits(held, transform(x))
