@@ -41,10 +41,11 @@ O(1) columns at every L.  Every ratio therefore follows from column
 ranges and the strips' lattice points, with no grid, no FFT and no
 periodic wrap to guard against.  A ladder streams all of its scales through
 one sequence of blocks: the di rows (L, di) of every scale's offset grid,
-and the columns (L, j) of every scale's strips, fill blocks of at most
-``_BLOCK`` in ladder order, and each norm adds, per scale, the sum of
-squares over that scale's stretch of a block.  So a short ladder costs one
-pass per norm, not one per L, and memory stays O(block x tuples) at every L.
+and the columns (L, j) of every scale's strips, are taken in ladder order
+and cut into consecutive blocks of ``_BLOCK``, and each norm adds, per
+scale, the sum of squares over that scale's stretch of a block.  So a short
+ladder costs one pass per norm, not one per L, and memory stays
+O(block x tuples) at every L.
 
 The X+ x X- -> L2 embedding is the tuple (0, 0, 0, alpha, alpha, 0), where
 cond2's delta = alpha - 1/2 shows it fails below alpha = 1/2.  Also here:
@@ -85,9 +86,9 @@ _MAX_L = 2.0**48
 # x86 host; the other four families stay below 4000 cells at every L.
 _MAX_WORK_CELLS = 2**26
 # di rows of the offset grids, or columns of the strips, per streamed block.
-# Blocks span scales: a scale is split only when it alone has more rows or
-# columns than a block, so a ladder up to L = 256 is one block per norm
-# (cond2 on L = 32, ..., 256 has 1220 rows and 1924 v-strip columns).
+# Blocks are consecutive cuts of the ladder's rows, so they span scales, and
+# a ladder up to L = 256 is one block per norm (cond2 on L = 32, ..., 256
+# has 1220 rows and 1924 v-strip columns).
 _BLOCK = 2**11
 
 
@@ -237,17 +238,12 @@ def _offset_grid(columns: tuple[int, int, int, int], v_line: str) -> tuple[int, 
 
 
 def _blocks(firsts, sizes) -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
-    """Rows firsts[k], ..., firsts[k] + sizes[k] - 1 of each scale k, packed
-    in ladder order into blocks of at most ``_BLOCK`` rows.  Yields each
-    block's rows and its segments (k, start, stop): the block's rows start
-    to stop - 1 are scale k's.  A scale that fits in a block but not in the
-    room left starts the next block, so only a scale with more than
-    ``_BLOCK`` rows of its own is split."""
+    """Rows firsts[k], ..., firsts[k] + sizes[k] - 1 of each scale k, in
+    ladder order, cut into consecutive blocks of ``_BLOCK`` rows, the last
+    of them possibly shorter.  Yields each block's rows and its segments
+    (k, start, stop): the block's rows start to stop - 1 are scale k's."""
     rows, segments, room = [], [], _BLOCK
     for k, (first, size) in enumerate(zip(firsts, sizes)):
-        if room < size <= _BLOCK:
-            yield np.concatenate(rows), segments
-            rows, segments, room = [], [], _BLOCK
         done = 0
         while done < size:
             take, at = min(room, size - done), _BLOCK - room
@@ -267,7 +263,7 @@ def _ladder_counts(columns, v_line: str) -> Iterator[tuple[np.ndarray, np.ndarra
     ladder in shared blocks.
 
     ``columns[k]`` is (u_lo, u_hi, v_lo, v_hi), the strip columns of scale k.
-    The di rows of all offset grids fill blocks as ``_blocks`` packs them.
+    The di rows of all offset grids fill blocks as ``_blocks`` cuts them.
     Each block yields the grid of ``_count_rows`` over its rows, zero counts
     included, and its segments; a scale's rows over its blocks are in
     lexicographic order.  The counts follow from column ranges and the
@@ -370,9 +366,9 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     exponents, so they are computed once per L, and the three norms of all
     tuples are weighed in one pass over the lattice points of the whole
     ladder.  That pass is streamed in blocks that span scales: the offset
-    rows (L, di) of every scale, or the strip columns (L, j), fill each block
-    in ladder order, and the block adds, per tuple and per L, the sum of
-    squared weighted values over that L's stretch of it.  Memory is
+    rows (L, di) of every scale, or the strip columns (L, j), are cut in
+    ladder order into blocks, and each block adds, per tuple and per L, the
+    sum of squared weighted values over that L's stretch of it.  Memory is
     O(block x tuples) whatever L is, and a ladder up to L = 256 is one
     block per norm.
 

@@ -58,13 +58,8 @@ class Infeasible:
 
 def region_violations(s: float, r: float) -> tuple[str, ...]:
     """Names of the certified-region inequalities failed by (s, r)."""
-    checks = {
-        "s > -1/4": s > -0.25,
-        "r > 0": r > 0,
-        "|s| <= r": abs(s) <= r,
-        "r <= 1+s": r <= 1 + s,
-    }
-    return tuple(name for name in WELLPOSED_INEQUALITIES if not checks[name])
+    holds = (s > -0.25, r > 0, abs(s) <= r, r <= 1 + s)
+    return tuple(name for name, ok in zip(WELLPOSED_INEQUALITIES, holds) if not ok)
 
 
 def in_wellposed_region(s: float, r: float) -> bool:

@@ -24,11 +24,11 @@ the sign of xi.
 
 All functions are vectorized over numpy arrays.  ``sample_margins`` builds the
 weights once per chunk; the three margin functions are its tested reference.
-It sweeps its sample stream as two halves on two threads, the caller's and one
-worker's, each half drawing from its own generator: a copy of the seed's
-generator advanced by 4 draws per sample before the half.  Memory is O(two
-chunks), and each seed gives the same statistics bit for bit as one serial
-stream.
+Every sweep runs its sample stream as two halves on two threads, the caller's
+and one worker's, each half drawing from its own generator: a copy of the
+seed's generator advanced by 4 draws per sample before the half.  Memory is
+O(two chunks), and each seed gives the same statistics bit for bit as one
+serial stream.
 """
 
 from __future__ import annotations
@@ -206,9 +206,9 @@ def sample_margins(n_samples: int, seed: int = 0, box: float = 1e3) -> dict[str,
     sample before it (``uniform`` takes one 64-bit output per double).  Memory
     is O(two chunks), one per thread.  The statistics are folded by min and
     max, which do not depend on order, so the result is that of one serial
-    stream bit for bit.  A sweep of one chunk runs inline and starts no
-    thread.  An error in either half stops the other at its next chunk and is
-    raised here.
+    stream bit for bit.  A sweep of one chunk leaves the worker an empty
+    half, which gives no statistics.  An error in either half stops the other
+    at its next chunk and is raised here.
 
     One pass per chunk builds the weights once and matches
     ``dominance_margin``, ``sum_bound_margin`` and ``sign_split_residual``
@@ -228,8 +228,6 @@ def sample_margins(n_samples: int, seed: int = 0, box: float = 1e3) -> dict[str,
     first, second = _halves(n_samples)
     rng = np.random.default_rng(seed)
     stop = threading.Event()
-    if not second:
-        return {"samples": int(n_samples), **_sweep(first, rng, box, stop)}
     # Imported here: concurrent.futures (with logging) adds about 8 ms to start-up.
     from concurrent.futures import ThreadPoolExecutor
 

@@ -88,9 +88,27 @@ MUTANTS = [
     ),
     (
         "regions.py",
-        '"s > -1/4": s > -0.25,',
-        '"s > -1/4": s >= -0.25,',
+        "holds = (s > -0.25,",
+        "holds = (s >= -0.25,",
         ["tests/test_regions.py::TestRegionMembership::test_violation_names_on_each_edge"],
+    ),
+    (
+        "regions.py",
+        "r < 1 + 2 * s)",
+        "r <= 1 + 2 * s)",
+        ["tests/test_regions.py::TestRegionMembership::test_pecher_edge_is_open"],
+    ),
+    (
+        "regions.py",
+        '"r3": r < 0.5 + sigma + 2 * s,',
+        '"r3": r <= 0.5 + sigma + 2 * s,',
+        ["tests/test_regions.py::TestCheckConstraints::test_r3_is_strict"],
+    ),
+    (
+        "regions.py",
+        '"s3": s >= -1 + rho + eps,',
+        '"s3": s > -1 + rho + eps,',
+        ["tests/test_regions.py::TestCheckConstraints::test_s3_edge_holds"],
     ),
     (
         "regions.py",
@@ -153,6 +171,12 @@ MUTANTS = [
         ["tests/test_cli.py::TestCounterexampleAndFit::test_ladder_csv_then_fit"],
     ),
     (
+        "cli.py",
+        '"pass": abs(slope + delta) <= args.tolerance,',
+        '"pass": abs(slope + delta) < args.tolerance,',
+        ["tests/test_cli.py::TestCounterexampleAndFit::test_fit_tolerance_zero_admits_exact_slope"],
+    ),
+    (
         "counterexamples.py",
         '("a", "c")',
         '("a", "b")',
@@ -169,6 +193,12 @@ MUTANTS = [
         "return sxy / sxx, r_squared",
         "return sxy / syy, r_squared",
         ["tests/test_counterexamples.py::TestFitExponent::test_loglog_fit_matches_polyfit"],
+    ),
+    (
+        "counterexamples.py",
+        "1.0 if syy < 1e-18 else",
+        "1.0 if syy < 1e-30 else",
+        ["tests/test_counterexamples.py::TestFitExponent::test_loglog_fit_roundoff_ladder_explains_all"],
     ),
 ]
 

@@ -179,6 +179,16 @@ class TestCounterexampleAndFit:
         assert payload[0]["predicted_slope"] == pytest.approx(-2.0)
         assert payload[0]["slope"] == pytest.approx(-2.0, abs=0.15)
 
+    def test_fit_tolerance_zero_admits_exact_slope(self, capsys, tmp_path):
+        # cond4 at zero exponents gives one ratio at every L: slope 0.0 and
+        # delta 0 exactly, so a tolerance of 0 passes.
+        out = tmp_path / "cond4.csv"
+        code, _ = run_cli(capsys, "counterexample", "--family", "cond4", "--out", str(out))
+        assert code == 0
+        code, payload = run_cli(capsys, "fit", "--in", str(out), "--tolerance", "0")
+        assert payload[0]["slope"] == 0.0 and payload[0]["predicted_slope"] == 0.0
+        assert code == 0 and payload[0]["pass"] is True
+
     def test_fit_groups_families(self, capsys, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
@@ -523,6 +533,19 @@ class TestSolve:
         code, payload = run_cli(capsys, "solve", "--n", "64", "--xbox", "16", "--T", "0.1", *argv)
         assert code == 2
         assert "No such file or directory" in payload["error"]
+
+    def test_run_time_excludes_scipy_import(self, tmp_path):
+        # Smooth data take no transform before the run, so the first one, in a
+        # fresh process, would otherwise count SciPy's import (over 0.15 s).
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        argv = ["solve", "--n", "64", "--T", "0.5", "--out", str(tmp_path / "diag.csv")]
+        result = subprocess.run(
+            [sys.executable, "-m", "dkg1d.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["steps"] == 1
+        assert payload["step_us"] < 50_000
 
     def test_negative_end_time_takes_no_steps(self, capsys, tmp_path):
         out = tmp_path / "diag.csv"

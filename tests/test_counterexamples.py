@@ -392,13 +392,13 @@ class TestStreamedLadder:
             assert_allclose(got, want[family][0], rtol=1e-13, atol=0, err_msg=family)
 
     def test_blocks_span_scales(self, monkeypatch):
-        # A scale that fits a block but not the room left starts the next one;
-        # only a scale larger than a block is split.
+        # Blocks are consecutive cuts of the ladder's rows: a scale that does
+        # not fit the room left is split at the block's end.
         monkeypatch.setattr(cx, "_BLOCK", 24)
         blocks = [(rows.tolist(), segments) for rows, segments in cx._blocks([0, 100, -5], [11, 11, 11])]
         assert blocks == [
-            ([*range(11), *range(100, 111)], [(0, 0, 11), (1, 11, 22)]),
-            ([*range(-5, 6)], [(2, 0, 11)]),
+            ([*range(11), *range(100, 111), -5, -4], [(0, 0, 11), (1, 11, 22), (2, 22, 24)]),
+            ([*range(-3, 6)], [(2, 0, 9)]),
         ]
         monkeypatch.setattr(cx, "_BLOCK", 1000)
         blocks = [(rows.tolist(), segments) for rows, segments in cx._blocks([0, 0, 0], [87, 255, 1285])]
@@ -549,6 +549,12 @@ class TestFitExponent:
 
     def test_loglog_fit_constant_ladder(self):
         assert cx.loglog_fit(np.array(cx.DEFAULT_L_LADDER), np.full(4, 0.3)) == (0.0, 1.0)
+
+    def test_loglog_fit_roundoff_ladder_explains_all(self):
+        # Ratios constant to roundoff (syy = 1e-24) read r^2 = 1; taken at face
+        # value, their zigzag against log L would give r^2 = 0.2.
+        ratios = 1 + 1e-12 * np.array([0.0, 1.0, 0.0, 1.0])
+        assert cx.loglog_fit(2.0 ** np.arange(5, 9), ratios)[1] == 1.0
 
     def test_predicted_delta_formulas(self):
         e = ExponentTuple(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)

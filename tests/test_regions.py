@@ -55,6 +55,12 @@ class TestRegionMembership:
         assert regions.in_pecher_region(0.5, 1.2)
         assert not regions.in_pecher_region(-0.2, 0.7)  # r < 1+2s fails
 
+    def test_pecher_edge_is_open(self):
+        # (0, 1) lies on r = 1+2s: certified and Machihara's, not Pecher's.
+        assert regions.in_wellposed_region(0.0, 1.0)
+        assert regions.in_machihara_region(0.0, 1.0)
+        assert not regions.in_pecher_region(0.0, 1.0)
+
     def test_machihara_examples(self):
         assert regions.in_machihara_region(-0.2, 0.5)
         assert not regions.in_machihara_region(0.1, 0.5)  # s <= 0 fails
@@ -158,6 +164,14 @@ class TestCheckConstraints:
     def test_r7_counts_eps(self):
         # r <= 2 + 2s - rho - eps: 1.2 <= 1.15 fails, while without eps 1.2 <= 1.25 would hold.
         assert regions.check_constraints(0, 1.2, ParameterChoice(0.75, 0.75, 0.1))["r7"] is False
+
+    def test_r3_is_strict(self):
+        # r < 1/2 + sigma + 2s on its edge: 1.25 < 0.5 + 0.75 + 0 fails.
+        assert regions.check_constraints(0.0, 1.25, ParameterChoice(0.75, 0.75, 0.1))["r3"] is False
+
+    def test_s3_edge_holds(self):
+        # s >= -1 + rho + eps on its edge: -0.125 >= -1 + 0.75 + 0.125 holds.
+        assert regions.check_constraints(-0.125, 0.5, ParameterChoice(0.75, 0.75, 0.125))["s3"] is True
 
     def test_s2_unreachable_below_quarter(self):
         # For s < -1/4 the spinor constraint fails for every rho > 1/2, eps > 0.

@@ -190,8 +190,8 @@ class TestStreamedSweep:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
         assert weights.sample_margins(n, seed=seed, box=box) == whole_array_sweep(n, seed, box)
-        # A sweep of one chunk (n < 10) runs inline; any other opens one pool.
-        assert len(pools) == (0 if n < 10 else 1)
+        # Every sweep opens one pool, one chunk (n < 10) included.
+        assert len(pools) == 1
 
     @pytest.mark.parametrize("n", SPLITS)
     def test_split_points(self, n):
