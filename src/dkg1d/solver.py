@@ -50,6 +50,17 @@ The coupling takes the cosine and sine of its angle from one ``tan`` of
 the half angle, since NumPy's float64 ``tan`` has a SIMD loop and its
 ``cos`` and ``sin`` do not.
 
+Each march allocates one workspace, ``_Workspace``, sized by n_x, when it
+starts, and its steps allocate no array: the inverse real FFT of phi, the
+coupling's angle, cosine, density and kick, the kick's real FFT and the
+Klein-Gordon product go into the workspace's buffers, a_hat is transformed
+and rotated in place, and f_hat advances into a spare buffer that then
+takes its place.  The kernels apply the same NumPy operations in the same
+order as they would on new arrays, so every bit is unchanged.  Like the
+spectra, whose last a_hat becomes the returned state's ``a``, the
+workspace belongs to its march alone: nothing is cached per grid or per
+process.
+
 A diagnostics row reads the spectra the march holds, still owed the
 closing linear(dt/2), with no transform: it applies the Klein-Gordon half
 step to a copy of f_hat, and reads every column as a Parseval sum with
@@ -241,14 +252,36 @@ def charge(state: DKGState) -> float:
     return float(np.sqrt(np.vdot(state.a, state.a).real * state.grid.dx))
 
 
-def _density(a: np.ndarray) -> np.ndarray:
-    """Pointwise source <beta psi, psi> = 2 Re(a_+ conj a_-), real."""
-    return 2.0 * np.real(a[0] * np.conj(a[1]))
+def _density(a: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise source <beta psi, psi> = 2 Re(a_+ conj a_-), real, written
+    into ``out`` by way of the complex ``scratch`` (each new when None)."""
+    product = np.conj(a[1], out=scratch)
+    np.multiply(a[0], product, out=product)
+    return np.multiply(2.0, product.real, out=out)
 
 
 # Kernels on the state arrays a = (a_+, a_-) and f = (phi, phi_t), and on
-# their spectra.  Each returns new arrays, except that ``_linear`` multiplies
-# a_hat in place.
+# their spectra.  ``_linear`` multiplies a_hat in place and ``_coupling``
+# rotates a in place; every other result goes into the buffers a caller
+# passes, or into new arrays when it passes none.
+
+
+class _Workspace:
+    """The scratch arrays of one march on n points, allocated when it starts
+    and rewritten by every step.  A buffer holds one value after another
+    where the step's lifetimes allow: ``kick_hat`` and ``product`` are views
+    of the front of ``z`` and ``pair``, which are free again by then."""
+
+    def __init__(self, n: int):
+        bins = n // 2 + 1  # of a real FFT
+        self.phi = np.empty(n)  # phi, then the half-angle tangent t
+        self.d = np.empty(n)  # 1 + t^2, then the kick
+        self.cos = np.empty(n)
+        self.z = np.empty(n, complex)  # a_+ conj a_-, then 2i t, then the kick's real FFT
+        self.kick_hat = self.z[:bins]
+        self.pair = np.empty((2, n), complex)  # 2i t (a_-, a_+), then a Klein-Gordon product
+        self.product = self.pair.reshape(-1)[: 2 * bins].reshape(2, bins)
+        self.f_hat = np.empty((2, bins), complex)  # the spare f_hat
 
 
 def _kg(grid: GridSpec1D, m: float, h: float) -> np.ndarray:
@@ -279,44 +312,51 @@ def _linear_table(grid: GridSpec1D, m: float, dt: float) -> tuple[np.ndarray, np
     return tables
 
 
-def _kg_flow(kg: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
-    """A new f_hat: the Klein-Gordon matrices ``kg`` of a table applied to
-    f_hat = (phi_hat, phi_t_hat)."""
-    new = kg[:, 0] * f_hat[0]
-    new += kg[:, 1] * f_hat[1]
+def _kg_flow(kg: np.ndarray, f_hat: np.ndarray, out: np.ndarray | None = None, product: np.ndarray | None = None) -> np.ndarray:
+    """The Klein-Gordon matrices ``kg`` of a table applied to f_hat =
+    (phi_hat, phi_t_hat), written into ``out`` by way of ``product`` (each
+    new when None); ``out`` must not overlap f_hat."""
+    new = np.multiply(kg[:, 0], f_hat[0], out=out)
+    new += np.multiply(kg[:, 1], f_hat[1], out=product)
     return new
 
 
-def _linear(table: tuple, j: int, a_hat: np.ndarray, f_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _linear(
+    table: tuple, j: int, a_hat: np.ndarray, f_hat: np.ndarray, out: np.ndarray | None = None, product: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """linear(h) of the spectra (a_hat, f_hat), with h = (dt/2, dt)[j] of
-    ``table``: a_hat multiplied in place (and divided by n_x), and a new f_hat."""
+    ``table``: a_hat multiplied in place (and divided by n_x), and f_hat
+    advanced by ``_kg_flow`` into ``out``."""
     a_hat *= table[0][j]
-    return a_hat, _kg_flow(table[1][j], f_hat)
+    return a_hat, _kg_flow(table[1][j], f_hat, out, product)
 
 
-def _coupling(a: np.ndarray, phi: np.ndarray, M: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The amplitudes rotated by the coupling angle theta = (phi - M) h, and
-    the kick h <beta psi, psi> to phi_t.
+def _coupling(a: np.ndarray, phi: np.ndarray, M: float, h: float, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes ``a`` rotated in place by the coupling angle theta =
+    (phi - M) h, and the kick h <beta psi, psi> to phi_t, held in ``work``;
+    ``phi`` may be ``work.phi``.
 
     cos(theta) and sin(theta) come from one tangent of the half angle,
     t = tan(theta / 2): cos = (1 - t^2) / d and sin = 2 t / d, d = 1 + t^2.
     Their squares sum to 1 for every t, so the rotation stays unitary to
     roundoff, and NumPy's float64 ``tan`` has a SIMD loop (AVX-512) where
     its ``cos`` and ``sin`` are scalar."""
-    tan = phi - M
+    tan = np.subtract(phi, M, out=work.phi)
     tan *= h / 2
     tan = np.tan(tan, out=tan)
-    d = tan * tan
-    cos = 1.0 - d
+    d = np.multiply(tan, tan, out=work.d)
+    cos = np.subtract(1.0, d, out=work.cos)
     d += 1.0
     cos /= d
     tan /= d
-    kick = _density(a)  # invariant under the rotation below
+    kick = _density(a, d, work.z)  # invariant under the rotation below
     kick *= h
-    # beta swaps the ranges: a_+- <- cos(theta) a_+- + i sin(theta) a_-+.
-    rotated = cos * a
-    rotated += (tan * 2j) * a[::-1]
-    return rotated, kick
+    # beta swaps the ranges: a_+- <- cos(theta) a_+- + i sin(theta) a_-+,
+    # the swapped term taken before a is overwritten.
+    swapped = np.multiply(np.multiply(tan, 2j, out=work.z), a[::-1], out=work.pair)
+    np.multiply(cos, a, out=a)
+    a += swapped
+    return a, kick
 
 
 def _pocketfft():
@@ -336,8 +376,10 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
 
     Between steps the closing linear(dt/2) of one step and the opening one
     of the next fuse into one linear(dt).  The yielded arrays are the held
-    ones, not copies: a reader must not write into them, and then no bit
-    of the march depends on ``every``.
+    ones, not copies, and the next step rewrites them: a reader must not
+    write into them, and then no bit of the march depends on ``every``.
+    The march's spectra and its one ``_Workspace`` are its own, shared
+    with no other march: the last a_hat becomes the materialised state's ``a``.
     """
     fft = _pocketfft()
     a_hat = fft.c2c(np.asarray(state.a, complex), (-1,), True, 0, None, 1)
@@ -348,17 +390,19 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
         return
     M, n = state.M, state.grid.n_x
     table = _linear_table(state.grid, state.m, dt)
-    a_hat, f_hat = _linear(table, 0, a_hat, f_hat)
+    work = _Workspace(n)
     for k in range(1, n_steps + 1):
+        # The opening linear(dt/2), then one fused linear(dt) between steps;
+        # f_hat advances into the spare, which then takes the old f_hat.
+        a_hat, f_next = _linear(table, 0 if k == 1 else 1, a_hat, f_hat, work.f_hat, work.product)
+        f_hat, work.f_hat = f_next, f_hat
         a = fft.c2c(a_hat, (-1,), False, 0, a_hat, 1)
-        a, kick = _coupling(a, fft.c2r(f_hat[0], (-1,), n, False, 2, None, 1), M, dt)
-        f_hat[1] += fft.r2c(kick, (-1,), True, 0, None, 1)
+        a, kick = _coupling(a, fft.c2r(f_hat[0], (-1,), n, False, 2, work.phi, 1), M, dt, work)
+        f_hat[1] += fft.r2c(kick, (-1,), True, 0, work.kick_hat, 1)
         a_hat = fft.c2c(a, (-1,), True, 0, a, 1)
         t += dt
         if k % every == 0 or k == n_steps:
             yield k, t, a_hat, f_hat
-        if k < n_steps:
-            a_hat, f_hat = _linear(table, 1, a_hat, f_hat)
 
 
 def _materialise(state: DKGState, dt: float, t: float, a_hat: np.ndarray, f_hat: np.ndarray) -> DKGState:

@@ -59,9 +59,15 @@ def scalar_state(phi, phi_t, grid, m=0.0):
     return DKGState(np.zeros((2, grid.n_x), complex), np.stack((phi, phi_t)), 0.0, 0.0, m, grid)
 
 
+def couple(a, phi, M, h):
+    """``solver._coupling`` on a copy of ``a`` with a workspace of its own:
+    the rotated amplitudes and the kick, which nothing else shares."""
+    return solver._coupling(a.copy(), phi, M, h, solver._Workspace(phi.shape[-1]))
+
+
 def coupled(state, h):
     """The coupling flow of length h through the kernels ``run`` applies."""
-    a, kick = solver._coupling(state.a, state.phi, state.M, h)
+    a, kick = couple(state.a, state.phi, state.M, h)
     return dataclasses.replace(state, a=a, f=np.stack((state.phi, state.phi_t + kick)))
 
 
@@ -309,21 +315,57 @@ class TestCouplingFlow:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((2, theta.size)) + 1j * rng.standard_normal((2, theta.size))
         M, h = 0.0, 1.0  # so that phi - M and (phi - M) h are theta exactly
-        rotated, _ = solver._coupling(a, theta, M, h)
+        rotated, _ = couple(a, theta, M, h)
         before, after = np.sum(np.abs(a) ** 2, axis=0), np.sum(np.abs(rotated) ** 2, axis=0)
         assert_allclose(after, before, rtol=1e-14)
         assert np.sum(after) == pytest.approx(np.sum(before), rel=1e-14)
         reference = np.cos(theta) * a + 1j * np.sin(theta) * a[::-1]
         assert np.abs(rotated - reference).max() <= 1e-14 * np.abs(a).max()
-        half = solver._coupling(solver._coupling(a, theta, M, h / 2)[0], theta, M, h / 2)[0]
+        half = couple(couple(a, theta, M, h / 2)[0], theta, M, h / 2)[0]
         assert np.abs(half - rotated).max() <= 1e-14 * np.abs(a).max()
-        back = solver._coupling(rotated, theta, M, -h)[0]
+        back = couple(rotated, theta, M, -h)[0]
         assert np.abs(back - a).max() <= 1e-14 * np.abs(a).max()
 
     def test_field_equal_to_mass_is_identity(self):
         a = np.random.default_rng(5).standard_normal((2, 8)) + 0j
-        rotated, _ = solver._coupling(a, np.full(8, 1.25), 1.25, 0.3)
+        rotated, _ = couple(a, np.full(8, 1.25), 1.25, 0.3)
         assert np.array_equal(rotated, a)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_workspace_kernels_give_the_allocating_bits(self):
+        # The march's kernels write into a workspace; they must give the bits
+        # of the same NumPy expressions on new arrays, non-finite values and
+        # signed zeros included, with phi read from and the angle written to
+        # the same buffer, as in the march.
+        n = 64
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        a[:, :4] = [[np.inf, np.nan, -0.0, 1e300], [1.0, -np.inf, -0.0j, 1e300j]]
+        phi = 3 * rng.standard_normal(n)
+        phi[4:8] = [np.nan, np.inf, -0.0, np.pi]
+        M, h = 1.25, 0.3
+        tan = phi - M
+        tan *= h / 2
+        tan = np.tan(tan)
+        d = tan * tan
+        cos = 1.0 - d
+        d += 1.0
+        cos /= d
+        tan /= d
+        kick = 2.0 * np.real(a[0] * np.conj(a[1]))
+        kick *= h
+        rotated = cos * a
+        rotated += (tan * 2j) * a[::-1]
+        work = solver._Workspace(n)
+        work.phi[:] = phi
+        got_rotated, got_kick = solver._coupling(a.copy(), work.phi, M, h, work)
+        assert got_rotated.tobytes() == rotated.tobytes() and got_kick.tobytes() == kick.tobytes()
+        kg = solver._linear_table(GridSpec1D(n, 16.0), 1.0, 0.01)[1][1]
+        f_hat = a[:, : n // 2 + 1] * [[1.0], [2.0]]
+        new = kg[:, 0] * f_hat[0]
+        new += kg[:, 1] * f_hat[1]
+        got = solver._kg_flow(kg, f_hat, work.f_hat, work.product)
+        assert got is work.f_hat and got.tobytes() == new.tobytes()
 
 
 class TestPropagatorCache:
@@ -966,6 +1008,31 @@ class TestRun:
         assert np.array_equal(step.a, final.a) and np.array_equal(step.f, final.f)
         assert step.t == final.t
 
+    def test_interleaved_marches_match_lone_ones(self, grid):
+        # Each march owns its workspace and spectra: two marches on one grid
+        # and one dt, advanced in turn, yield the bits of each run alone.
+        dt, n_steps = 0.3 * grid.dx, 9
+        states = [data_state(grid, "smooth", 1.0), data_state(grid, "rough", 0.0)]
+
+        def bits(march):
+            for k, t, a_hat, f_hat in march:
+                yield k, t, a_hat.tobytes(), f_hat.tobytes()
+
+        alone = [list(bits(solver._march(state, dt, n_steps, 1))) for state in states]
+        together = list(zip(*(bits(solver._march(state, dt, n_steps, 1)) for state in states)))
+        assert len(together) == n_steps + 1
+        assert [list(march) for march in zip(*together)] == alone
+
+    def test_step_result_owns_its_arrays(self, smooth_state):
+        # The returned state holds the march's last a_hat: a later step, from
+        # the same state or from this one, must not write into it.
+        dt = smooth_state.grid.dx / 2
+        s1 = solver.strang_step(smooth_state, dt)
+        a, f = s1.a.copy(), s1.f.copy()
+        solver.strang_step(smooth_state, dt)
+        solver.strang_step(s1, dt)
+        assert np.array_equal(s1.a, a) and np.array_equal(s1.f, f)
+
     @pytest.mark.parametrize("every", [1, 3, 16])
     @pytest.mark.parametrize("data", ["smooth", "rough"])
     @pytest.mark.parametrize("M", [0.0, 1.0])
@@ -1103,6 +1170,14 @@ def test_pocketfft_binding_matches_scipy_fft(n, lead):
         held = x.copy()
         binding.c2c(held, (-1,), forward, inorm, held, 1)
         assert same_bits(held, transform(x))
+    # The march writes its inverse real FFT of phi into a held float64 buffer
+    # and the kick's real FFT into the front of a held complex one.
+    held = np.full(real.shape, np.nan)
+    binding.c2r(half, (-1,), n, False, 2, held, 1)
+    assert same_bits(held, scipy.fft.irfft(half, n=n))
+    store = np.full(x.shape, np.nan, complex)
+    binding.r2c(real, (-1,), True, 0, store[..., : n // 2 + 1], 1)
+    assert same_bits(store[..., : n // 2 + 1], scipy.fft.rfft(real))
 
 
 class TestSnapshot:
