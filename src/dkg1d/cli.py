@@ -222,7 +222,7 @@ def _cmd_solve(args) -> int:
     drift = float(np.abs(series.charge - series.charge[0]).max())
     rel = drift / series.charge[0] if series.charge[0] > 0 else 0.0
     steps = int(round(final.t / dt))
-    _emit({"out": args.out, "n_x": grid.n_x, "steps": steps, "rows": series.t.size, "charge_drift_rel": rel,
+    _emit({"out": args.out, "n_x": grid.n_x, "dt": dt, "steps": steps, "rows": series.t.size, "charge_drift_rel": rel,
            "run_s": run_s, "step_us": run_s / steps * 1e6 if steps else None})
     return 0
 

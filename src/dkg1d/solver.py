@@ -186,9 +186,9 @@ class DKGState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step, end time and diagnostics of a ``run``.  ``diag_s`` and ``diag_r``
-    (regularities of the recorded norms of psi and phi) need a finite H^s
-    weight on every mode, so that a finite state records a finite row."""
+    """Step (any finite dt > 0), end time and diagnostics of a ``run``.
+    ``diag_s`` and ``diag_r`` (regularities of the recorded norms of psi and
+    phi) need a finite H^s weight on every mode, so that a finite state records a finite row."""
 
     grid: GridSpec1D
     dt: float
@@ -202,8 +202,6 @@ class SolverConfig:
             raise ValueError("dt must be real, finite and positive")
         if not finite_real(self.t_end):
             raise ValueError("t_end must be real and finite")
-        if self.dt > self.grid.dx + 4 * math.ulp(self.grid.dx):
-            raise ValueError("dt must not exceed dx")
         if not (count(self.diagnostics_every) and self.diagnostics_every >= 1):
             raise ValueError("diagnostics_every must be an integer >= 1")
         for s in (self.diag_s, self.diag_r):
@@ -418,7 +416,8 @@ def strang_step(state: DKGState, dt: float) -> DKGState:
     """linear(dt/2), then coupling(dt), then linear(dt/2), where linear(h) is
     the commuting pair half-wave(h) | kg(h): one step of ``run``'s march.
 
-    ``dt`` must be a finite real number; zero, negative and ``dt > dx`` are allowed."""
+    ``dt`` must be a finite real number; zero, negative and any size are
+    allowed: every substep is an exact flow, so the step has no CFL limit."""
     if not finite_real(dt):
         raise ValueError("dt must be finite and real")
     *_, (_, t, a_hat, f_hat) = _march(state, dt, 1, 1)
@@ -567,7 +566,8 @@ def run(
     covers every field value: a non-finite amplitude makes the charge
     non-finite, a non-finite phi the H^r norm and a non-finite phi_t the
     energy; so does a norm or energy that overflows on a finite state.
-    ``config.grid`` must be the state's grid: its ``dt <= dx`` check is made there.
+    ``config.grid`` must be the state's grid, on which the row weights are
+    built.  As in ``strang_step``, no bound ties ``dt`` to the grid.
     """
     if config.grid != state.grid:
         raise ValueError(f"config grid {config.grid} does not match the state grid {state.grid}")

@@ -81,6 +81,12 @@ MUTANTS = [
         ],
     ),
     (
+        "solver.py",
+        "finite_real(self.dt) and self.dt > 0",
+        "finite_real(self.dt) and 0 < self.dt <= 8 * self.grid.dx",
+        ["tests/test_solver.py::TestRun::test_steps_above_dx_keep_accuracy_and_charge"],
+    ),
+    (
         "weights.py",
         "return 1.5 * biggest - smallest",
         "return 1.4 * biggest - smallest",

@@ -478,7 +478,8 @@ class TestSolve:
             str(state_out),
         )
         assert code == 0
-        assert payload["steps"] == 16  # T / dt with dt = dx / 2 = 1 / 32
+        assert payload["dt"] == 1 / 32  # --dt auto: dx / 2
+        assert payload["steps"] == 16  # T / dt
         assert payload["n_x"] == 256
         assert payload["rows"] == 2  # t = 0 and the last step; the default interval is 16
         assert payload["charge_drift_rel"] <= 1e-10
@@ -493,10 +494,18 @@ class TestSolve:
         state = solver.load_state(state_out)
         assert state.t == pytest.approx(0.5)
 
+    def test_dt_above_dx_runs(self, capsys, tmp_path):
+        # dx = 1/4 here; every substep is exact, so dt = 4 dx is a valid step.
+        out = tmp_path / "diag.csv"
+        code, payload = run_cli(capsys, "solve", "--n", "64", "--xbox", "16", "--dt", "1", "--T", "8", "--out", str(out))
+        assert code == 0
+        assert payload["dt"] == 1.0 and payload["steps"] == 8
+        assert payload["charge_drift_rel"] <= 1e-12
+
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--n", "64", "--xbox", "16", "--dt", "1"], "dt must not exceed dx"),
+            (["--dt", "0"], "dt must be real, finite and positive"),
             (["--M", "-1"], "masses must be finite and nonnegative"),
             (["--n", "100"], "power of two"),
             (["--n", "256", "--xbox", "16", "--T", "0.2", "--s", "100", "--r", "0", "--every", "1"], "weights"),
