@@ -35,9 +35,9 @@ state to roundoff.
 
 A Strang step is linear(dt/2) | coupling(dt) | linear(dt/2), where linear
 is the commuting pair half-wave | Klein-Gordon, both diagonal in Fourier
-space: one cache, ``_linear_table`` (two entries, keyed by (grid, m, dt)),
-holds their per-mode tables for dt/2 and for dt, and one kernel,
-``_linear``, applies them.  The march behind ``run`` opens with one FFT and
+space: one cache, ``_linear_table`` (four entries, keyed by (grid, m, h)),
+holds their per-mode tables for one step length h, and one kernel,
+``_linear``, applies a table.  The march behind ``run`` opens with one FFT and
 one real FFT of the input state, yielded first as the t = 0 row, and holds
 the spectra (a_hat, f_hat), the complex FFT of (a_+, a_-) and the real FFT
 of (phi, phi_t), between steps, where the closing linear(dt/2) of one step
@@ -282,32 +282,24 @@ class _Workspace:
         self.f_hat = np.empty((2, bins), complex)  # the spare f_hat
 
 
-def _kg(grid: GridSpec1D, m: float, h: float) -> np.ndarray:
-    """Matrices [[cos, sin/omega], [-omega sin, cos]] (omega h), omega =
-    sqrt(xi^2 + m^2), of the exact Klein-Gordon flow of length h on
-    (phi_hat, phi_t_hat), shape (2, 2, n_x // 2 + 1); the identity at h = 0."""
+# Four entries: a run and its -dt reversal each use the tables of dt/2 and dt.
+@functools.lru_cache(maxsize=4)
+def _linear_table(grid: GridSpec1D, m: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode tables of linear(h), cached and read-only: the half-wave
+    phases exp(-+i xi h) / n_x of (a_+, a_-), shape (2, n_x), whose 1/n_x
+    (exact, n_x being a power of two) scales the unscaled inverse FFT that
+    follows them, and the exact Klein-Gordon flow on (phi_hat, phi_t_hat),
+    [[cos, sin/omega], [-omega sin, cos]] (omega h) with omega = sqrt(xi^2
+    + m^2), shape (2, 2, n_x // 2 + 1), the identity at h = 0, stored
+    complex so that applying it to f_hat casts nothing (the same bits)."""
+    xi = np.stack((grid.xi_fft, -grid.xi_fft))
     omega = np.sqrt(grid.xi_rfft**2 + m**2)
     c = np.cos(omega * h)
     s_over_omega = h * np.sinc(omega * h / np.pi)  # sin(omega h)/omega, exact at 0
-    return np.array([[c, s_over_omega], [-omega * np.sin(omega * h), c]])
-
-
-# Two entries: a +dt/-dt reversal reuses both without keeping more grids alive.
-@functools.lru_cache(maxsize=2)
-def _linear_table(grid: GridSpec1D, m: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode tables of linear(h) for h = dt/2 and h = dt, cached and
-    read-only: the half-wave phases of (a_+, a_-), shape (2, 2, n_x),
-    divided by n_x for the unscaled inverse FFT that follows them (exact,
-    as n_x is a power of two), and the Klein-Gordon matrices ``_kg``, shape
-    (2, 2, 2, n_x // 2 + 1), stored complex so that applying them to f_hat
-    casts nothing (the same bits)."""
-    xi = np.stack((grid.xi_fft, -grid.xi_fft))
-    steps = (dt / 2, dt)
-    phases = np.array([np.exp(-1j * xi * h) / grid.n_x for h in steps])
-    tables = phases, np.array([_kg(grid, m, h) for h in steps], dtype=complex)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    phases = np.exp(-1j * xi * h) / grid.n_x
+    kg = np.array([[c, s_over_omega], [-omega * np.sin(omega * h), c]], dtype=complex)
+    phases.flags.writeable = kg.flags.writeable = False
+    return phases, kg
 
 
 def _kg_flow(kg: np.ndarray, f_hat: np.ndarray, out: np.ndarray | None = None, product: np.ndarray | None = None) -> np.ndarray:
@@ -320,13 +312,13 @@ def _kg_flow(kg: np.ndarray, f_hat: np.ndarray, out: np.ndarray | None = None, p
 
 
 def _linear(
-    table: tuple, j: int, a_hat: np.ndarray, f_hat: np.ndarray, out: np.ndarray | None = None, product: np.ndarray | None = None
+    table: tuple, a_hat: np.ndarray, f_hat: np.ndarray, out: np.ndarray | None = None, product: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """linear(h) of the spectra (a_hat, f_hat), with h = (dt/2, dt)[j] of
-    ``table``: a_hat multiplied in place (and divided by n_x), and f_hat
-    advanced by ``_kg_flow`` into ``out``."""
-    a_hat *= table[0][j]
-    return a_hat, _kg_flow(table[1][j], f_hat, out, product)
+    """linear(h) of the spectra (a_hat, f_hat), ``table`` being
+    ``_linear_table`` of h: a_hat multiplied in place (and divided by n_x),
+    and f_hat advanced by ``_kg_flow`` into ``out``."""
+    a_hat *= table[0]
+    return a_hat, _kg_flow(table[1], f_hat, out, product)
 
 
 def _coupling(a: np.ndarray, phi: np.ndarray, M: float, h: float, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -387,12 +379,12 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
     if not n_steps:
         return
     M, n = state.M, state.grid.n_x
-    table = _linear_table(state.grid, state.m, dt)
+    half, full = (_linear_table(state.grid, state.m, h) for h in (dt / 2, dt))
     work = _Workspace(n)
     for k in range(1, n_steps + 1):
         # The opening linear(dt/2), then one fused linear(dt) between steps;
         # f_hat advances into the spare, which then takes the old f_hat.
-        a_hat, f_next = _linear(table, 0 if k == 1 else 1, a_hat, f_hat, work.f_hat, work.product)
+        a_hat, f_next = _linear(half if k == 1 else full, a_hat, f_hat, work.f_hat, work.product)
         f_hat, work.f_hat = f_next, f_hat
         a = fft.c2c(a_hat, (-1,), False, 0, a_hat, 1)
         a, kick = _coupling(a, fft.c2r(f_hat[0], (-1,), n, False, 2, work.phi, 1), M, dt, work)
@@ -406,7 +398,7 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
 def _materialise(state: DKGState, dt: float, t: float, a_hat: np.ndarray, f_hat: np.ndarray) -> DKGState:
     """The state at ``t`` from the spectra a march of ``dt`` holds after a
     step: the closing linear(dt/2), then an inverse FFT and an inverse real FFT."""
-    a_hat, f_hat = _linear(_linear_table(state.grid, state.m, dt), 0, a_hat, f_hat)
+    a_hat, f_hat = _linear(_linear_table(state.grid, state.m, dt / 2), a_hat, f_hat)
     fft = _pocketfft()
     a = fft.c2c(a_hat, (-1,), False, 0, a_hat, 1)
     return replace(state, a=a, f=fft.c2r(f_hat, (-1,), state.grid.n_x, False, 2, None, 1), t=t)
@@ -578,7 +570,7 @@ def run(
     weights = _row_weights(config, state.m)
     # A row after a step reads a copy of f_hat with its closing Klein-Gordon
     # half step applied; the half-wave phases leave |a_hat|^2 alone.
-    kg = _linear_table(state.grid, state.m, config.dt)[1][0] if n_steps else None
+    kg = _linear_table(state.grid, state.m, config.dt / 2)[1]
     records = []
     # An overflow or a non-finite value ends the run as a non-finite row, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -39,19 +39,28 @@ MUTANTS = [
         "solver.py",
         "f_hat[1] += fft.r2c(kick,",
         "f_hat[1] -= fft.r2c(kick,",
-        ["tests/test_solver.py::TestSystem::test_central_difference_matches_system"],
+        [
+            "tests/test_solver.py::TestSystem::test_central_difference_matches_system",
+            "tests/test_solver.py::TestSystem::test_full_amplitude_matches_characteristic_lattice",
+        ],
     ),
     (
         "solver.py",
         "a += swapped",
         "a -= swapped",
-        ["tests/test_solver.py::TestCouplingFlow::test_awkward_angles"],
+        [
+            "tests/test_solver.py::TestCouplingFlow::test_awkward_angles",
+            "tests/test_solver.py::TestSystem::test_full_amplitude_matches_characteristic_lattice",
+        ],
     ),
     (
         "solver.py",
         "return np.multiply(2.0, product.real, out=out)",
         "return np.multiply(1.0, product.real, out=out)",
-        ["tests/test_solver.py::TestCouplingFlow::test_zero_field_kicks_phi_t"],
+        [
+            "tests/test_solver.py::TestCouplingFlow::test_zero_field_kicks_phi_t",
+            "tests/test_solver.py::TestSystem::test_full_amplitude_matches_characteristic_lattice",
+        ],
     ),
     (
         "solver.py",
@@ -63,6 +72,12 @@ MUTANTS = [
         "solver.py",
         "f_hat, work.f_hat = f_next, f_hat",
         "f_hat = f_next",
+        ["tests/test_solver.py::TestRun::test_matches_step_loop"],
+    ),
+    (
+        "solver.py",
+        "_linear(half if k == 1 else full,",
+        "_linear(half,",
         ["tests/test_solver.py::TestRun::test_matches_step_loop"],
     ),
     (

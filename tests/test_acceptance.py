@@ -231,7 +231,8 @@ def test_criterion_5_region_geometry():
 
 
 def test_criterion_6_necessity_quantified():
-    fits, elapsed = scaling_results()
+    t0 = time.perf_counter()
+    fits, _ = scaling_results()
     failures = []
     for cond, e in VIOLATORS.items():
         conditions = regions.bilinear_necessary_conditions(e)
@@ -243,7 +244,7 @@ def test_criterion_6_necessity_quantified():
         if slope < violation - SLOPE_TOL:
             failures.append((cond, family, slope, violation))
     ok = not failures
-    report(6, "necessity made quantitative", ok, 0.0, 600.0,
+    report(6, "necessity made quantitative", ok, time.perf_counter() - t0, 600.0,
            "slopes match violation amounts in all four families")
     assert not failures, failures
 

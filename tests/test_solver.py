@@ -360,7 +360,7 @@ class TestCouplingFlow:
         work.phi[:] = phi
         got_rotated, got_kick = solver._coupling(a.copy(), work.phi, M, h, work)
         assert got_rotated.tobytes() == rotated.tobytes() and got_kick.tobytes() == kick.tobytes()
-        kg = solver._linear_table(GridSpec1D(n, 16.0), 1.0, 0.01)[1][1]
+        kg = solver._linear_table(GridSpec1D(n, 16.0), 1.0, 0.01)[1]
         f_hat = a[:, : n // 2 + 1] * [[1.0], [2.0]]
         new = kg[:, 0] * f_hat[0]
         new += kg[:, 1] * f_hat[1]
@@ -377,11 +377,11 @@ class TestPropagatorCache:
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
 
-    def test_stepping_on_many_grids_keeps_two_entries(self):
-        # The cache keeps the two entries a +dt/-dt reversal needs, so the
-        # grids and tables of earlier steps are freed: about 0.6 MiB stays
-        # at 2^12 points, where 32 entries in each of two caches kept about
-        # 9.5 MiB.
+    def test_stepping_on_many_grids_keeps_four_entries(self):
+        # The cache keeps the four entries a +dt/-dt reversal needs (dt/2
+        # and dt each way), so the grids and tables of earlier steps are
+        # freed: about 1 MiB of tables stays at 2^12 points, where 32
+        # entries in each of two caches kept about 9.5 MiB.
         n = 2**12
         tracemalloc.start()
         try:
@@ -401,14 +401,14 @@ class TestPropagatorCache:
         # The march fuses linear(dt/2) o linear(dt/2) into linear(dt).  The
         # phases carry the inverse FFT's 1/n_x, an exact power-of-two scaling.
         dt = 0.3 * grid.dx
-        phases, kg = solver._linear_table(grid, 1.0, dt)
+        (half_phases, half_kg), (phases, kg) = (solver._linear_table(grid, 1.0, h) for h in (dt / 2, dt))
         n = grid.n_x
-        assert_allclose((n * phases[0]) ** 2, n * phases[1], rtol=0, atol=1e-15)
-        twice = np.einsum("ijb,jkb->ikb", kg[0], kg[0])
-        assert_allclose(twice, kg[1], rtol=1e-14, atol=1e-15)
+        assert_allclose((n * half_phases) ** 2, n * phases, rtol=0, atol=1e-15)
+        twice = np.einsum("ijb,jkb->ikb", half_kg, half_kg)
+        assert_allclose(twice, kg, rtol=1e-14, atol=1e-15)
 
     def test_cache_keyed_by_arguments(self, grid):
-        # The key is (grid, m, dt): an equal grid shares the entry, and each
+        # The key is (grid, m, h): an equal grid shares the entry, and each
         # argument changes the Klein-Gordon matrices.
         dt = grid.dx / 2
         table = solver._linear_table(grid, 1.0, dt)
@@ -580,6 +580,38 @@ def system_rhs(state, mass_sign=-1.0):
     return spinor.amplitudes(psi_t), np.stack((state.phi_t, phi_xx - state.m**2 * state.phi + source))
 
 
+def characteristic_lattice(psi0, phi0, phi1, M, m, grid, t_end):
+    """(a, phi) at ``t_end`` from a second discretisation of the system on
+    the lattice dt = dx = h, with no FFT, no splitting and no ``_coupling``.
+
+    In amplitudes the system is (d_t + d_x) a_+ = i (phi - M) a_-,
+    (d_t - d_x) a_- = i (phi - M) a_+ and phi_tt - phi_xx + m^2 phi =
+    2 Re(a_+ conj a_-).  a_+ moves one cell right per step and a_- one cell
+    left, the exact transport; the coupling is the trapezoid rule along each
+    characteristic, whose 2x2 system at the new point has the closed form
+    (A + kB, B + kA) / (1 - k^2) with k = i h (phi^{n+1} - M) / 2.  phi
+    takes the CFL-1 leapfrog, exact for the free massless wave, from a
+    Taylor start.  The scheme is second order on smooth data."""
+    h = grid.dx
+
+    def rho(a):
+        return 2 * (a[0] * np.conj(a[1])).real
+
+    def neighbours(phi):
+        return np.roll(phi, 1) + np.roll(phi, -1)
+
+    a = spinor.amplitudes(psi0)
+    phi_old, phi = phi0, phi0 + h * phi1 + (neighbours(phi0) - 2 * phi0) / 2 + h**2 * (rho(a) - m**2 * phi0) / 2
+    k_old = 1j * h * (phi0 - M) / 2
+    for _ in range(round(t_end / h)):
+        k = 1j * h * (phi - M) / 2
+        A, B = np.roll(a[0] + k_old * a[1], 1), np.roll(a[1] + k_old * a[0], -1)
+        a = np.stack((A + k * B, B + k * A)) / (1 - k**2)
+        phi_old, phi = phi, neighbours(phi) - phi_old + h**2 * (rho(a) - m**2 * phi)
+        k_old = k
+    return a, phi_old
+
+
 class TestSystem:
     """The step against the DKG system it is meant to solve."""
 
@@ -607,6 +639,23 @@ class TestSystem:
         ratios = [residuals[0] / residuals[1], residuals[1] / residuals[2]]
         assert residuals[0] < 1e-3 and all(3.8 <= r <= 4.2 for r in ratios), (residuals, ratios)
         assert residual(0.01, mass_sign=1.0) > 0.5
+
+    def test_full_amplitude_matches_characteristic_lattice(self):
+        # The lattice shares no code with the solver beyond the data, so a
+        # consistently wrong coupling, kick or density shows here at full
+        # amplitude; the lattice's error quarters per halving of h.
+        box, t_end, M, m = 32.0, 2.0, 1.0, 1.0
+        fine = GridSpec1D(1024, box)
+        data = [3 * x for x in solver.smooth_data(fine)]
+        config = SolverConfig(grid=fine, dt=fine.dx / 4, t_end=t_end)
+        _, ref = solver.run(config, solver.init_state(*data, M, m, fine), return_final=True)
+        errors = []
+        for n in (256, 512, 1024):
+            stride = fine.n_x // n
+            a, _ = characteristic_lattice(*(x[::stride] for x in data), M, m, GridSpec1D(n, box), t_end)
+            errors.append(np.abs(a - ref.a[:, ::stride]).max() / np.abs(ref.a).max())
+        ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+        assert errors[-1] < 6e-3 and min(ratios) >= 3.5, (errors, ratios)
 
     def test_amplitudes_are_the_projections(self, grid):
         # a_+- e_+- = P+- psi, and the solver's source 2 Re(a_+ conj a_-) is <beta psi, psi>.
@@ -1144,12 +1193,13 @@ class TestRun:
         calls = []
         linear = solver._linear
 
-        def counted(*args):
-            calls.append(args[1])
-            return linear(*args)
+        def counted(table, *args):
+            calls.append(table)
+            return linear(table, *args)
 
         monkeypatch.setattr(solver, "_linear", counted)
         dt = smooth_state.grid.dx / 2
+        half, full = (solver._linear_table(smooth_state.grid, smooth_state.m, h) for h in (dt / 2, dt))
         for n_steps in (0, 1, 37):
             for return_final in (False, True):
                 calls.clear()
@@ -1157,10 +1207,10 @@ class TestRun:
                 solver.run(config, smooth_state, return_final=return_final)
                 materialised = int(return_final and n_steps > 0)
                 assert len(calls) == n_steps + materialised
-                assert calls.count(1) == max(n_steps - 1, 0)
+                assert sum(table is full for table in calls) == max(n_steps - 1, 0)
         calls.clear()
         solver.strang_step(smooth_state, dt)
-        assert calls == [0, 0]
+        assert len(calls) == 2 and all(table is half for table in calls)
 
 
 @pytest.mark.parametrize("n", [2, 16, 1024, 4096])
