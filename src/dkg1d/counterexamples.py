@@ -313,7 +313,7 @@ def _count_rows(u_lo, u_hi, v_lo, v_hi, v_line: str, di: np.ndarray) -> tuple[np
 
 
 class RatioResult(NamedTuple):
-    """One ratio row, with the strip points, offsets and point pairs it was counted from."""
+    """One ratio row, with the strip points, offsets and point pairs (points_u * points_v) it was counted from."""
 
     family: str
     L: float
@@ -339,11 +339,11 @@ def check_scales(family_id: str, L_values) -> list:
     The cell cap is a budget of time (a few seconds of counting), not of
     memory: the ladder streams its counts, so memory does not grow with L.
     """
-    return _checked_columns(family_id, L_values)[0]
+    return _checked_columns(family_id, L_values)[1]
 
 
-def _checked_columns(family_id: str, L_values) -> tuple[list, list[tuple[int, int, int, int]]]:
-    """``check_scales``'s list, and each scale's strip columns (u_lo, u_hi, v_lo, v_hi)."""
+def _checked_columns(family_id: str, L_values) -> tuple[CounterexampleFamily, list, list[tuple[int, int, int, int]]]:
+    """The family named, ``check_scales``'s list, and each scale's strip columns (u_lo, u_hi, v_lo, v_hi)."""
     family = _family(family_id)
     L_values = list(L_values)
     if not all(finite_real(L) and 4 < L <= _MAX_L for L in L_values):
@@ -355,7 +355,7 @@ def _checked_columns(family_id: str, L_values) -> tuple[list, list[tuple[int, in
                 f"{family_id} at L = {L:g} would count pairs on more than 2^26 offset cells; "
                 "this cap bounds the time of a ladder, not its memory"
             )
-    return L_values, columns
+    return family, L_values, columns
 
 
 def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
@@ -383,34 +383,31 @@ def ratio_ladder(family_id: str, L_values, tuples) -> list[RatioResult]:
     A - B = [-5L/4, 0], where for c > 1 a few pairs near xi = 0, at weight
     O(1), dominate; the construction pairs the product with a strip over C only.
     """
-    L_values, columns = _checked_columns(family_id, L_values)
-    family = FAMILIES[family_id]
+    family, L_values, columns = _checked_columns(family_id, L_values)
     tuples = [_exponent_tuple(t) for t in tuples]
     # Six (k, 1, 1) columns, one row per tuple, broadcast against the grids.
     a, b, c, alpha, beta, gamma = np.array(tuples, dtype=float).reshape(-1, 6).T[:, :, None, None]
     # Per norm (product, u, v): sums of squares per scale and tuple, and the
-    # points with nonzero values per scale; then, as a fourth row, the pairs.
+    # points with nonzero values per scale.
     squares = np.zeros((3, len(L_values), len(tuples)))
-    sizes = np.zeros((4, len(L_values)), dtype=np.int64)
+    sizes = np.zeros((3, len(L_values)), dtype=np.int64)
+    # The product's values are its transform; u and v are 0/1 indicators, so their counts are their values.
+    products = ((i, j, indicator_product(n, CELL), s) for i, j, n, s in _ladder_counts(columns, family.v_line))
     streams = (
-        (NormIndex(-c, -gamma, "H"), _ladder_counts(columns, family.v_line)),
+        (NormIndex(-c, -gamma, "H"), products),
         (NormIndex(a, alpha, "X_plus"), _ladder_strips([c[:2] for c in columns], "plus")),
         (NormIndex(b, beta, "X_minus"), _ladder_strips([c[2:] for c in columns], family.v_line)),
     )
     for norm, (idx, blocks) in enumerate(streams):
-        for i, j, counts, segments in blocks:
-            # u and v are 0/1 indicators, so their counts are their values.
-            values = indicator_product(counts, CELL) if norm == 0 else counts
+        for i, j, values, segments in blocks:
             terms = (weight(idx, i * DTAU, j * DXI) * values) ** 2
             for k, start, stop in segments:
                 squares[norm, k] += terms[:, start:stop].sum(axis=(1, 2))
-                sizes[norm, k] += np.count_nonzero(counts[start:stop])
-                if norm == 0:
-                    sizes[3, k] += counts[start:stop].sum()
+                sizes[norm, k] += np.count_nonzero(values[start:stop])
     scales = zip(L_values, sizes.T.tolist(), *np.sqrt(squares * CELL).tolist())
     return [
-        RatioResult(family_id, L, e, n, u, v, n_u, n_v, n_offsets, n_pairs)
-        for L, (n_offsets, n_u, n_v, n_pairs), nums, dus, dvs in scales
+        RatioResult(family_id, L, e, n, u, v, n_u, n_v, n_offsets, n_u * n_v)
+        for L, (n_offsets, n_u, n_v), nums, dus, dvs in scales
         for e, n, u, v in zip(tuples, nums, dus, dvs)
     ]
 

@@ -42,13 +42,13 @@ one real FFT of the input state, yielded first as the t = 0 row, and holds
 the spectra (a_hat, f_hat), the complex FFT of (a_+, a_-) and the real FFT
 of (phi, phi_t), between steps, where the closing linear(dt/2) of one step
 and the opening one of the next fuse into one linear(dt): linear runs once
-a step.  A step costs one inverse FFT of the amplitudes and one inverse
-real FFT of phi, for the pointwise coupling, then one real FFT of the kick
-to phi_t and one FFT of the rotated amplitudes; the half-wave phases carry
-the amplitudes' inverse FFT's 1/n_x, so no pass of its own scales them.
-The coupling takes the cosine and sine of its angle from one ``tan`` of
-the half angle, since NumPy's float64 ``tan`` has a SIMD loop and its
-``cos`` and ``sin`` do not.
+a step, and a one-step march reads the dt/2 table alone.  A step costs one
+inverse FFT of the amplitudes and one inverse real FFT of phi, for the
+pointwise coupling, then one real FFT of the kick to phi_t and one FFT of the
+rotated amplitudes; the half-wave phases carry the amplitudes' inverse FFT's
+1/n_x, so no pass of its own scales them.  The coupling takes the cosine and
+sine of its angle from one ``tan`` of the half angle, since NumPy's float64
+``tan`` has a SIMD loop and its ``cos`` and ``sin`` do not.
 
 Each march allocates one workspace, ``_Workspace``, sized by n_x, when it
 starts, and its steps allocate no array: the inverse real FFT of phi, the
@@ -89,7 +89,6 @@ import contextlib
 import functools
 import io
 import math
-import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -282,7 +281,7 @@ class _Workspace:
         self.f_hat = np.empty((2, bins), complex)  # the spare f_hat
 
 
-# Four entries: a run and its -dt reversal each use the tables of dt/2 and dt.
+# Four entries: a run and its -dt reversal each use the tables of dt/2 and dt; a one-step march, dt/2's alone.
 @functools.lru_cache(maxsize=4)
 def _linear_table(grid: GridSpec1D, m: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode tables of linear(h), cached and read-only: the half-wave
@@ -379,7 +378,8 @@ def _march(state: DKGState, dt: float, n_steps: int, every: int):
     if not n_steps:
         return
     M, n = state.M, state.grid.n_x
-    half, full = (_linear_table(state.grid, state.m, h) for h in (dt / 2, dt))
+    half = _linear_table(state.grid, state.m, dt / 2)
+    full = _linear_table(state.grid, state.m, dt) if n_steps > 1 else half
     work = _Workspace(n)
     for k in range(1, n_steps + 1):
         # The opening linear(dt/2), then one fused linear(dt) between steps;
@@ -595,11 +595,11 @@ _BYTES_PER_POINT = 2 * (_A_DTYPE.itemsize + _F_DTYPE.itemsize)
 
 
 def save_state(path, state: DKGState) -> None:
-    """Write a snapshot of ``state`` to ``path``: a file name, or a binary
-    file open for writing.  The state passes the check that ``load_state``
-    makes before ``path`` is opened, so every snapshot written loads."""
+    """Write a snapshot of ``state`` to ``path``: a binary file open for writing,
+    or a file name or descriptor, as ``open`` and ``load_state`` take.  The state
+    passes the check that ``load_state`` makes before ``path`` is opened, so every snapshot written loads."""
     _check_state(state)
-    with open(path, "wb") if isinstance(path, (str, os.PathLike)) else contextlib.nullcontext(path) as fh:
+    with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
         fh.write(_STATE_HEADER.pack(_STATE_MAGIC, state.t, state.M, state.m, state.grid.n_x, state.grid.x_extent))
         fh.write(state.a.astype(_A_DTYPE).tobytes())
         fh.write(state.f.astype(_F_DTYPE).tobytes())

@@ -82,6 +82,18 @@ MUTANTS = [
     ),
     (
         "solver.py",
+        "if n_steps > 1 else half",
+        "if n_steps > 0 else half",
+        ["tests/test_solver.py::TestPropagatorCache::test_one_step_march_builds_only_the_half_step_table"],
+    ),
+    (
+        "solver.py",
+        'if hasattr(path, "write") else',
+        'if hasattr(path, "write") or isinstance(path, bytes) else',
+        ["tests/test_solver.py::TestSnapshot::test_roundtrip_through_bytes_name_and_descriptor"],
+    ),
+    (
+        "solver.py",
         "omega = np.sqrt(grid.xi_rfft**2 + m**2)",
         "omega = np.sqrt(grid.xi_rfft**2 + 4 * m**2)",
         ["tests/test_solver.py::TestKGFlow::test_energy_conserved"],
@@ -214,6 +226,12 @@ MUTANTS = [
         "odd = np.maximum(((hi - 1) >> 1) - (lo >> 1) + 1, 0)",
         "odd = np.maximum(((hi - 1) >> 1) - (lo >> 1), 0)",
         ["tests/test_counterexamples.py::TestPairCounts::test_matches_point_pairs"],
+    ),
+    (
+        "counterexamples.py",
+        "n_offsets, n_u * n_v)",
+        "n_offsets, n_u * n_u)",
+        ["tests/test_counterexamples.py::TestPairCounts::test_rows_report_offsets_and_pairs"],
     ),
     (
         "counterexamples.py",

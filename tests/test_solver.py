@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import os
 import struct
 import tracemalloc
 import types
@@ -380,8 +381,7 @@ class TestPropagatorCache:
     def test_stepping_on_many_grids_keeps_four_entries(self):
         # The cache keeps the four entries a +dt/-dt reversal needs (dt/2
         # and dt each way), so the grids and tables of earlier steps are
-        # freed: about 1 MiB of tables stays at 2^12 points, where 32
-        # entries in each of two caches kept about 9.5 MiB.
+        # freed: about 1 MiB of tables stays at 2^12 points.
         n = 2**12
         tracemalloc.start()
         try:
@@ -396,6 +396,16 @@ class TestPropagatorCache:
         finally:
             tracemalloc.stop()
         assert retained < 2**21
+
+    def test_one_step_march_builds_only_the_half_step_table(self, smooth_state):
+        # A one-step march applies linear(dt/2) twice and never linear(dt).
+        dt = 1 / 64
+        solver._linear_table.cache_clear()
+        solver.strang_step(smooth_state, dt)
+        solver.run(SolverConfig(grid=smooth_state.grid, dt=dt, t_end=dt), smooth_state)
+        assert solver._linear_table.cache_info().currsize == 1
+        solver.run(SolverConfig(grid=smooth_state.grid, dt=dt, t_end=2 * dt), smooth_state)
+        assert solver._linear_table.cache_info().currsize == 2
 
     def test_half_step_tables_compose_to_the_full_step(self, grid):
         # The march fuses linear(dt/2) o linear(dt/2) into linear(dt).  The
@@ -1261,6 +1271,17 @@ class TestSnapshot:
         for name in ("psi_plus", "psi_minus", "phi", "phi_t"):
             assert np.array_equal(getattr(back, name), getattr(s, name))
             assert getattr(back, name).dtype == getattr(s, name).dtype
+
+    def test_roundtrip_through_bytes_name_and_descriptor(self, smooth_state, tmp_path):
+        # save_state takes every file name that load_state takes.
+        name = bytes(tmp_path / "state.bin")
+        solver.save_state(name, smooth_state)
+        via_name = solver.load_state(name)
+        solver.save_state(os.open(name, os.O_WRONLY | os.O_TRUNC), smooth_state)
+        via_descriptor = solver.load_state(os.open(name, os.O_RDONLY))
+        for back in (via_name, via_descriptor):
+            assert back.t == smooth_state.t and back.grid == smooth_state.grid
+            assert np.array_equal(back.a, smooth_state.a) and np.array_equal(back.f, smooth_state.f)
 
     def test_flat_layout(self, tmp_path):
         g = GridSpec1D(4, 2.5)
