@@ -18,7 +18,7 @@ A negative delta therefore certifies unboundedness of the corresponding
 product estimate; nonnegativity of delta over all families, on the tuple
 and on its mirror (b, a, c, beta, alpha, gamma), yields the necessary
 conditions checked in ``regions.bilinear_necessary_conditions``.  Each
-family is one row of exact rational data in ``FAMILIES``.
+family is one row of exact data in ``FAMILIES``, with integer lattice columns.
 
 The strips are sampled on the fixed frequency lattice tau = i/2, xi = j/4,
 the same at every L, so the strip discretization cancels out of fitted
@@ -74,10 +74,10 @@ DTAU = 0.5
 DXI = 0.25
 CELL = DTAU * DXI
 DEFAULT_L_LADDER = (64.0, 128.0, 256.0, 512.0)
-# Largest scale L: strip endpoints such as L - 1/2 and lattice coordinates
-# up to about 2L must be exact in float64.  At zero exponents the counts hold
-# up to 2^51; at 2^52 cond1_ab keeps 8 of its 13 u-points, near 2^60 cond1_gamma
-# and cond4 count no pairs, near 1e20 the columns overflow int64.
+# Largest scale L: the strip columns P L + Q, |P| <= 8, are exact in float64
+# while 8L <= 2^53.  At zero exponents the counts hold up to 2^51; at 2^52
+# cond1_ab keeps 8 of its 13 u-points, near 2^60 cond1_gamma and cond4 count
+# no pairs, near 1e20 the columns overflow int64.
 _MAX_L = 2.0**48
 # Work budget of a ladder scale, in cells of the offset grid that
 # ``_ladder_counts`` visits: it bounds time, since memory is O(_BLOCK).  Only
@@ -114,48 +114,42 @@ def _exponent_tuple(e) -> ExponentTuple:
     return ExponentTuple(*e)
 
 
-_HALF = Fraction(1, 2)
-
-
 @dataclass(frozen=True)
 class CounterexampleFamily:
     """One construction as exact data: v's strip line, the endpoints of A, B and C
-    (lo, hi each) as pairs (p, q) meaning p L + q, and delta as the sum of the
-    named exponents plus ``delta_constant``.  A float L takes float endpoints,
-    held once, with the bits of Fraction arithmetic; an int or Fraction L is exact."""
+    (lo, hi each) as integer pairs (P, Q) meaning lattice column P L + Q, that is
+    xi = (P L + Q) / 4, and delta as the sum of the named exponents plus
+    ``delta_constant``.  A float L rounds each column once; an int or Fraction
+    L is exact."""
 
     v_line: str
-    endpoints: tuple[tuple[int | Fraction, int | Fraction], ...]
+    endpoints: tuple[tuple[int, int], ...]
     delta_sum: tuple[str, ...]
     delta_constant: Fraction | None = None
 
-    @functools.cached_property
-    def _float_endpoints(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(p), float(q)) for p, q in self.endpoints)
-
     def intervals(self, L) -> tuple[Interval, Interval, Interval]:
-        x = [p * L + q for p, q in (self._float_endpoints if isinstance(L, float) else self.endpoints)]
+        x = [(P * L + Q) / Fraction(4) for P, Q in self.endpoints]
         return (x[0], x[1]), (x[2], x[3]), (x[4], x[5])
 
 
 FAMILIES: dict[str, CounterexampleFamily] = {
     "cond1_ab": CounterexampleFamily(
-        "plus", ((1, -_HALF), (1, _HALF), (1, -1), (1, 1), (0, -_HALF), (0, _HALF)), ("a", "b", "beta")
+        "plus", ((4, -2), (4, 2), (4, -4), (4, 4), (0, -2), (0, 2)), ("a", "b", "beta")
     ),
     "cond2": CounterexampleFamily(
         "plus",
-        ((Fraction(1, 4), 0), (_HALF, 0), (_HALF, 0), (Fraction(3, 2), 0), (-1, 0), (-_HALF, 0)),
+        ((1, 0), (2, 0), (2, 0), (6, 0), (-4, 0), (-2, 0)),
         ("a", "b", "c", "beta"),
-        -_HALF,
+        Fraction(-1, 2),
     ),
     "cond3": CounterexampleFamily(
-        "plus", ((1, -_HALF), (1, _HALF), (0, -1), (0, 1), (1, -_HALF), (1, _HALF)), ("a", "c")
+        "plus", ((4, -2), (4, 2), (0, -4), (0, 4), (4, -2), (4, 2)), ("a", "c")
     ),
     "cond1_gamma": CounterexampleFamily(
-        "minus", ((1, -1), (1, 1), (1, -2), (1, 2), (0, -1), (0, 1)), ("a", "b", "gamma")
+        "minus", ((4, -4), (4, 4), (4, -8), (4, 8), (0, -4), (0, 4)), ("a", "b", "gamma")
     ),
     "cond4": CounterexampleFamily(
-        "minus", ((1, -1), (1, 1), (2, -2), (2, 2), (-1, -1), (-1, 1)), ("a", "b", "c", "gamma")
+        "minus", ((4, -4), (4, 4), (8, -8), (8, 8), (-4, -4), (-4, 4)), ("a", "b", "c", "gamma")
     ),
 }
 
@@ -179,7 +173,7 @@ def predicted_delta(family_id: str, e) -> float:
 
 def _columns(interval: Interval) -> tuple[int, int]:
     """First and last lattice column j (xi = j/4) of a strip over ``interval``."""
-    return math.ceil(interval[0] / DXI), math.floor(interval[1] / DXI)
+    return math.ceil(4 * interval[0]), math.floor(4 * interval[1])
 
 
 def strip_points(interval: Interval, line: str) -> np.ndarray:
@@ -348,11 +342,13 @@ def _checked_columns(family_id: str, L_values) -> tuple[CounterexampleFamily, li
     L_values = list(L_values)
     if not all(finite_real(L) and 4 < L <= _MAX_L for L in L_values):
         raise ValueError("family scale L must be finite and exceed 4, and be at most 2^48")
-    columns = [_columns(A) + _columns(B) for A, B, _ in map(family.intervals, L_values)]
+    # The first and last columns of A and B: zip stops at C.
+    ends = (math.ceil, math.floor) * 2
+    columns = [tuple(end(P * L + Q) for end, (P, Q) in zip(ends, family.endpoints)) for L in L_values]
     for L, (di_lo, di_hi, n_dj) in zip(L_values, (_offset_grid(c, family.v_line) for c in columns)):
         if 9 * (di_hi - di_lo + 1) * n_dj > _MAX_WORK_CELLS:
             raise ValueError(
-                f"{family_id} at L = {L:g} would count pairs on more than 2^26 offset cells; "
+                f"{family_id} at L = {float(L):g} would count pairs on more than 2^26 offset cells; "
                 "this cap bounds the time of a ladder, not its memory"
             )
     return family, L_values, columns

@@ -285,17 +285,18 @@ class _Workspace:
 @functools.lru_cache(maxsize=4)
 def _linear_table(grid: GridSpec1D, m: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode tables of linear(h), cached and read-only: the half-wave
-    phases exp(-+i xi h) / n_x of (a_+, a_-), shape (2, n_x), whose 1/n_x
-    (exact, n_x being a power of two) scales the unscaled inverse FFT that
-    follows them, and the exact Klein-Gordon flow on (phi_hat, phi_t_hat),
-    [[cos, sin/omega], [-omega sin, cos]] (omega h) with omega = sqrt(xi^2
-    + m^2), shape (2, 2, n_x // 2 + 1), the identity at h = 0, stored
-    complex so that applying it to f_hat casts nothing (the same bits)."""
-    xi = np.stack((grid.xi_fft, -grid.xi_fft))
+    phases exp(-+i xi h) / n_x of (a_+, a_-), shape (2, n_x), one row the
+    other's conjugate, whose 1/n_x (exact, n_x being a power of two) scales
+    the unscaled inverse FFT that follows them, and the exact Klein-Gordon
+    flow on (phi_hat, phi_t_hat), [[cos, sin/omega], [-omega sin, cos]]
+    (omega h) with omega = sqrt(xi^2 + m^2), shape (2, 2, n_x // 2 + 1), the
+    identity at h = 0, stored complex so that applying it to f_hat casts
+    nothing (the same bits)."""
     omega = np.sqrt(grid.xi_rfft**2 + m**2)
     c = np.cos(omega * h)
     s_over_omega = h * np.sinc(omega * h / np.pi)  # sin(omega h)/omega, exact at 0
-    phases = np.exp(-1j * xi * h) / grid.n_x
+    phase = np.exp(-1j * grid.xi_fft * h) / grid.n_x
+    phases = np.stack((phase, phase.conj()))
     kg = np.array([[c, s_over_omega], [-omega * np.sin(omega * h), c]], dtype=complex)
     phases.flags.writeable = kg.flags.writeable = False
     return phases, kg

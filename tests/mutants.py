@@ -100,12 +100,18 @@ MUTANTS = [
     ),
     (
         "solver.py",
-        "np.exp(-1j * xi * h) / grid.n_x",
-        "np.exp(-1j * xi * h)",
+        "np.exp(-1j * grid.xi_fft * h) / grid.n_x",
+        "np.exp(-1j * grid.xi_fft * h)",
         [
             "tests/test_solver.py::TestPropagatorCache::test_half_step_tables_compose_to_the_full_step",
             "tests/test_solver.py::TestStep::test_charge_conservation_long_run",
         ],
+    ),
+    (
+        "solver.py",
+        "np.stack((phase, phase.conj()))",
+        "np.stack((phase, phase))",
+        ["tests/test_solver.py::TestSystem::test_full_amplitude_matches_characteristic_lattice"],
     ),
     (
         "solver.py",
@@ -226,6 +232,15 @@ MUTANTS = [
         "odd = np.maximum(((hi - 1) >> 1) - (lo >> 1) + 1, 0)",
         "odd = np.maximum(((hi - 1) >> 1) - (lo >> 1), 0)",
         ["tests/test_counterexamples.py::TestPairCounts::test_matches_point_pairs"],
+    ),
+    (
+        "counterexamples.py",
+        "(math.ceil, math.floor) * 2",
+        "(math.floor, math.floor) * 2",
+        [
+            "tests/test_counterexamples.py::TestPairCounts::test_rows_report_offsets_and_pairs",
+            "tests/test_counterexamples.py::TestPairCounts::test_ladder_columns_are_exact",
+        ],
     ),
     (
         "counterexamples.py",

@@ -13,6 +13,16 @@ from dkg1d.counterexamples import ExponentTuple
 from dkg1d.norms import NormIndex
 
 ZEROS = ExponentTuple()
+_HALF = Fraction(1, 2)
+# The endpoints of A, B and C as rational pairs (p, q) meaning xi = p L + q,
+# that is FAMILIES' columns (P, Q) / 4: the reference of the interval tests.
+RATIONAL_ENDPOINTS = {
+    "cond1_ab": ((1, -_HALF), (1, _HALF), (1, -1), (1, 1), (0, -_HALF), (0, _HALF)),
+    "cond2": ((Fraction(1, 4), 0), (_HALF, 0), (_HALF, 0), (Fraction(3, 2), 0), (-1, 0), (-_HALF, 0)),
+    "cond3": ((1, -_HALF), (1, _HALF), (0, -1), (0, 1), (1, -_HALF), (1, _HALF)),
+    "cond1_gamma": ((1, -1), (1, 1), (1, -2), (1, 2), (0, -1), (0, 1)),
+    "cond4": ((1, -1), (1, 1), (2, -2), (2, 2), (-1, -1), (-1, 1)),
+}
 
 
 def fitted_slope(family, e, L=cx.DEFAULT_L_LADDER):
@@ -140,13 +150,13 @@ class TestIntervals:
 
     @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
     def test_float_scale_has_the_bits_of_exact_endpoints(self, family):
-        # A float L takes float endpoints held once per family; Fraction
-        # arithmetic on a float falls back to the same float(p) L + float(q).
+        # A float L takes the bits of the rational endpoints in Fraction
+        # arithmetic, which on a float falls back to float(p) L + float(q).
         rng = np.random.default_rng(17)
         for L in np.exp(rng.uniform(math.log(4), 48 * math.log(2), 200)):
             for scale in (float(L), np.float64(L)):
                 got = [end for interval in cx.FAMILIES[family].intervals(scale) for end in interval]
-                want = [p * scale + q for p, q in cx.FAMILIES[family].endpoints]
+                want = [p * scale + q for p, q in RATIONAL_ENDPOINTS[family]]
                 assert list(map(float.hex, got)) == list(map(float.hex, want)), scale
 
     @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
@@ -155,7 +165,7 @@ class TestIntervals:
         for L in (97, Fraction(129, 2), 2**60 + 1):
             got = [end for interval in cx.FAMILIES[family].intervals(L) for end in interval]
             assert not any(isinstance(end, float) for end in got), L
-            assert got == [Fraction(p) * L + q for p, q in cx.FAMILIES[family].endpoints]
+            assert got == [Fraction(p) * L + q for p, q in RATIONAL_ENDPOINTS[family]]
 
     @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
     def test_abc_closure_sampled(self, family):
@@ -230,6 +240,12 @@ class TestBuildFamily:
         # Above 2^48 the lattice columns lose exactness, then overflow int64.
         with pytest.raises(ValueError, match=r"at most 2\^48"):
             cx.ratio_ladder(family, [64.0, L], [ZEROS])
+
+    def test_cond2_budget_refuses_a_fraction_scale(self):
+        # The message prints L as a float: format "g" of a Fraction raised
+        # TypeError before Python 3.12.
+        with pytest.raises(ValueError, match=r"at L = 1\.40737e\+14 would count"):
+            cx.check_scales("cond2", [Fraction(2**62 + 1, 2**15)])
 
     def test_cond2_scale_budget(self):
         # cond2's offset grid has about 22.5 L cells.  The ladder streams it,
@@ -327,6 +343,23 @@ class TestPairCounts:
             assert row.points_u == cx.strip_points(A, "plus").shape[1]
             assert row.points_v == cx.strip_points(B, spec.v_line).shape[1]
             assert row.pairs == row.points_u * row.points_v
+
+    @pytest.mark.parametrize("family", sorted(cx.FAMILIES))
+    def test_ladder_columns_are_exact(self, family):
+        # The ladder's columns are the exact ceil and floor of 4 x the interval
+        # ends.  At 100 + 2^-60 and (2^62 + 1) / 2^15 an end just above a
+        # column loses its excess when divided by DXI in floats, and the strip
+        # gains that column; cond2's strips at the largest L exceed its work cap.
+        spec = cx.FAMILIES[family]
+        scales = [100.3, np.float64(100.3), 97, Fraction(129, 2), 100 + Fraction(1, 2**60)]
+        for L in scales + ([] if family == "cond2" else [Fraction(2**62 + 1, 2**15)]):
+            A, B, _ = spec.intervals(L)
+            (columns,) = cx._checked_columns(family, [L])[2]
+            ends = [4 * Fraction(end) for end in A + B]
+            assert columns == (math.ceil(ends[0]), math.floor(ends[1]), math.ceil(ends[2]), math.floor(ends[3])), L
+            (row,) = cx.ratio_ladder(family, [L], [ZEROS])
+            assert row.points_u == cx.strip_points(A, "plus").shape[1], L
+            assert row.points_v == cx.strip_points(B, spec.v_line).shape[1], L
 
 
 THREE = [ZEROS, ExponentTuple(0.5, 0, 0, 0, 0.5, 0), ExponentTuple(0, 0, 1, 1, 1, -0.5)]
